@@ -184,6 +184,13 @@ class EMSpace:
             for coords in itertools.product(values, repeat=self.rank(k))
         ]
 
+    def contains(self, k: int, x) -> bool:
+        return isinstance(x, EMSimplex) and x.level == k and len(x.coords) == self.rank(k)
+
+    def encode(self, x: EMSimplex) -> list:
+        """The JSON form of a simplex: its coordinates."""
+        return list(x.coords)
+
     def render_simplex(self, x: EMSimplex) -> str:
         M = self.monoid
         literal = f"level:{x.level} [" + ",".join(M.render(c) for c in x.coords) + "]"

@@ -19,22 +19,25 @@ Group targets additionally get the classical constructive filler, built by
 correcting a degenerate start with degeneracies and inverses below the
 missing index and then above it.  Every filler returned by any engine is
 re-verified against the given faces before being reported.
+
+A horn target is either an ``EMSpace`` or a finite
+``TruncatedSimplicialSet``.  Both provide ``name``, ``dim_bound``,
+``face(k, i, x)``, ``enumerate_level(k, bound=None)``, ``contains(k, x)``
+and ``encode(x)`` (the JSON form of a simplex), and validation, the
+exhaustive scan, horn enumeration and certificates use only those.  The
+sweeps decide ``K(M,n)`` with the equation solver above and a finite
+simplicial set with the exhaustive scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator, Optional, Union
 
 from .em import EMSimplex, EMSpace
-from .monoid import (
-    CommutativeMonoid,
-    Element,
-    UndecidableError,
-    solve_value,
-    solve_value_all,
-)
-from .sset import TruncatedSimplicialSet, render_id
+from .monoid import CommutativeMonoid, Element, UndecidableError, solve_value_all
+from .sset import TruncatedSimplicialSet
 
 Target = Union[EMSpace, TruncatedSimplicialSet]
 
@@ -78,38 +81,26 @@ def validate_horn(problem: HornProblem) -> tuple[bool, Optional[tuple[int, int]]
         raise ValueError(
             f"horn needs faces {sorted(expected)}, got {sorted(problem.faces)}"
         )
-    if isinstance(target, EMSpace):
-        if n > target.dim_bound:
-            raise ValueError(f"dimension {n} exceeds truncation {target.dim_bound}")
-        for i, x in problem.faces.items():
-            if not isinstance(x, EMSimplex) or x.level != n - 1:
-                raise ValueError(f"face {i} is not a level-{n - 1} simplex")
-            if len(x.coords) != target.rank(n - 1):
-                raise ValueError(f"face {i} has the wrong number of coordinates")
-        if n >= 2:
-            given = problem.given_indices()
-            for pos, i in enumerate(given):
-                for j in given[pos + 1 :]:
-                    lhs = target.face(n - 1, i, problem.faces[j])
-                    rhs = target.face(n - 1, j - 1, problem.faces[i])
-                    if lhs != rhs:
-                        return False, (i, j)
-    else:
-        if n > target.dim_bound:
-            raise ValueError(f"dimension {n} exceeds truncation {target.dim_bound}")
-        level = set(target.level(n - 1))
-        for i, x in problem.faces.items():
-            if x not in level:
-                raise ValueError(f"face {i} ({render_id(x)}) is not a level-{n - 1} simplex")
-        if n >= 2:
-            given = problem.given_indices()
-            for pos, i in enumerate(given):
-                for j in given[pos + 1 :]:
-                    if target.face(n - 1, i, problem.faces[j]) != target.face(
-                        n - 1, j - 1, problem.faces[i]
-                    ):
-                        return False, (i, j)
+    if n > target.dim_bound:
+        raise ValueError(f"dimension {n} exceeds truncation {target.dim_bound}")
+    for i, x in problem.faces.items():
+        if not target.contains(n - 1, x):
+            raise ValueError(f"face {i} is not a level-{n - 1} simplex of {target.name}")
+    if n >= 2:
+        given = problem.given_indices()
+        for pos, i in enumerate(given):
+            for j in given[pos + 1 :]:
+                lhs = target.face(n - 1, i, problem.faces[j])
+                rhs = target.face(n - 1, j - 1, problem.faces[i])
+                if lhs != rhs:
+                    return False, (i, j)
     return True, None
+
+
+def _require_compatible(problem: HornProblem) -> None:
+    ok, violation = validate_horn(problem)
+    if not ok:
+        raise ValueError(f"incompatible horn data at face pair {violation}")
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +132,7 @@ def build_constraints(K: EMSpace, problem: HornProblem) -> ConstraintSystem:
     A generator of the missing level that hits the basepoint under some
     face simply does not occur in that face's equations.
     """
-    ok, violation = validate_horn(problem)
-    if not ok:
-        raise ValueError(f"incompatible horn data at face pair {violation}")
+    _require_compatible(problem)
     n = problem.n
     equations = []
     for i in problem.given_indices():
@@ -190,9 +179,9 @@ def _equation_text(system: ConstraintSystem, eq: Equation, assignment: list) -> 
     return " + ".join(terms) + f" = {M.render(eq.rhs)}"
 
 
-def _verify_em_filler(system: ConstraintSystem, y: EMSimplex) -> bool:
-    K, p = system.space, system.problem
-    return all(K.face(p.n, i, y) == x for i, x in p.faces.items())
+def _fills(target: Target, problem: HornProblem, y) -> bool:
+    n = problem.n
+    return all(target.face(n, i, y) == x for i, x in problem.faces.items())
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +191,16 @@ def _verify_em_filler(system: ConstraintSystem, y: EMSimplex) -> bool:
 def _propagate(system: ConstraintSystem, M: CommutativeMonoid):
     """Substitute forced values from single-unknown equations to a fixpoint.
 
-    Groups and the naturals are cancellative, so a single-unknown equation
-    determines its variable outright (or is unsolvable, ending the chain in
-    a contradiction certificate).  In a non-cancellative finite monoid such
-    an equation may have several solutions; committing to one would lose
-    fillers, so those equations are left for the search phase and only the
-    forced ones are substituted.
+    A single-unknown equation with one solution determines its variable,
+    and one with none ends the chain in a contradiction certificate.  In
+    a non-cancellative finite monoid such an equation may have several
+    solutions; committing to one would lose fillers, so those equations
+    are left for the search phase and only the forced ones are substituted.
 
     Returns (assignment, steps, failed_step).  When failed_step is not None
     the chain ended in a contradiction and the assignment is meaningless.
     """
     nvars = len(system.variables)
-    cancellative = M.is_group or M.is_free_natural
     assignment: list = [None] * nvars
     steps: list[CertStep] = []
     pending = list(range(len(system.equations)))
@@ -242,11 +229,7 @@ def _propagate(system: ConstraintSystem, M: CommutativeMonoid):
                 text = _equation_text(system, eq, assignment)
                 var = unknown[0]
                 name = str(system.space.gens[system.problem.n][var])
-                if cancellative:
-                    solutions = solve_value(M, known, eq.rhs)
-                    solutions = [] if solutions is None else [solutions]
-                else:
-                    solutions = solve_value_all(M, known, eq.rhs)
+                solutions = solve_value_all(M, known, eq.rhs)
                 if not solutions:
                     step = CertStep(
                         "contradiction", name, text, None,
@@ -308,7 +291,7 @@ def _search_residual(
                     return [], {v: [] for v in constrained}
                 if best is None or M.leq(residual_rhs, best):
                     best = residual_rhs
-            domains[v] = M.bounded_elements(best, extra=slack)
+            domains[v] = list(range(best + slack + 1))
     elif M.is_finite:
         domains = {v: list(M.elements) for v in constrained}
     else:
@@ -449,79 +432,62 @@ def _eliminate_group_residual(system, M, assignment):
     return out, free_count
 
 
-def solve_em(
-    system: ConstraintSystem,
-    monoid: Optional[CommutativeMonoid] = None,
-    slack: int = 0,
-) -> FillerResult:
+def _solve(system: ConstraintSystem, limit: int, slack: int = 0):
+    """Propagate, then finish the residual by search or integer elimination.
+
+    Returns (solutions, steps, loose): at most ``limit`` complete
+    assignments; the certificate steps, ending in the step that refutes
+    the system when there is no solution; and whether some coordinate is
+    left free, so that there are more solutions than the ones returned.
+    """
+    M = system.space.monoid
+    if not (M.is_group or M.is_free_natural or M.is_finite):
+        raise UndecidableError(f"no solver capability for {M.name}; undecidable here")
+    assignment, steps, failed = _propagate(system, M)
+    if failed is not None:
+        return [], steps + [failed], False
+    if all(v is not None for v in assignment):
+        return [assignment], steps, False
+    in_equation = {v for eq in system.equations for v in eq.vars}
+    free = [v for v, a in enumerate(assignment) if a is None and v not in in_equation]
+    loose = bool(free) and not (M.is_finite and len(M.elements) == 1)
+    if M.is_free_natural or M.is_finite:
+        solutions, domains = _search_residual(system, M, assignment, slack, limit)
+        if solutions:
+            return solutions, steps, loose
+        sizes = ", ".join(
+            f"x({system.variables[v]}): {len(dom)} candidates"
+            for v, dom in sorted(domains.items())
+        )
+        note = f"search exhausted; {sizes or 'no residual candidates'}"
+    else:
+        solved, free_cols = _eliminate_group_residual(system, M, assignment)
+        if solved is not None:
+            return [solved], steps, loose or free_cols > 0
+        note = "integer elimination: residual system has no solution"
+    return [], steps + [CertStep("exhausted", None, note, None)], False
+
+
+def solve_em(system: ConstraintSystem, slack: int = 0) -> FillerResult:
     """Decide the constraint system and certify the outcome.
 
     ``slack`` widens the per-variable search bounds over the naturals; it
     exists so the bound-soundness claim can be exercised (enlarging the
     bounds must never change a verdict).
     """
-    M = monoid if monoid is not None else system.space.monoid
-    if not (M.is_group or M.is_free_natural or M.is_finite):
-        raise UndecidableError(f"no solver capability for {M.name}; undecidable here")
-    assignment, steps, failed = _propagate(system, M)
-    if failed is not None:
-        return FillerResult(None, tuple(steps) + (failed,), None)
-    if any(v is None for v in assignment):
-        if M.is_free_natural or M.is_finite:
-            solutions, domains = _search_residual(system, M, assignment, slack=slack)
-            if not solutions:
-                sizes = ", ".join(
-                    f"x({system.variables[v]}): {len(dom)} candidates"
-                    for v, dom in sorted(domains.items())
-                )
-                note = f"search exhausted; {sizes or 'no residual candidates'}"
-                step = CertStep("exhausted", None, note, None)
-                return FillerResult(None, tuple(steps) + (step,), note)
-            assignment = solutions[0]
-        else:
-            solved, _ = _eliminate_group_residual(system, M, assignment)
-            if solved is None:
-                note = "integer elimination: residual system has no solution"
-                step = CertStep("exhausted", None, note, None)
-                return FillerResult(None, tuple(steps) + (step,), note)
-            assignment = solved
-    y = EMSimplex(system.problem.n, tuple(assignment))
-    assert _verify_em_filler(system, y), "solver produced a non-filler; this is a bug"
+    solutions, steps, _ = _solve(system, 1, slack)
+    if not solutions:
+        last = steps[-1]
+        return FillerResult(None, tuple(steps), last.equation if last.kind == "exhausted" else None)
+    y = EMSimplex(system.problem.n, tuple(solutions[0]))
+    assert _fills(system.space, system.problem, y), "solver produced a non-filler; this is a bug"
     return FillerResult(y, tuple(steps), None)
 
 
-def count_fillers(
-    system: ConstraintSystem,
-    monoid: Optional[CommutativeMonoid] = None,
-    limit: int = 2,
-) -> int:
+def count_fillers(system: ConstraintSystem, limit: int = 2) -> int:
     """How many fillers exist, counted up to ``limit``."""
-    M = monoid if monoid is not None else system.space.monoid
-    assignment, _, failed = _propagate(system, M)
-    if failed is not None:
-        return 0
-    unassigned = [v for v in range(len(assignment)) if assignment[v] is None]
-    if not unassigned:
-        return 1
-    in_equation = set()
-    for eq in system.equations:
-        in_equation.update(eq.vars)
-    free = [v for v in unassigned if v not in in_equation]
-    if M.is_free_natural or M.is_finite:
-        solutions, _ = _search_residual(system, M, assignment, limit=limit)
-        count = len(solutions)
-    elif M.is_group:
-        solved, free_cols = _eliminate_group_residual(system, M, assignment)
-        if solved is None:
-            return 0
-        count = 1 if free_cols == 0 else limit
-    else:
-        raise UndecidableError(f"cannot count fillers over {M.name}; undecidable here")
-    if count and free:
-        size = len(M.elements) if M.is_finite else None
-        if size is None or size > 1:
-            count = limit
-    return min(count, limit)
+    solutions, _, loose = _solve(system, limit)
+    return limit if solutions and loose else len(solutions)
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +505,7 @@ def moore_filler(K: EMSpace, problem: HornProblem) -> FillerResult:
     M = K.monoid
     if not M.is_group:
         raise ValueError(f"{M.name} is not a group; the constructive filler needs inverses")
-    ok, violation = validate_horn(problem)
-    if not ok:
-        raise ValueError(f"incompatible horn data at face pair {violation}")
+    _require_compatible(problem)
     n, k = problem.n, problem.k
     y = K.zero(n)
     for r in range(k):
@@ -550,8 +514,7 @@ def moore_filler(K: EMSpace, problem: HornProblem) -> FillerResult:
     for r in range(n, k, -1):
         error = K.sub(problem.faces[r], K.face(n, r, y))
         y = K.add(y, K.degeneracy(n - 1, r - 1, error))
-    for i, x in problem.faces.items():
-        assert K.face(n, i, y) == x, f"constructive filler missed face {i}; this is a bug"
+    assert _fills(K, problem, y), "constructive filler missed a face; this is a bug"
     return FillerResult(y, (), "constructive group filler")
 
 
@@ -559,41 +522,29 @@ def moore_filler(K: EMSpace, problem: HornProblem) -> FillerResult:
 # Brute force oracle
 
 
+def _scan(target: Target, problem: HornProblem, value_bound: Optional[int]):
+    """Check the horn data, then list level n: (candidates, lazy fillers)."""
+    _require_compatible(problem)
+    candidates = target.enumerate_level(problem.n, bound=value_bound)
+    return candidates, (y for y in candidates if _fills(target, problem, y))
+
+
 def iter_fillers(
     target: Target, problem: HornProblem, value_bound: Optional[int] = None
 ) -> Iterator[object]:
     """All fillers in canonical candidate order, by exhaustive scan."""
-    ok, violation = validate_horn(problem)
-    if not ok:
-        raise ValueError(f"incompatible horn data at face pair {violation}")
-    n = problem.n
-    if isinstance(target, EMSpace):
-        for y in target.enumerate_level(n, bound=value_bound):
-            if all(target.face(n, i, y) == x for i, x in problem.faces.items()):
-                yield y
-    else:
-        for y in target.level(n):
-            if all(target.face(n, i, y) == x for i, x in problem.faces.items()):
-                yield y
+    yield from _scan(target, problem, value_bound)[1]
 
 
 def brute_force_filler(
     target: Target, problem: HornProblem, value_bound: Optional[int] = None
 ) -> FillerResult:
     """Exhaustive scan oracle: first verified candidate, else the scan size."""
-    n = problem.n
-    if isinstance(target, EMSpace):
-        candidates = target.enumerate_level(n, bound=value_bound)
-    else:
-        candidates = list(target.level(n))
-    ok, violation = validate_horn(problem)
-    if not ok:
-        raise ValueError(f"incompatible horn data at face pair {violation}")
-    for y in candidates:
-        matched = all(target.face(n, i, y) == x for i, x in problem.faces.items())
-        if matched:
-            return FillerResult(y, (), f"scan of {len(candidates)} candidates")
-    note = f"exhausted scan of all {len(candidates)} level-{n} candidates"
+    candidates, fillers = _scan(target, problem, value_bound)
+    y = next(fillers, None)
+    if y is not None:
+        return FillerResult(y, (), f"scan of {len(candidates)} candidates")
+    note = f"exhausted scan of all {len(candidates)} level-{problem.n} candidates"
     if value_bound is not None:
         note += f" (coordinate bound {value_bound})"
     return FillerResult(None, (CertStep("exhausted", None, note, None),), note)
@@ -725,18 +676,9 @@ def certificate_json(problem: HornProblem, result: FillerResult) -> dict:
     Coefficient coordinates serialize as integers; simplex identifiers of
     finite simplicial-set targets serialize as their display strings.
     """
-    witness = None
-    if result.found:
-        if isinstance(result.filler, EMSimplex):
-            witness = list(result.filler.coords)
-        else:
-            witness = [render_id(result.filler)]
-    faces = {}
-    for i, x in sorted(problem.faces.items()):
-        if isinstance(x, EMSimplex):
-            faces[str(i)] = list(x.coords)
-        else:
-            faces[str(i)] = [render_id(x)]
+    encode = problem.target.encode
+    witness = encode(result.filler) if result.found else None
+    faces = {str(i): encode(x) for i, x in sorted(problem.faces.items())}
     return {
         "horn": {"n": problem.n, "k": problem.k, "faces": faces},
         "result": "filler" if result.found else "no_filler",
@@ -768,12 +710,7 @@ def iter_compatible_horn_data(
     coefficient monoids the candidate coordinates are capped at ``bound``.
     """
     given = [i for i in range(n + 1) if i != k]
-    if isinstance(target, EMSpace):
-        candidates = target.enumerate_level(
-            n - 1, bound=None if target.monoid.is_finite else bound
-        )
-    else:
-        candidates = list(target.level(n - 1))
+    candidates = target.enumerate_level(n - 1, bound=bound)
 
     if n == 1:
         for x in candidates:
@@ -833,10 +770,8 @@ class SweepReport:
         if self.witness is not None:
             lines.append(f"counterexample: {self.witness.describe()}")
             for i, x in sorted(self.witness.faces.items()):
-                if isinstance(x, EMSimplex):
-                    lines.append(f"  face {i}: {list(x.coords)}")
-                else:
-                    lines.append(f"  face {i}: {render_id(x)}")
+                entries = ", ".join(map(str, self.witness.target.encode(x)))
+                lines.append(f"  face {i}: [{entries}]")
             for step in self.witness_result.steps:
                 lines.append(f"  {step.kind}: {step.equation}")
         if self.unique is not None:
@@ -861,10 +796,17 @@ class SweepReport:
         return data
 
 
-def _decide(target: Target, problem: HornProblem) -> FillerResult:
+def _decide(target: Target, problem: HornProblem, check_unique: bool):
+    """The verdict on one horn, and its fillers counted up to 2 when
+    ``check_unique`` asks for it (else 0)."""
     if isinstance(target, EMSpace):
-        return solve_em(build_constraints(target, problem))
-    return brute_force_filler(target, problem)
+        system = build_constraints(target, problem)
+        result = solve_em(system)
+        return result, count_fillers(system) if check_unique and result.found else 0
+    result = brute_force_filler(target, problem)
+    if check_unique and result.found:
+        return result, len(list(islice(iter_fillers(target, problem), 2)))
+    return result, 0
 
 
 def _sweep(
@@ -885,18 +827,16 @@ def _sweep(
         for k in ks:
             for problem in iter_compatible_horn_data(target, n, k, bound=bound):
                 instances += 1
-                result = _decide(target, problem)
+                result, count = _decide(target, problem, check_unique)
                 if not result.found:
                     return SweepReport(
                         name, mode, max_dim, bound, instances, False,
                         witness=problem, witness_result=result,
                         unique=unique, nonunique_witness=nonunique,
                     )
-                if check_unique and n >= 2 and isinstance(target, EMSpace):
-                    count = count_fillers(build_constraints(target, problem))
-                    if count > 1 and nonunique is None:
-                        unique = False
-                        nonunique = problem
+                if count > 1 and nonunique is None:
+                    unique = False
+                    nonunique = problem
     return SweepReport(
         name, mode, max_dim, bound, instances, True,
         unique=unique, nonunique_witness=nonunique,

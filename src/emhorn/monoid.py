@@ -71,15 +71,6 @@ class CommutativeMonoid:
             total = self._op(total, x)
         return total
 
-    def scale(self, c: int, a: Element) -> Element:
-        """c-fold sum of a; negative c needs the group structure."""
-        if c < 0:
-            return self.inverse(self.scale(-c, a))
-        total = self.identity
-        for _ in range(c):
-            total = self._op(total, a)
-        return total
-
     def inverse(self, a: Element) -> Element:
         if self._inverse is None:
             raise UndecidableError(f"{self.name} is not a group; undecidable here")
@@ -97,14 +88,6 @@ class CommutativeMonoid:
         if not self.is_free_natural:
             raise UndecidableError(f"{self.name} has no partial subtraction; undecidable here")
         return a - b if b <= a else None
-
-    def bounded_elements(self, limit: Element, extra: int = 0) -> list[Element]:
-        """Elements up to a bound: everything for finite monoids, 0..limit+extra otherwise."""
-        if self.is_finite:
-            return list(self.elements)
-        if self.is_free_natural:
-            return list(range(limit + extra + 1))
-        raise UndecidableError(f"cannot enumerate elements of {self.name}; undecidable here")
 
     def sample(self, rng, hint: int = 10) -> Element:
         if self.is_finite:
@@ -276,8 +259,13 @@ def solve_value(M: CommutativeMonoid, a: Element, b: Element) -> Optional[Elemen
 
 
 def solve_value_all(M: CommutativeMonoid, a: Element, b: Element) -> list[Element]:
-    """Every x with a + x = b, for use as an exhaustive oracle."""
-    if M.is_finite:
+    """Every x with a + x = b.
+
+    Groups and the naturals are cancellative, so ``solve_value`` already
+    gives the only solution; other finite monoids may have several, found
+    by scanning the elements.
+    """
+    if M.is_finite and not M.is_group:
         return [x for x in M.elements if M.op(a, x) == b]
     x = solve_value(M, a, b)
     return [] if x is None else [x]

@@ -32,11 +32,12 @@ from emhorn.monoid import (
     UndecidableError,
     boolean,
     cyclic,
+    from_table,
     int_group,
     nat,
     trivial,
 )
-from emhorn.sset import standard_simplex
+from emhorn.sset import BASEPOINT, render_id, sphere, standard_simplex
 from support import random_compatible_horns
 
 
@@ -578,3 +579,52 @@ class TestIntegerElimination:
         assert failed is None and all(v is None for v in assignment)
         solved, free = _eliminate_group_residual(system, K.monoid, assignment)
         assert solved == [3, 2, 1] and free == 0
+
+
+class TestSimplicialSetUniqueness:
+    def test_sphere_horn_with_two_fillers_is_not_unique(self):
+        # Lambda^1[2] -> S^2 with both faces at the basepoint is filled by
+        # the basepoint and by the cell 012, whose faces all collapse
+        report = sweep_quasicategory(sphere(2, 4), 4, check_unique=True)
+        assert report.unique is False
+        witness = report.nonunique_witness
+        assert (witness.n, witness.k) == (2, 1)
+        assert witness.faces == {0: BASEPOINT, 2: BASEPOINT}
+        fillers = iter_fillers(witness.target, witness)
+        assert [render_id(y) for y in fillers] == ["*", "012"]
+
+    def test_simplex_fillers_are_unique(self):
+        report = sweep_quasicategory(standard_simplex(2, 3), 3, check_unique=True)
+        assert report.passed and report.unique is True
+
+
+def max_monoid():
+    return from_table(["0", "1", "2"], [["0", "1", "2"], ["1", "1", "2"], ["2", "2", "2"]], "max")
+
+
+def saturating_monoid():
+    return from_table(["0", "1", "2"], [["0", "1", "2"], ["1", "2", "2"], ["2", "2", "2"]], "sat")
+
+
+class TestSolverAgainstScan:
+    """The solver pipeline against the exhaustive scan, over a group and
+    over monoids that are not cancellative: a seeded sample of compatible
+    horns for every degree 1-3 and horn shape up to level 4."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: cyclic(2), boolean, trivial, max_monoid, saturating_monoid],
+        ids=["Z/2", "bool", "trivial", "max", "saturating"],
+    )
+    def test_counts_and_verdicts_agree(self, make):
+        rng = random.Random(2006)
+        for degree in (1, 2, 3):
+            K = em_space(make(), degree, 4)
+            for n in range(1, 5):
+                for k in range(n + 1):
+                    horns = list(iter_compatible_horn_data(K, n, k))
+                    for p in rng.sample(horns, min(6, len(horns))):
+                        system = build_constraints(K, p)
+                        scanned = len(list(itertools.islice(iter_fillers(K, p), 2)))
+                        assert count_fillers(system) == scanned, p
+                        assert solve_em(system).found == brute_force_filler(K, p).found, p
