@@ -66,13 +66,16 @@ class EMSpace:
         self._face_targets: dict[tuple[int, int], list[int]] = {}
         self._degeneracy_targets: dict[tuple[int, int], list[int]] = {}
         self._face_fibers: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        self._gen_names: dict[int, tuple[str, ...]] = {}
 
     @property
     def name(self) -> str:
         return f"K({self.monoid.name},{self.degree})"
 
     def gen_names(self, k: int) -> list[str]:
-        return [str(g) for g in self.gens[k]]
+        if k not in self._gen_names:
+            self._gen_names[k] = tuple(str(g) for g in self.gens[k])
+        return list(self._gen_names[k])
 
     def rank(self, k: int) -> int:
         return len(self.gens[k])

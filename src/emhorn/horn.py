@@ -27,11 +27,18 @@ and ``encode(x)`` (the JSON form of a simplex), and validation, the
 exhaustive scan, horn enumeration and certificates use only those.  The
 sweeps decide ``K(M,n)`` with the equation solver above and a finite
 simplicial set with the exhaustive scan.
+
+Certificate text is rendered when a result's steps are first read.  A
+sweep over ``K(M,n)`` validates only the horn it reports as a witness: a
+verified filler y proves the data compatible, d_i x_j = d_i d_j y =
+d_{j-1} d_i y = d_{j-1} x_i, so validation could only pass on the others.
+A ``check_unique`` sweep solves each horn once, for up to two solutions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from typing import Iterator, Optional, Union
 
@@ -133,6 +140,11 @@ def build_constraints(K: EMSpace, problem: HornProblem) -> ConstraintSystem:
     face simply does not occur in that face's equations.
     """
     _require_compatible(problem)
+    return _compile(K, problem)
+
+
+def _compile(K: EMSpace, problem: HornProblem) -> ConstraintSystem:
+    """``build_constraints`` without validating the horn data."""
     n = problem.n
     equations = []
     for i in problem.given_indices():
@@ -158,25 +170,49 @@ class CertStep:
     face: Optional[int] = None
 
 
-@dataclass
 class FillerResult:
-    filler: Optional[object]
-    steps: tuple[CertStep, ...] = ()
-    note: Optional[str] = None
+    """A verdict; ``steps`` may be a function rendering them on first read."""
+
+    def __init__(self, filler: Optional[object], steps=(), note: Optional[str] = None):
+        self.filler = filler
+        self._steps = steps
+        self.note = note
+
+    @property
+    def steps(self) -> tuple[CertStep, ...]:
+        if callable(self._steps):
+            self._steps = self._steps()
+        return self._steps
 
     @property
     def found(self) -> bool:
         return self.filler is not None
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FillerResult):
+            return NotImplemented
+        return (self.filler, self.steps, self.note) == (other.filler, other.steps, other.note)
 
-def _equation_text(system: ConstraintSystem, eq: Equation, assignment: list) -> str:
+    def __repr__(self) -> str:
+        return f"FillerResult(filler={self.filler!r}, steps={self.steps!r}, note={self.note!r})"
+
+
+def _render_steps(system: ConstraintSystem, raw: list, note: Optional[str]) -> tuple[CertStep, ...]:
+    """Raw (kind, var, eq, known, value) steps as ``CertStep``s, with the
+    equation as ``x(g) + known = rhs``, then the exhaustion note if any."""
     M = system.space.monoid
-    unknown = [v for v in eq.vars if assignment[v] is None]
-    known = M.sum(assignment[v] for v in eq.vars if assignment[v] is not None)
-    terms = [f"x({system.space.gens[system.problem.n][v]})" for v in unknown]
-    if known != M.identity or not terms:
-        terms.append(M.render(known))
-    return " + ".join(terms) + f" = {M.render(eq.rhs)}"
+    names = system.space.gen_names(system.problem.n)
+    steps = []
+    for kind, var, eq, known, value in raw:
+        name = None if var is None else names[var]
+        terms = [] if name is None else [f"x({name})"]
+        if known != M.identity or not terms:
+            terms.append(M.render(known))
+        text = " + ".join(terms) + f" = {M.render(eq.rhs)}"
+        steps.append(CertStep(kind, name, text, value, known=known, rhs=eq.rhs, face=eq.face))
+    if note is not None:
+        steps.append(CertStep("exhausted", None, note, None))
+    return tuple(steps)
 
 
 def _fills(target: Target, problem: HornProblem, y) -> bool:
@@ -197,58 +233,45 @@ def _propagate(system: ConstraintSystem, M: CommutativeMonoid):
     solutions; committing to one would lose fillers, so those equations
     are left for the search phase and only the forced ones are substituted.
 
-    Returns (assignment, steps, failed_step).  When failed_step is not None
-    the chain ended in a contradiction and the assignment is meaningless.
+    Returns (assignment, steps, failed_step), the steps as raw
+    (kind, var, eq, known, value) records for ``_render_steps``.  When
+    failed_step is not None the chain ended in a contradiction and the
+    assignment is meaningless.
     """
-    nvars = len(system.variables)
-    assignment: list = [None] * nvars
-    steps: list[CertStep] = []
-    pending = list(range(len(system.equations)))
+    op, identity = M.op, M.identity
+    assignment: list = [None] * len(system.variables)
+    steps: list = []
+    pending = system.equations
     progress = True
     while progress:
         progress = False
         remaining = []
-        for eq_idx in pending:
-            eq = system.equations[eq_idx]
-            unknown = [v for v in eq.vars if assignment[v] is None]
-            known = M.sum(assignment[v] for v in eq.vars if assignment[v] is not None)
-            if not unknown:
-                if known != eq.rhs:
-                    step = CertStep(
-                        "contradiction",
-                        None,
-                        f"{M.render(known)} = {M.render(eq.rhs)}",
-                        None,
-                        known=known,
-                        rhs=eq.rhs,
-                        face=eq.face,
-                    )
-                    return assignment, steps, step
-                continue
-            if len(unknown) == 1:
-                text = _equation_text(system, eq, assignment)
-                var = unknown[0]
-                name = str(system.space.gens[system.problem.n][var])
+        for eq in pending:
+            # one pass: fold the known values, stop at a second unknown
+            known, var = identity, None
+            for v in eq.vars:
+                a = assignment[v]
+                if a is not None:
+                    known = op(known, a)
+                elif var is None:
+                    var = v
+                else:
+                    remaining.append(eq)
+                    break
+            else:
+                if var is None:
+                    if known != eq.rhs:
+                        return assignment, steps, ("contradiction", None, eq, known, None)
+                    continue
                 solutions = solve_value_all(M, known, eq.rhs)
                 if not solutions:
-                    step = CertStep(
-                        "contradiction", name, text, None,
-                        known=known, rhs=eq.rhs, face=eq.face,
-                    )
-                    return assignment, steps, step
+                    return assignment, steps, ("contradiction", var, eq, known, None)
                 if len(solutions) > 1:
-                    remaining.append(eq_idx)
+                    remaining.append(eq)
                     continue
                 assignment[var] = solutions[0]
-                steps.append(
-                    CertStep(
-                        "assign", name, text, solutions[0],
-                        known=known, rhs=eq.rhs, face=eq.face,
-                    )
-                )
+                steps.append(("assign", var, eq, known, solutions[0]))
                 progress = True
-                continue
-            remaining.append(eq_idx)
         pending = remaining
     return assignment, steps, None
 
@@ -435,26 +458,27 @@ def _eliminate_group_residual(system, M, assignment):
 def _solve(system: ConstraintSystem, limit: int, slack: int = 0):
     """Propagate, then finish the residual by search or integer elimination.
 
-    Returns (solutions, steps, loose): at most ``limit`` complete
-    assignments; the certificate steps, ending in the step that refutes
-    the system when there is no solution; and whether some coordinate is
-    left free, so that there are more solutions than the ones returned.
+    Returns (solutions, steps, loose, note): at most ``limit`` complete
+    assignments; the raw propagation steps, ending in the contradiction
+    when there is one; whether some coordinate is left free, so that there
+    are more solutions than the ones returned; and the note of a residual
+    system found to have no solution, else None.
     """
     M = system.space.monoid
     if not (M.is_group or M.is_free_natural or M.is_finite):
         raise UndecidableError(f"no solver capability for {M.name}; undecidable here")
     assignment, steps, failed = _propagate(system, M)
     if failed is not None:
-        return [], steps + [failed], False
+        return [], steps + [failed], False, None
     if all(v is not None for v in assignment):
-        return [assignment], steps, False
+        return [assignment], steps, False, None
     in_equation = {v for eq in system.equations for v in eq.vars}
     free = [v for v, a in enumerate(assignment) if a is None and v not in in_equation]
     loose = bool(free) and not (M.is_finite and len(M.elements) == 1)
     if M.is_free_natural or M.is_finite:
         solutions, domains = _search_residual(system, M, assignment, slack, limit)
         if solutions:
-            return solutions, steps, loose
+            return solutions, steps, loose, None
         sizes = ", ".join(
             f"x({system.variables[v]}): {len(dom)} candidates"
             for v, dom in sorted(domains.items())
@@ -463,9 +487,19 @@ def _solve(system: ConstraintSystem, limit: int, slack: int = 0):
     else:
         solved, free_cols = _eliminate_group_residual(system, M, assignment)
         if solved is not None:
-            return [solved], steps, loose or free_cols > 0
+            return [solved], steps, loose or free_cols > 0, None
         note = "integer elimination: residual system has no solution"
-    return [], steps + [CertStep("exhausted", None, note, None)], False
+    return [], steps, False, note
+
+
+def _result(system: ConstraintSystem, solutions: list, steps: list, note: Optional[str]) -> FillerResult:
+    """The first solution as a re-verified filler, else no filler."""
+    render = partial(_render_steps, system, steps, note)
+    if not solutions:
+        return FillerResult(None, render, note)
+    y = EMSimplex(system.problem.n, tuple(solutions[0]))
+    assert _fills(system.space, system.problem, y), "solver produced a non-filler; this is a bug"
+    return FillerResult(y, render)
 
 
 def solve_em(system: ConstraintSystem, slack: int = 0) -> FillerResult:
@@ -475,18 +509,13 @@ def solve_em(system: ConstraintSystem, slack: int = 0) -> FillerResult:
     exists so the bound-soundness claim can be exercised (enlarging the
     bounds must never change a verdict).
     """
-    solutions, steps, _ = _solve(system, 1, slack)
-    if not solutions:
-        last = steps[-1]
-        return FillerResult(None, tuple(steps), last.equation if last.kind == "exhausted" else None)
-    y = EMSimplex(system.problem.n, tuple(solutions[0]))
-    assert _fills(system.space, system.problem, y), "solver produced a non-filler; this is a bug"
-    return FillerResult(y, tuple(steps), None)
+    solutions, steps, _, note = _solve(system, 1, slack)
+    return _result(system, solutions, steps, note)
 
 
 def count_fillers(system: ConstraintSystem, limit: int = 2) -> int:
     """How many fillers exist, counted up to ``limit``."""
-    solutions, _, loose = _solve(system, limit)
+    solutions, _, loose, _ = _solve(system, limit)
     return limit if solutions and loose else len(solutions)
 
 
@@ -798,11 +827,16 @@ class SweepReport:
 
 def _decide(target: Target, problem: HornProblem, check_unique: bool):
     """The verdict on one horn, and its fillers counted up to 2 when
-    ``check_unique`` asks for it (else 0)."""
+    ``check_unique`` asks for it (else 0); over ``K(M,n)`` from one solver
+    run, validating the horn only when no filler vouches for it."""
     if isinstance(target, EMSpace):
-        system = build_constraints(target, problem)
-        result = solve_em(system)
-        return result, count_fillers(system) if check_unique and result.found else 0
+        system = _compile(target, problem)
+        limit = 2 if check_unique else 1
+        solutions, steps, loose, note = _solve(system, limit)
+        if not solutions:
+            _require_compatible(problem)
+        count = limit if solutions and loose else len(solutions)
+        return _result(system, solutions, steps, note), count if check_unique else 0
     result = brute_force_filler(target, problem)
     if check_unique and result.found:
         return result, len(list(islice(iter_fillers(target, problem), 2)))

@@ -158,6 +158,9 @@ def from_table(
     index into ``element_names``.
     """
     names = list(element_names)
+    for nm in names:
+        if not isinstance(nm, str):
+            raise ValueError(f"element name {nm!r} is not a string")
     if len(set(names)) != len(names):
         raise ValueError("duplicate element names in table monoid")
     index = {nm: i for i, nm in enumerate(names)}
@@ -168,7 +171,7 @@ def from_table(
     for row in table:
         out_row = []
         for entry in row:
-            if entry not in index:
+            if not isinstance(entry, str) or entry not in index:
                 raise ValueError(f"table entry {entry!r} is not an element")
             out_row.append(index[entry])
         op_table.append(tuple(out_row))

@@ -134,6 +134,19 @@ class TestCheckHorn:
         assert code == 1
         assert "no filler exists" in out
 
+    def test_numeric_element_names_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "numeric.json"
+        path.write_text('{"elements": [0, 1, 2], "table": [[0, 1, 2], [1, 2, 2], [2, 2, 2]]}')
+        for argv in (
+            ["faces", "--monoid", f"table:{path}", "--n", "1", "--dim", "3",
+             "--simplex", "level:2 [1,1]"],
+            ["check-horn", "--monoid", f"table:{path}", "--n", "1", "--horn", "2,1",
+             "--faces", "0:[1]", "2:[1]"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == "error: element name 0 is not a string\n"
+
     def test_missing_table_file_exits_two(self, capsys):
         code, _, err = run(
             capsys, "check-horn", "--monoid", "table:/nonexistent.json", "--n", "2",

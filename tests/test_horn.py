@@ -4,10 +4,13 @@ import random
 import jsonschema
 import pytest
 
+import emhorn.horn as horn_module
 from emhorn.em import em_space
 from emhorn.horn import (
     CERTIFICATE_SCHEMA,
+    CertStep,
     Equation,
+    FillerResult,
     HornProblem,
     _eliminate_group_residual,
     _propagate,
@@ -628,3 +631,100 @@ class TestSolverAgainstScan:
                         scanned = len(list(itertools.islice(iter_fillers(K, p), 2)))
                         assert count_fillers(system) == scanned, p
                         assert solve_em(system).found == brute_force_filler(K, p).found, p
+
+
+def _reference_unique_sweep(K, max_dim, bound):
+    """A check_unique inner sweep from the public calls alone:
+    (instances, unique, nonunique_witness, failing horn or None)."""
+    instances, unique, nonunique = 0, True, None
+    for n in range(1, min(max_dim, K.dim_bound) + 1):
+        for k in range(1, n):
+            for p in iter_compatible_horn_data(K, n, k, bound=bound):
+                instances += 1
+                system = build_constraints(K, p)
+                if not solve_em(system).found:
+                    return instances, unique, nonunique, p
+                if count_fillers(system) > 1 and nonunique is None:
+                    unique, nonunique = False, p
+    return instances, unique, nonunique, None
+
+
+class TestSweepRules:
+    """A sweep validates only its witness, and a check_unique sweep
+    solves each horn once; neither may change what the sweep reports."""
+
+    def _count_validations(self, monkeypatch):
+        calls = []
+
+        def counting(problem):
+            calls.append(problem)
+            return validate_horn(problem)
+
+        monkeypatch.setattr(horn_module, "validate_horn", counting)
+        return calls
+
+    def test_passing_sweep_validates_nothing(self, monkeypatch):
+        calls = self._count_validations(monkeypatch)
+        report = sweep_kan(em_space(cyclic(2), 2, 3), 3)
+        assert report.passed and report.instances > 0
+        assert calls == []
+
+    def test_failing_sweep_validates_its_witness_once(self, monkeypatch):
+        calls = self._count_validations(monkeypatch)
+        report = sweep_quasicategory(em_space(nat(), 2, 3), 3, bound=2)
+        assert calls == [report.witness]
+        assert not report.passed and report.instances == 3
+        w = report.witness
+        assert (w.n, w.k) == (3, 1)
+        assert {i: x.coords for i, x in w.faces.items()} == {0: (0,), 2: (0,), 3: (1,)}
+        assert report.witness_result == FillerResult(
+            None,
+            (
+                CertStep("assign", "0012", "x(0012) = 0", 0, known=0, rhs=0, face=0),
+                CertStep("assign", "0122", "x(0122) = 1", 1, known=0, rhs=1, face=3),
+                CertStep("contradiction", "0112", "x(0112) + 1 = 0", None,
+                         known=1, rhs=0, face=2),
+            ),
+        )
+
+    def test_incompatible_horn_still_raises(self, monkeypatch):
+        K = em_space(cyclic(2), 1, 3)
+        good = horn_from_simplex(K, 3, 1, K.simplex(3, (1, 0, 1)))
+        bad = HornProblem(K, 3, 1, dict(good.faces))
+        bad.faces[0] = K.add(bad.faces[0], K.simplex(2, (1, 0)))
+        monkeypatch.setattr(
+            horn_module, "iter_compatible_horn_data", lambda target, n, k, bound=None: iter([bad])
+        )
+        with pytest.raises(ValueError, match="incompatible horn data at face pair"):
+            sweep_kan(K, 3)
+
+    @pytest.mark.parametrize(
+        "make, degree, max_dim, bound",
+        [
+            (nat, 1, 3, 5), (nat, 2, 3, 2), (lambda: cyclic(4), 1, 4, None), (boolean, 1, 3, None),
+            (lambda: cyclic(2), 2, 3, None), (boolean, 2, 3, None),
+        ],
+        ids=["N1", "N2", "Z/4", "bool", "Z/2 not unique", "bool2 not unique, fails"],
+    )
+    def test_unique_sweep_matches_public_calls(self, monkeypatch, make, degree, max_dim, bound):
+        K = em_space(make(), degree, max_dim)
+        expected = _reference_unique_sweep(K, max_dim, bound)
+        runs = []
+        solve = horn_module._solve
+        monkeypatch.setattr(
+            horn_module, "_solve", lambda *args: runs.append(args) or solve(*args)
+        )
+        report = sweep_quasicategory(K, max_dim, bound=bound, check_unique=True)
+        got = (report.instances, report.unique, report.nonunique_witness, report.witness)
+        assert got == expected
+        assert len(runs) == report.instances
+
+    def test_results_render_steps_on_demand(self):
+        K, p = nat_horn(2, 5, 1)
+        system = build_constraints(K, p)
+        assert solve_em(system) == solve_em(system)
+        other = solve_em(build_constraints(*nat_horn(3, 5, 1)))
+        assert other.found and other != solve_em(system)
+        result = solve_em(system)
+        assert "CertStep(kind='assign', variable='0012', equation='x(0012) = 2'" in repr(result)
+        assert result.steps is result.steps

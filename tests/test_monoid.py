@@ -117,6 +117,14 @@ class TestTableMonoids:
         with pytest.raises(ValueError, match="match the element list"):
             from_table(["e", "a"], [["e", "a"]])
 
+    def test_rejects_element_names_that_are_not_strings(self):
+        with pytest.raises(ValueError, match="element name 0 is not a string"):
+            from_table([0, 1, 2], [[0, 1, 2], [1, 2, 2], [2, 2, 2]])
+        with pytest.raises(ValueError, match=r"element name \[0\] is not a string"):
+            from_table([[0], [1]], [[[0], [1]], [[1], [1]]])
+        with pytest.raises(ValueError, match="not an element"):
+            from_table(["0", "1"], [["0", [1]], ["1", "1"]])
+
     def test_table_group_detected(self):
         Z2 = from_table(["e", "g"], [["e", "g"], ["g", "e"]])
         assert Z2.is_group
