@@ -99,11 +99,7 @@ class EMSpace:
         if key not in self._face_targets:
             if not (1 <= k <= self.dim_bound and 0 <= i <= k):
                 raise ValueError(f"face ({k}, {i}) out of range")
-            delta = coface(k, i)
-            lower = self._gen_index[k - 1]
-            self._face_targets[key] = [
-                lower.get(compose(delta, h), -1) for h in self.gens[k]
-            ]
+            self._face_targets[key] = self._precompose(coface(k, i), k)
         return self._face_targets[key]
 
     def face_fibers(self, k: int, i: int) -> list[tuple[int, ...]]:
@@ -118,39 +114,37 @@ class EMSpace:
         return self._face_fibers[key]
 
     def degeneracy_targets(self, k: int, j: int) -> list[int]:
+        """The same for the j-th degeneracy; it keeps every image, so no -1."""
         key = (k, j)
         if key not in self._degeneracy_targets:
             if not (0 <= k < self.dim_bound and 0 <= j <= k):
                 raise ValueError(f"degeneracy ({k}, {j}) out of range")
-            sigma = codegeneracy(k, j)
-            upper = self._gen_index[k + 1]
-            # Composites with a codegeneracy keep the image, so they stay
-            # surjective and the map on generators is injective.
-            self._degeneracy_targets[key] = [
-                upper[compose(sigma, h)] for h in self.gens[k]
-            ]
+            self._degeneracy_targets[key] = self._precompose(codegeneracy(k, j), k)
         return self._degeneracy_targets[key]
+
+    def _precompose(self, theta: MonotoneMap, k: int) -> list[int]:
+        """Per level-k generator h, the index of h after theta, or -1 on the basepoint."""
+        index = self._gen_index[theta.dom]
+        return [index.get(compose(theta, h), -1) for h in self.gens[k]]
 
     def face(self, k: int, i: int, x: EMSimplex) -> EMSimplex:
         if x.level != k:
             raise ValueError(f"simplex at level {x.level}, face asked at level {k}")
-        targets = self.face_targets(k, i)
-        M = self.monoid
-        out = [M.identity] * self.rank(k - 1)
-        for src, tgt in enumerate(targets):
-            if tgt >= 0:
-                out[tgt] = M.op(out[tgt], x.coords[src])
-        return EMSimplex(k - 1, tuple(out))
+        return self._scatter(self.face_targets(k, i), k - 1, x)
 
     def degeneracy(self, k: int, j: int, x: EMSimplex) -> EMSimplex:
         if x.level != k:
             raise ValueError(f"simplex at level {x.level}, degeneracy asked at level {k}")
-        targets = self.degeneracy_targets(k, j)
-        M = self.monoid
-        out = [M.identity] * self.rank(k + 1)
-        for src, tgt in enumerate(targets):
-            out[tgt] = M.op(out[tgt], x.coords[src])
-        return EMSimplex(k + 1, tuple(out))
+        return self._scatter(self.degeneracy_targets(k, j), k + 1, x)
+
+    def _scatter(self, targets: list[int], level: int, x: EMSimplex) -> EMSimplex:
+        """Add each coordinate of x onto its target slot at ``level``; -1 drops it."""
+        op = self.monoid.op
+        out = [self.monoid.identity] * len(self.gens[level])
+        for tgt, c in zip(targets, x.coords):
+            if tgt >= 0:
+                out[tgt] = op(out[tgt], c)
+        return EMSimplex(level, tuple(out))
 
     def add(self, x: EMSimplex, y: EMSimplex) -> EMSimplex:
         if x.level != y.level:
@@ -171,6 +165,8 @@ class EMSpace:
         """All level-k simplices, with coordinates capped at ``bound`` when
         the monoid is infinite."""
         M = self.monoid
+        if bound is not None and bound < 0:
+            raise ValueError(f"coordinate bound {bound} is negative")
         if M.is_finite:
             values = list(M.elements)
         elif bound is not None:

@@ -32,7 +32,7 @@ Certificate text is rendered when a result's steps are first read.  A
 sweep over ``K(M,n)`` validates only the horn it reports as a witness: a
 verified filler y proves the data compatible, d_i x_j = d_i d_j y =
 d_{j-1} d_i y = d_{j-1} x_i, so validation could only pass on the others.
-A ``check_unique`` sweep solves each horn once, for up to two solutions.
+A ``check_unique`` sweep solves or scans each horn once, for up to two fillers.
 """
 
 from __future__ import annotations
@@ -326,10 +326,7 @@ def _search_residual(
 
     def extend(pos: int, current: list) -> bool:
         if pos == len(constrained):
-            for eq in residual:
-                total = M.sum(current[v] for v in eq.vars)
-                if total != eq.rhs:
-                    return False
+            # each residual equation was checked when its last unknown was set
             out = list(current)
             for v in free:
                 out[v] = M.identity
@@ -565,18 +562,23 @@ def iter_fillers(
     yield from _scan(target, problem, value_bound)[1]
 
 
+def _scan_verdict(target: Target, problem: HornProblem, value_bound: Optional[int], limit: int):
+    """One scan: the oracle's verdict and the fillers counted up to ``limit``."""
+    candidates, fillers = _scan(target, problem, value_bound)
+    found = list(islice(fillers, limit))
+    if found:
+        return FillerResult(found[0], (), f"scan of {len(candidates)} candidates"), len(found)
+    note = f"exhausted scan of all {len(candidates)} level-{problem.n} candidates"
+    if value_bound is not None:
+        note += f" (coordinate bound {value_bound})"
+    return FillerResult(None, (CertStep("exhausted", None, note, None),), note), 0
+
+
 def brute_force_filler(
     target: Target, problem: HornProblem, value_bound: Optional[int] = None
 ) -> FillerResult:
     """Exhaustive scan oracle: first verified candidate, else the scan size."""
-    candidates, fillers = _scan(target, problem, value_bound)
-    y = next(fillers, None)
-    if y is not None:
-        return FillerResult(y, (), f"scan of {len(candidates)} candidates")
-    note = f"exhausted scan of all {len(candidates)} level-{problem.n} candidates"
-    if value_bound is not None:
-        note += f" (coordinate bound {value_bound})"
-    return FillerResult(None, (CertStep("exhausted", None, note, None),), note)
+    return _scan_verdict(target, problem, value_bound, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -826,21 +828,18 @@ class SweepReport:
 
 
 def _decide(target: Target, problem: HornProblem, check_unique: bool):
-    """The verdict on one horn, and its fillers counted up to 2 when
-    ``check_unique`` asks for it (else 0); over ``K(M,n)`` from one solver
-    run, validating the horn only when no filler vouches for it."""
-    if isinstance(target, EMSpace):
-        system = _compile(target, problem)
-        limit = 2 if check_unique else 1
-        solutions, steps, loose, note = _solve(system, limit)
-        if not solutions:
-            _require_compatible(problem)
-        count = limit if solutions and loose else len(solutions)
-        return _result(system, solutions, steps, note), count if check_unique else 0
-    result = brute_force_filler(target, problem)
-    if check_unique and result.found:
-        return result, len(list(islice(iter_fillers(target, problem), 2)))
-    return result, 0
+    """The verdict on one horn and its fillers counted up to 2 if ``check_unique``,
+    else 1: one scan of a finite simplicial set, or one solver run over ``K(M,n)``
+    that validates the horn only when no filler vouches for it."""
+    limit = 2 if check_unique else 1
+    if not isinstance(target, EMSpace):
+        return _scan_verdict(target, problem, None, limit)
+    system = _compile(target, problem)
+    solutions, steps, loose, note = _solve(system, limit)
+    if not solutions:
+        _require_compatible(problem)
+    count = limit if solutions and loose else len(solutions)
+    return _result(system, solutions, steps, note), count
 
 
 def _sweep(

@@ -1,7 +1,8 @@
 """Commutative monoids with the capability flags the solvers dispatch on.
 
-A monoid instance bundles its identity, binary operation and, depending on
-the instance, extra structure:
+A monoid instance bundles its identity, its binary operation ``op`` (the
+given callable, called directly) and capability flags, plain attributes
+fixed at construction:
 
 - ``is_finite``: the full element tuple is available, so laws can be checked
   exhaustively and equations solved by scanning.
@@ -44,9 +45,11 @@ class CommutativeMonoid:
     ):
         self.name = name
         self.identity = identity
-        self._op = op
+        self.op = op
         self.elements = elements
         self._inverse = inverse
+        self.is_finite = elements is not None
+        self.is_group = inverse is not None
         self.is_free_natural = free_natural
         # True only when elements are plain integers under +, which is what
         # lets residual systems be finished by exact integer elimination.
@@ -54,21 +57,10 @@ class CommutativeMonoid:
         self._render = render
         self._parse = parse
 
-    @property
-    def is_finite(self) -> bool:
-        return self.elements is not None
-
-    @property
-    def is_group(self) -> bool:
-        return self._inverse is not None
-
-    def op(self, a: Element, b: Element) -> Element:
-        return self._op(a, b)
-
     def sum(self, items: Iterable[Element]) -> Element:
         total = self.identity
         for x in items:
-            total = self._op(total, x)
+            total = self.op(total, x)
         return total
 
     def inverse(self, a: Element) -> Element:
@@ -110,10 +102,17 @@ class CommutativeMonoid:
         return f"CommutativeMonoid({self.name})"
 
 
+def _natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{text} is not a natural number")
+    return value
+
+
 def nat() -> CommutativeMonoid:
     """The natural numbers under addition."""
     return CommutativeMonoid(
-        "N", 0, lambda a, b: a + b, free_natural=True, integer_addition=True
+        "N", 0, lambda a, b: a + b, free_natural=True, integer_addition=True, parse=_natural
     )
 
 
@@ -238,7 +237,11 @@ def load_table(path: str) -> CommutativeMonoid:
         data = json.load(fh)
     if not isinstance(data, dict) or "elements" not in data or "table" not in data:
         raise ValueError(f"{path}: expected JSON object with 'elements' and 'table'")
-    return from_table(data["elements"], data["table"], name=data.get("name", "table"))
+    elements, table, name = data["elements"], data["table"], data.get("name", "table")
+    if not (isinstance(name, str) and isinstance(elements, list) and isinstance(table, list)
+            and all(isinstance(row, list) for row in table)):
+        raise ValueError(f"{path}: 'name' must be a string, 'elements' a list, 'table' a list of lists")
+    return from_table(elements, table, name=name)
 
 
 def solve_value(M: CommutativeMonoid, a: Element, b: Element) -> Optional[Element]:

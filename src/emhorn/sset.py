@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Union
 
-from .delta import MonotoneMap, coface, codegeneracy, compose, enumerate_monotone
+from .delta import (
+    MonotoneMap, coface, codegeneracy, compose, enumerate_monotone, enumerate_surjections
+)
 
 BASEPOINT = "*"
 
@@ -69,6 +71,20 @@ class TruncatedSimplicialSet:
         )
 
 
+def _build(name: str, dim_bound: int, levels: tuple, act: Callable) -> TruncatedSimplicialSet:
+    """The face and degeneracy tables: ``act`` of each coface and codegeneracy."""
+    faces, degeneracies = {}, {}
+    for k in range(dim_bound + 1):
+        cofaces = [coface(k, i) for i in range(k + 1)] if k > 0 else []
+        codegeneracies = [codegeneracy(k, j) for j in range(k + 1)] if k < dim_bound else []
+        for x in levels[k]:
+            for i, theta in enumerate(cofaces):
+                faces[(k, i, x)] = act(theta, x)
+            for j, theta in enumerate(codegeneracies):
+                degeneracies[(k, j, x)] = act(theta, x)
+    return TruncatedSimplicialSet(name, dim_bound, levels, faces, degeneracies)
+
+
 def _from_map_predicate(
     name: str, n: int, dim_bound: int, member: Callable[[MonotoneMap], bool]
 ) -> TruncatedSimplicialSet:
@@ -82,21 +98,13 @@ def _from_map_predicate(
         for k in range(dim_bound + 1)
     )
     present = [set(level) for level in levels]
-    faces = {}
-    for k in range(1, dim_bound + 1):
-        for x in levels[k]:
-            for i in range(k + 1):
-                y = compose(coface(k, i), x)
-                assert y in present[k - 1], f"{name}: face left the set at {x}"
-                faces[(k, i, x)] = y
-    degeneracies = {}
-    for k in range(dim_bound):
-        for x in levels[k]:
-            for j in range(k + 1):
-                y = compose(codegeneracy(k, j), x)
-                assert y in present[k + 1], f"{name}: degeneracy left the set at {x}"
-                degeneracies[(k, j, x)] = y
-    return TruncatedSimplicialSet(name, dim_bound, levels, faces, degeneracies)
+
+    def act(theta: MonotoneMap, x: MonotoneMap) -> MonotoneMap:
+        y = compose(theta, x)
+        assert y in present[theta.dom], f"{name}: an operator left the set at {x}"
+        return y
+
+    return _build(name, dim_bound, levels, act)
 
 
 def standard_simplex(n: int, dim_bound: int) -> TruncatedSimplicialSet:
@@ -143,8 +151,7 @@ def sphere(n: int, dim_bound: int) -> TruncatedSimplicialSet:
     if n < 1:
         raise ValueError("the quotient sphere is defined for n >= 1")
     levels = tuple(
-        (BASEPOINT,) + tuple(f for f in enumerate_monotone(k, n) if f.is_surjective())
-        for k in range(dim_bound + 1)
+        (BASEPOINT,) + tuple(enumerate_surjections(k, n)) for k in range(dim_bound + 1)
     )
 
     def act(theta: MonotoneMap, x: SimplexId) -> SimplexId:
@@ -153,19 +160,7 @@ def sphere(n: int, dim_bound: int) -> TruncatedSimplicialSet:
         y = compose(theta, x)
         return y if y.is_surjective() else BASEPOINT
 
-    faces = {
-        (k, i, x): act(coface(k, i), x)
-        for k in range(1, dim_bound + 1)
-        for x in levels[k]
-        for i in range(k + 1)
-    }
-    degeneracies = {
-        (k, j, x): act(codegeneracy(k, j), x)
-        for k in range(dim_bound)
-        for x in levels[k]
-        for j in range(k + 1)
-    }
-    return TruncatedSimplicialSet(f"S^{n}", dim_bound, levels, faces, degeneracies)
+    return _build(f"S^{n}", dim_bound, levels, act)
 
 
 def simplicial_identity_violations(X: TruncatedSimplicialSet) -> list[str]:

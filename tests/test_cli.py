@@ -147,6 +147,30 @@ class TestCheckHorn:
             assert code == 2 and out == ""
             assert err == "error: element name 0 is not a string\n"
 
+    def test_table_files_of_the_wrong_shape_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "shape.json"
+        for text in (
+            '{"elements": 3, "table": []}',
+            '{"elements": ["a"], "table": [5]}',
+            '{"name": ["x"], "elements": ["a"], "table": [["a"]]}',
+        ):
+            path.write_text(text)
+            code, out, err = run(
+                capsys, "enumerate", "--monoid", f"table:{path}", "--n", "1", "--level", "1"
+            )
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {path}: ")
+
+    def test_negative_natural_literals_exit_two(self, capsys):
+        for argv in (
+            ["check-horn", "--monoid", "nat", "--n", "2", "--horn", "3,1",
+             "--faces", "0:[5]", "2:[1]", "3:[-3]"],
+            ["faces", "--monoid", "nat", "--n", "2", "--simplex", "level:3 [-5,1,3]"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "is not a natural number" in err
+
     def test_missing_table_file_exits_two(self, capsys):
         code, _, err = run(
             capsys, "check-horn", "--monoid", "table:/nonexistent.json", "--n", "2",
@@ -181,6 +205,15 @@ class TestSweep:
         )
         assert code == 0
         assert "fillers unique" in out
+
+    def test_negative_bound_exits_two(self, capsys):
+        for monoid_spec, degree, bound in (("nat", "2", "-1"), ("int", "1", "-2")):
+            code, out, err = run(
+                capsys, "sweep", "--monoid", monoid_spec, "--n", degree, "--dim", "3",
+                "--bound", bound,
+            )
+            assert code == 2 and out == ""
+            assert f"coordinate bound {bound} is negative" in err
 
     def test_json_report(self, capsys):
         code, out, _ = run(

@@ -42,6 +42,12 @@ class TestConstruction:
         for k in range(5):
             assert K.enumerate_level(k) == [K.zero(k)]
 
+    def test_enumeration_refuses_a_negative_bound(self, K_nat2):
+        assert len(K_nat2.enumerate_level(3, bound=0)) == 1
+        for K in (K_nat2, em_space(int_group(), 1, 3), em_space(cyclic(2), 1, 3)):
+            with pytest.raises(ValueError, match="coordinate bound -1 is negative"):
+                K.enumerate_level(2, bound=-1)
+
     def test_simplex_validates_width(self, K_nat2):
         with pytest.raises(ValueError):
             K_nat2.simplex(3, (1, 2))

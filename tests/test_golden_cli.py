@@ -1,4 +1,5 @@
-"""Golden stdout for every command line shown in the README.
+"""Golden stdout for every command line shown in the README, and for the
+full level listing of ``enumerate`` in degrees 0, 1 and 2.
 
 Each command runs through ``emhorn.cli.main`` in-process, in text and JSON
 form where it takes ``--format``; exit code and stdout must match
@@ -47,8 +48,18 @@ README_COMMANDS = [
     ["sweep", "--kind", "kan", "--monoid", "table:{table}", "--n", "1", "--dim", "3"],
 ]
 
-# Every README command takes --format, so each runs in both forms.
-CASES = [argv + ["--format", form] for argv in README_COMMANDS for form in ("text", "json")]
+# The full listing (sphere dump and JSON sphere map) of every degree shape:
+# no sphere, the circle, and the 2-sphere.
+LISTING_COMMANDS = [
+    ["enumerate", "--monoid", "nat", "--n", str(n)] for n in (0, 1, 2)
+]
+
+# Every command takes --format, so each runs in both forms.
+CASES = [
+    argv + ["--format", form]
+    for argv in README_COMMANDS + LISTING_COMMANDS
+    for form in ("text", "json")
+]
 
 
 def _run(argv: list[str], table: Path) -> dict:

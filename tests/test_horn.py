@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 import emhorn.horn as horn_module
+from emhorn.delta import MonotoneMap
 from emhorn.em import em_space
 from emhorn.horn import (
     CERTIFICATE_SCHEMA,
@@ -507,6 +508,12 @@ class TestSweeps:
             assert report.passed
             assert report.unique is True
 
+    def test_negative_bound_is_refused(self):
+        with pytest.raises(ValueError, match="coordinate bound -1 is negative"):
+            sweep_quasicategory(em_space(nat(), 2, 3), 3, bound=-1)
+        with pytest.raises(ValueError, match="coordinate bound -2 is negative"):
+            sweep_kan(em_space(int_group(), 1, 3), 3, bound=-2)
+
     def test_degenerate_dimensions_pass_trivially(self):
         K = em_space(trivial(), 2, 4)
         assert sweep_quasicategory(K, 4).passed
@@ -595,6 +602,32 @@ class TestSimplicialSetUniqueness:
         assert witness.faces == {0: BASEPOINT, 2: BASEPOINT}
         fillers = iter_fillers(witness.target, witness)
         assert [render_id(y) for y in fillers] == ["*", "012"]
+
+    def test_unique_sweep_scans_each_horn_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            horn_module, "validate_horn", lambda p: calls.append(p) or validate_horn(p)
+        )
+        report = sweep_quasicategory(sphere(2, 4), 4, check_unique=True)
+        assert len(calls) == report.instances == 3
+        assert not report.passed and report.unique is False
+        w = report.witness
+        assert (w.n, w.k) == (3, 1)
+        assert w.faces == {0: BASEPOINT, 2: BASEPOINT, 3: MonotoneMap((0, 1, 2), 2)}
+        note = "exhausted scan of all 4 level-3 candidates"
+        assert report.witness_result == FillerResult(
+            None, (CertStep("exhausted", None, note, None),), note
+        )
+        assert report.summary() == (
+            "quasicategory sweep of S^2 up to dimension 4: FAIL "
+            "(3 horn instances, coordinate bound 3)\n"
+            "counterexample: Lambda^1[3] -> S^2\n"
+            "  face 0: [*]\n"
+            "  face 2: [*]\n"
+            "  face 3: [012]\n"
+            f"  exhausted: {note}\n"
+            "fillers NOT unique"
+        )
 
     def test_simplex_fillers_are_unique(self):
         report = sweep_quasicategory(standard_simplex(2, 3), 3, check_unique=True)

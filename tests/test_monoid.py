@@ -67,6 +67,13 @@ class TestInstances:
 
 
 class TestFreeNaturalStructure:
+    def test_literals_must_be_natural(self):
+        N = nat()
+        assert N.parse_element("7") == 7
+        with pytest.raises(ValueError, match="-3 is not a natural number"):
+            N.parse_element("-3")
+        assert int_group().parse_element("-3") == -3
+
     def test_zero_sum_forces_zero_parts(self):
         N = nat()
         assert N.try_subtract(5, 2) == 3
@@ -144,6 +151,21 @@ class TestTableMonoids:
         path = tmp_path / "bad.json"
         path.write_text('{"elements": ["0"]}')
         with pytest.raises(ValueError):
+            load_table(str(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"elements": 3, "table": []}',
+            '{"elements": ["a"], "table": [5]}',
+            '{"name": ["x"], "elements": ["a"], "table": [["a"]]}',
+        ],
+        ids=["elements not a list", "row not a list", "name not a string"],
+    )
+    def test_load_table_rejects_wrong_shapes_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "shape.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="shape.json"):
             load_table(str(path))
 
 
