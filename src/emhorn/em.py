@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .delta import MonotoneMap, coface, codegeneracy, compose, enumerate_surjections
 from .monoid import CommutativeMonoid, Element
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EMSimplex:
     """A level-k element: one coefficient per generator, in canonical order."""
 
@@ -41,7 +42,8 @@ class EMSimplex:
     coords: tuple[Element, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(self.coords))
+        if type(self.coords) is not tuple:
+            object.__setattr__(self, "coords", tuple(self.coords))
 
 
 class EMSpace:
@@ -66,6 +68,8 @@ class EMSpace:
         self._face_targets: dict[tuple[int, int], list[int]] = {}
         self._degeneracy_targets: dict[tuple[int, int], list[int]] = {}
         self._face_fibers: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        self._face_plans: dict[tuple[int, int], tuple] = {}
+        self._degeneracy_plans: dict[tuple[int, int], tuple] = {}
         self._gen_names: dict[int, tuple[str, ...]] = {}
 
     @property
@@ -130,20 +134,31 @@ class EMSpace:
     def face(self, k: int, i: int, x: EMSimplex) -> EMSimplex:
         if x.level != k:
             raise ValueError(f"simplex at level {x.level}, face asked at level {k}")
-        return self._scatter(self.face_targets(k, i), k - 1, x)
+        plan = self._face_plans.get((k, i))
+        if plan is None:
+            plan = self._face_plans[k, i] = _plan(self.face_targets(k, i), self.rank(k - 1))
+        return self._apply(plan, k - 1, x)
 
     def degeneracy(self, k: int, j: int, x: EMSimplex) -> EMSimplex:
         if x.level != k:
             raise ValueError(f"simplex at level {x.level}, degeneracy asked at level {k}")
-        return self._scatter(self.degeneracy_targets(k, j), k + 1, x)
+        plan = self._degeneracy_plans.get((k, j))
+        if plan is None:
+            plan = self._degeneracy_plans[k, j] = _plan(
+                self.degeneracy_targets(k, j), self.rank(k + 1)
+            )
+        return self._apply(plan, k + 1, x)
 
-    def _scatter(self, targets: list[int], level: int, x: EMSimplex) -> EMSimplex:
-        """Add each coordinate of x onto its target slot at ``level``; -1 drops it."""
+    def _apply(self, plan: tuple, level: int, x: EMSimplex) -> EMSimplex:
+        """Gather the first coordinate of each fiber, then fold in the rest."""
+        gather, rest = plan
+        coords = x.coords + (self.monoid.identity,)
+        if not rest:
+            return EMSimplex(level, gather(coords))
+        out = list(gather(coords))
         op = self.monoid.op
-        out = [self.monoid.identity] * len(self.gens[level])
-        for tgt, c in zip(targets, x.coords):
-            if tgt >= 0:
-                out[tgt] = op(out[tgt], c)
+        for tgt, src in rest:
+            out[tgt] = op(out[tgt], coords[src])
         return EMSimplex(level, tuple(out))
 
     def add(self, x: EMSimplex, y: EMSimplex) -> EMSimplex:
@@ -202,6 +217,26 @@ class EMSpace:
 
     def __repr__(self) -> str:
         return f"EMSpace({self.name}, D={self.dim_bound})"
+
+
+def _plan(targets: list[int], size: int) -> tuple:
+    """An operator table as (gather, rest): ``gather`` picks, from a vector
+    with the identity appended, the first source of each of the ``size``
+    target slots (the identity when none maps there); ``rest`` lists the
+    later (target, source) pairs, in source order, to add on."""
+    first = [-1] * size
+    rest = []
+    for src, tgt in enumerate(targets):
+        if tgt < 0:
+            continue
+        if first[tgt] < 0:
+            first[tgt] = src
+        else:
+            rest.append((tgt, src))
+    if len(first) == 1:
+        only = first[0]
+        return (lambda coords: (coords[only],)), rest
+    return (itemgetter(*first) if first else (lambda coords: ())), rest
 
 
 def em_space(monoid: CommutativeMonoid, degree: int, dim_bound: int) -> EMSpace:
