@@ -14,7 +14,6 @@ from .delta import (
     compose,
     enumerate_monotone,
     enumerate_surjections,
-    epi_mono_factorize,
     identity,
 )
 from .em import EMSimplex, EMSpace, NerveView, em_space, nerve_view
@@ -41,23 +40,18 @@ from .monoid import (
     CommutativeMonoid,
     UndecidableError,
     boolean,
-    check_laws,
     cyclic,
     from_table,
     int_group,
     load_table,
     nat,
-    solve_value,
     solve_value_all,
     trivial,
 )
 from .sset import (
     BASEPOINT,
     TruncatedSimplicialSet,
-    boundary,
-    horn as horn_complex,
     simplicial_identity_violations,
-    simplicial_map_check,
     sphere,
     standard_simplex,
 )

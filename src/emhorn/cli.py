@@ -208,6 +208,8 @@ def cmd_check_horn(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.unique and args.kind == "kan":
+        raise ValueError("--unique applies to quasicategory sweeps only")
     M = parse_monoid(args.monoid)
     K = em.EMSpace(M, args.n, args.dim)
     bound = None if M.is_finite else args.bound
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, dim_default=3)
     p.add_argument("--kind", choices=["quasicategory", "kan"], default="quasicategory")
     p.add_argument("--bound", type=int, default=DEFAULT_BOUND, help="coordinate bound for infinite monoids")
-    p.add_argument("--unique", action="store_true", help="also check fillers are unique")
+    p.add_argument("--unique", action="store_true", help="also check fillers are unique (quasicategory only)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(

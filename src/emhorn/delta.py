@@ -118,23 +118,6 @@ def codegeneracy(n: int, j: int) -> MonotoneMap:
     return MonotoneMap(tuple(range(j + 1)) + tuple(range(j, n + 1)), n)
 
 
-def epi_mono_factorize(f: MonotoneMap) -> tuple[MonotoneMap, MonotoneMap]:
-    """Split f as a surjection onto [|image| - 1] followed by an injection.
-
-    The factorization is unique: the injection enumerates the image in
-    increasing order and the surjection renames each value to its rank.
-
-    >>> epi, mono = epi_mono_factorize(MonotoneMap((0, 2, 2), 2))
-    >>> str(epi), str(mono)
-    ('011', '02')
-    """
-    image = sorted(set(f.values))
-    rank = {v: r for r, v in enumerate(image)}
-    epi = MonotoneMap(tuple(rank[v] for v in f.values), len(image) - 1)
-    mono = MonotoneMap(tuple(image), f.cod)
-    return epi, mono
-
-
 def enumerate_monotone(m: int, n: int) -> list[MonotoneMap]:
     """All monotone maps [m] -> [n] in lexicographic order on values."""
     if m < 0 or n < 0:
@@ -148,7 +131,19 @@ def enumerate_monotone(m: int, n: int) -> list[MonotoneMap]:
 def enumerate_surjections(m: int, n: int) -> list[MonotoneMap]:
     """All monotone surjections [m] -> [n], lexicographic; there are C(m, n).
 
+    A surjection is fixed by the m - n positions p in 1..m where it repeats
+    its value, f(p) = f(p - 1).  Choosing those positions in lexicographic
+    order lists the maps in lexicographic order on values.
+
     >>> [str(f) for f in enumerate_surjections(2, 2)]
     ['012']
     """
-    return [f for f in enumerate_monotone(m, n) if f.is_surjective()]
+    if m < 0 or n < 0:
+        raise ValueError("objects of the simplex category are [m] with m >= 0")
+    if m < n:
+        return []
+    maps = []
+    for repeats in itertools.combinations(range(1, m + 1), m - n):
+        steps = (p not in repeats for p in range(1, m + 1))
+        maps.append(MonotoneMap(tuple(itertools.accumulate(steps, initial=0)), n))
+    return maps

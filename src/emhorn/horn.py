@@ -309,11 +309,10 @@ def _search_residual(
             best = None
             for eq in by_var[v]:
                 known = M.sum(assignment[w] for w in eq.vars if assignment[w] is not None)
-                residual_rhs = M.try_subtract(eq.rhs, known)
-                if residual_rhs is None:
+                if known > eq.rhs:
                     return [], {v: [] for v in constrained}
-                if best is None or M.leq(residual_rhs, best):
-                    best = residual_rhs
+                if best is None or eq.rhs - known < best:
+                    best = eq.rhs - known
             domains[v] = list(range(best + slack + 1))
     elif M.is_finite:
         domains = {v: list(M.elements) for v in constrained}
@@ -849,6 +848,8 @@ def _sweep(
     inner_only: bool,
     check_unique: bool = False,
 ) -> SweepReport:
+    if bound is not None and bound < 0:
+        raise ValueError(f"coordinate bound {bound} is negative")
     mode = "quasicategory" if inner_only else "kan"
     name = target.name
     instances = 0

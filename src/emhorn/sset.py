@@ -5,10 +5,10 @@ degeneracy tables.  Operators that would leave the truncation are simply
 absent, and the identity checks quantify only within range.  Everything is
 finite, so the simplicial identities can be verified by a table scan.
 
-Simplex identifiers are the monotone maps themselves (for the families
-built from the simplex category) plus a reserved basepoint token for the
-quotient spheres.  That keeps fixtures self-describing: the level-3 cells
-of the 2-sphere really are ``*``, ``0012``, ``0112`` and ``0122``.
+Simplex identifiers are the monotone maps themselves (for the standard
+simplices) plus a reserved basepoint token for the quotient spheres.  That
+keeps fixtures self-describing: the level-3 cells of the 2-sphere really
+are ``*``, ``0012``, ``0112`` and ``0122``.
 """
 
 from __future__ import annotations
@@ -85,60 +85,10 @@ def _build(name: str, dim_bound: int, levels: tuple, act: Callable) -> Truncated
     return TruncatedSimplicialSet(name, dim_bound, levels, faces, degeneracies)
 
 
-def _from_map_predicate(
-    name: str, n: int, dim_bound: int, member: Callable[[MonotoneMap], bool]
-) -> TruncatedSimplicialSet:
-    """Build the subobject of the n-simplex cut out by a membership predicate.
-
-    The predicate must be closed under precomposition, which holds for all
-    the families below (their defining conditions depend only on the image).
-    """
-    levels = tuple(
-        tuple(f for f in enumerate_monotone(k, n) if member(f))
-        for k in range(dim_bound + 1)
-    )
-    present = [set(level) for level in levels]
-
-    def act(theta: MonotoneMap, x: MonotoneMap) -> MonotoneMap:
-        y = compose(theta, x)
-        assert y in present[theta.dom], f"{name}: an operator left the set at {x}"
-        return y
-
-    return _build(name, dim_bound, levels, act)
-
-
 def standard_simplex(n: int, dim_bound: int) -> TruncatedSimplicialSet:
     """The n-simplex: level k holds every monotone map [k] -> [n]."""
-    return _from_map_predicate(f"Delta[{n}]", n, dim_bound, lambda f: True)
-
-
-def boundary(n: int, dim_bound: int) -> TruncatedSimplicialSet:
-    """The boundary of the n-simplex: the non-surjective maps."""
-    if n < 1:
-        raise ValueError("the boundary is defined for n >= 1")
-    return _from_map_predicate(
-        f"boundary Delta[{n}]", n, dim_bound, lambda f: not f.is_surjective()
-    )
-
-
-def horn(n: int, k: int, dim_bound: int) -> TruncatedSimplicialSet:
-    """The horn of the n-simplex missing face k.
-
-    A simplex belongs to the horn exactly when it factors through some face
-    other than the k-th, i.e. when its image together with k still misses a
-    vertex of [n].
-    """
-    if n < 1:
-        raise ValueError("horns are defined for n >= 1")
-    if not 0 <= k <= n:
-        raise ValueError(f"horn index {k} out of range for [{n}]")
-    full = set(range(n + 1))
-    return _from_map_predicate(
-        f"Lambda^{k}[{n}]",
-        n,
-        dim_bound,
-        lambda f: set(f.values) | {k} != full,
-    )
+    levels = tuple(tuple(enumerate_monotone(k, n)) for k in range(dim_bound + 1))
+    return _build(f"Delta[{n}]", dim_bound, levels, compose)
 
 
 def sphere(n: int, dim_bound: int) -> TruncatedSimplicialSet:
@@ -202,38 +152,3 @@ def simplicial_identity_violations(X: TruncatedSimplicialSet) -> list[str]:
                     if got != want:
                         bad.append(f"d{i} s{j} {render_id(x)}: {render_id(got)} != {render_id(want)}")
     return bad
-
-
-def simplicial_map_check(
-    f: Mapping[int, Mapping[SimplexId, SimplexId]],
-    X: TruncatedSimplicialSet,
-    Y: TruncatedSimplicialSet,
-) -> bool:
-    """Does the levelwise assignment f commute with all operators?
-
-    ``f[k]`` must send every level-k simplex of X to a level-k simplex of Y
-    for k up to the common truncation; anything else is a rejected input.
-    """
-    D = min(X.dim_bound, Y.dim_bound)
-    for k in range(D + 1):
-        if k not in f:
-            raise ValueError(f"assignment missing level {k}")
-        ylevel = set(Y.level(k))
-        for x in X.level(k):
-            if x not in f[k]:
-                raise ValueError(f"assignment missing simplex {render_id(x)} at level {k}")
-            if f[k][x] not in ylevel:
-                raise ValueError(
-                    f"assignment sends {render_id(x)} outside level {k} of {Y.name}"
-                )
-    for k in range(1, D + 1):
-        for x in X.level(k):
-            for i in range(k + 1):
-                if f[k - 1][X.face(k, i, x)] != Y.face(k, i, f[k][x]):
-                    return False
-    for k in range(D):
-        for x in X.level(k):
-            for j in range(k + 1):
-                if f[k + 1][X.degeneracy(k, j, x)] != Y.degeneracy(k, j, f[k][x]):
-                    return False
-    return True

@@ -8,18 +8,24 @@ certifies itself.
 from __future__ import annotations
 
 import itertools
+import random
 
 from emhorn.delta import coface, compose
 from emhorn.em import EMSimplex, EMSpace
 
 
 def brute_monotone_tuples(m: int, n: int) -> list[tuple[int, ...]]:
-    """All weakly increasing (m+1)-tuples over 0..n, by filtering products."""
-    return [
-        vals
-        for vals in itertools.product(range(n + 1), repeat=m + 1)
-        if all(a <= b for a, b in zip(vals, vals[1:]))
-    ]
+    """All weakly increasing (m+1)-tuples over 0..n, by filtering products.
+
+    The product is built one coordinate at a time and filtered as it grows.
+    Being weakly increasing is inherited by prefixes, so this keeps exactly
+    the tuples of the full filtered product, in the same lexicographic
+    order, without listing all (n+1)^(m+1) of them.
+    """
+    tuples = [()]
+    for _ in range(m + 1):
+        tuples = [t + (v,) for t in tuples for v in range(n + 1) if not t or t[-1] <= v]
+    return tuples
 
 
 def brute_surjection_tuples(m: int, n: int) -> list[tuple[int, ...]]:
@@ -124,3 +130,30 @@ def random_compatible_horns(K: EMSpace, n: int, k: int, rng, count: int, hint: i
         y = K.random_simplex(n, rng, hint)
         out.append(horn_from_simplex(K, n, k, y))
     return out
+
+
+def check_laws(M, rng=None, samples: int = 1000, hint: int = 50) -> None:
+    """Assert associativity, commutativity and the identity law.
+
+    Exhaustive for finite monoids; sampled on random triples otherwise.
+    Raises AssertionError with the violating triple.
+    """
+    if M.is_finite:
+        triples = itertools.product(M.elements, repeat=3)
+    else:
+        rng = rng or random.Random(0)
+        triples = (
+            (M.sample(rng, hint), M.sample(rng, hint), M.sample(rng, hint))
+            for _ in range(samples)
+        )
+    for a, b, c in triples:
+        assert M.op(M.op(a, b), c) == M.op(a, M.op(b, c)), f"associativity fails at {(a, b, c)}"
+        assert M.op(a, b) == M.op(b, a), f"commutativity fails at {(a, b)}"
+        assert M.op(a, M.identity) == a, f"identity law fails at {a}"
+        if M.is_group:
+            assert M.op(a, M.inverse(a)) == M.identity, f"inverse law fails at {a}"
+        if M.is_free_natural:
+            if M.op(a, b) == M.identity:
+                assert a == M.identity and b == M.identity
+            if b <= a:
+                assert M.op(a - b, b) == a

@@ -207,13 +207,24 @@ class TestSweep:
         assert "fillers unique" in out
 
     def test_negative_bound_exits_two(self, capsys):
-        for monoid_spec, degree, bound in (("nat", "2", "-1"), ("int", "1", "-2")):
+        # at --dim 1 there is no inner horn, so no level is ever enumerated
+        for monoid_spec, degree, dim, bound in (
+            ("nat", "2", "3", "-1"), ("int", "1", "3", "-2"), ("nat", "2", "1", "-1"),
+        ):
             code, out, err = run(
-                capsys, "sweep", "--monoid", monoid_spec, "--n", degree, "--dim", "3",
+                capsys, "sweep", "--monoid", monoid_spec, "--n", degree, "--dim", dim,
                 "--bound", bound,
             )
             assert code == 2 and out == ""
             assert f"coordinate bound {bound} is negative" in err
+
+    def test_unique_with_kan_sweep_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--kind", "kan", "--monoid", "cyclic:2",
+            "--n", "1", "--dim", "3", "--unique",
+        )
+        assert code == 2 and out == ""
+        assert "--unique applies to quasicategory sweeps only" in err
 
     def test_json_report(self, capsys):
         code, out, _ = run(

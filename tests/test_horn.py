@@ -6,7 +6,7 @@ import pytest
 
 import emhorn.horn as horn_module
 from emhorn.delta import MonotoneMap
-from emhorn.em import em_space
+from emhorn.em import EMSpace, em_space
 from emhorn.horn import (
     CERTIFICATE_SCHEMA,
     CertStep,
@@ -513,6 +513,11 @@ class TestSweeps:
             sweep_quasicategory(em_space(nat(), 2, 3), 3, bound=-1)
         with pytest.raises(ValueError, match="coordinate bound -2 is negative"):
             sweep_kan(em_space(int_group(), 1, 3), 3, bound=-2)
+        # refused up front, also where no level would be enumerated
+        with pytest.raises(ValueError, match="coordinate bound -1 is negative"):
+            sweep_quasicategory(em_space(nat(), 2, 1), 1, bound=-1)
+        with pytest.raises(ValueError, match="coordinate bound -2 is negative"):
+            sweep_kan(EMSpace(int_group(), 1, 1), 1, bound=-2)
 
     def test_degenerate_dimensions_pass_trivially(self):
         K = em_space(trivial(), 2, 4)

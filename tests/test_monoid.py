@@ -6,16 +6,15 @@ from hypothesis import given, strategies as st
 from emhorn.monoid import (
     UndecidableError,
     boolean,
-    check_laws,
     cyclic,
     from_table,
     int_group,
     load_table,
     nat,
-    solve_value,
     solve_value_all,
     trivial,
 )
+from support import check_laws
 
 nats = st.integers(min_value=0, max_value=10**9)
 ints = st.integers(min_value=-(10**9), max_value=10**9)
@@ -74,15 +73,11 @@ class TestFreeNaturalStructure:
             N.parse_element("-3")
         assert int_group().parse_element("-3") == -3
 
-    def test_zero_sum_forces_zero_parts(self):
+    def test_partial_subtraction(self):
         N = nat()
-        assert N.try_subtract(5, 2) == 3
-        assert N.try_subtract(2, 5) is None
-        assert N.op(N.try_subtract(5, 2), 2) == 5
-
-    def test_order_unavailable_elsewhere(self):
-        with pytest.raises(UndecidableError):
-            int_group().leq(1, 2)
+        assert solve_value_all(N, 2, 5) == [3]
+        assert solve_value_all(N, 5, 2) == []
+        assert N.op(solve_value_all(N, 2, 5)[0], 2) == 5
 
 
 class TestTableMonoids:
@@ -169,54 +164,52 @@ class TestTableMonoids:
             load_table(str(path))
 
 
-class TestSolveValue:
+class TestSolveValueAll:
     def test_nat_unsolvable_when_target_smaller(self):
-        assert solve_value(nat(), 3, 1) is None
+        assert solve_value_all(nat(), 3, 1) == []
 
     def test_nat_subtraction(self):
-        assert solve_value(nat(), 3, 7) == 4
+        assert solve_value_all(nat(), 3, 7) == [4]
 
     def test_int_uses_inverse(self):
-        assert solve_value(int_group(), 3, 1) == -2
+        assert solve_value_all(int_group(), 3, 1) == [-2]
 
-    def test_finite_scan_first_in_order(self):
+    def test_finite_scan_in_order(self):
         B = boolean()
-        # 1 + x = 1 has solutions {0, 1}; canonical order picks 0
-        assert solve_value(B, 1, 1) == 0
+        # 1 + x = 1 has solutions {0, 1}, listed in canonical order
         assert solve_value_all(B, 1, 1) == [0, 1]
         assert solve_value_all(B, 1, 0) == []
+        assert solve_value_all(B, 0, 1) == [1]
 
     def test_returned_solutions_reevaluate(self):
         rng = random.Random(3)
         for M in (nat(), int_group(), cyclic(6), boolean()):
             for _ in range(200):
                 a, b = M.sample(rng, 20), M.sample(rng, 20)
-                x = solve_value(M, a, b)
-                if x is not None:
+                for x in solve_value_all(M, a, b):
                     assert M.op(a, x) == b
 
-    def test_nat_none_exactly_when_target_below(self):
+    def test_nat_empty_exactly_when_target_below(self):
         N = nat()
         for a in range(12):
             for b in range(12):
-                assert (solve_value(N, a, b) is None) == (b < a)
+                assert (solve_value_all(N, a, b) == []) == (b < a)
 
-    def test_none_is_certified_for_finite(self):
-        Z2 = cyclic(2)
-        for a in Z2.elements:
-            for b in Z2.elements:
-                x = solve_value(Z2, a, b)
-                if x is None:
-                    assert all(Z2.op(a, y) != b for y in Z2.elements)
+    def test_finite_solutions_are_exactly_the_scan(self):
+        for M in (cyclic(2), cyclic(6), boolean(), trivial()):
+            for a in M.elements:
+                for b in M.elements:
+                    want = [y for y in M.elements if M.op(a, y) == b]
+                    assert solve_value_all(M, a, b) == want
 
-    def test_group_never_returns_none(self):
+    def test_group_has_exactly_one_solution(self):
         rng = random.Random(5)
         for M in (int_group(), cyclic(7), trivial()):
             for _ in range(100):
-                assert solve_value(M, M.sample(rng, 30), M.sample(rng, 30)) is not None
+                assert len(solve_value_all(M, M.sample(rng, 30), M.sample(rng, 30))) == 1
 
     def test_unsupported_capability_raises(self):
         free_no_caps = nat()
         free_no_caps.is_free_natural = False
         with pytest.raises(UndecidableError, match="undecidable here"):
-            solve_value(free_no_caps, 1, 2)
+            solve_value_all(free_no_caps, 1, 2)
