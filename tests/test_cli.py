@@ -218,6 +218,15 @@ class TestSweep:
             assert code == 2 and out == ""
             assert f"coordinate bound {bound} is negative" in err
 
+    def test_negative_bound_with_kan_sweep_exits_two(self, capsys):
+        # at --dim 1 a Kan sweep has no horn either
+        code, out, err = run(
+            capsys, "sweep", "--kind", "kan", "--monoid", "int", "--n", "1",
+            "--dim", "1", "--bound", "-2",
+        )
+        assert code == 2 and out == ""
+        assert "coordinate bound -2 is negative" in err
+
     def test_unique_with_kan_sweep_exits_two(self, capsys):
         code, out, err = run(
             capsys, "sweep", "--kind", "kan", "--monoid", "cyclic:2",

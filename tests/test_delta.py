@@ -117,6 +117,40 @@ class TestSurjectiveInjective:
         assert f.is_surjective() and f.is_injective()
 
 
+class TestSurjectionInjectionSplitting:
+    # Every monotone map is a surjection onto its image followed by the
+    # inclusion of that image, and the pair is unique.
+    def test_collapse_then_include(self):
+        assert compose(m("011", 1), m("02", 2)) == m("022", 2)
+
+    def test_surjection_splits_through_the_identity(self):
+        f = m("0012", 2)
+        assert f in enumerate_surjections(3, 2)
+        assert compose(f, identity(2)) == f
+
+    def test_unique_splitting_exhaustive(self):
+        for mm in range(6):
+            for n in range(6):
+                splittings = {}
+                for r in range(min(mm, n) + 1):
+                    injections = [i for i in enumerate_monotone(r, n) if i.is_injective()]
+                    for epi in enumerate_surjections(mm, r):
+                        for mono in injections:
+                            splittings.setdefault(compose(epi, mono), []).append(mono)
+                assert set(splittings) == set(enumerate_monotone(mm, n))
+                for f, monos in splittings.items():
+                    assert [mono.values for mono in monos] == [tuple(sorted(set(f.values)))]
+
+    def test_codegeneracies_are_the_surjections_onto_one_less(self):
+        for n in range(7):
+            assert enumerate_surjections(n + 1, n) == [codegeneracy(n, j) for j in range(n + 1)]
+
+    def test_cofaces_are_the_injections_from_one_less(self):
+        for n in range(1, 7):
+            injections = [f for f in enumerate_monotone(n - 1, n) if f.is_injective()]
+            assert injections == [coface(n, i) for i in reversed(range(n + 1))]
+
+
 class TestEnumeration:
     def test_surjections_degree_two(self):
         assert [str(f) for f in enumerate_surjections(3, 2)] == ["0012", "0112", "0122"]
@@ -188,6 +222,16 @@ def monotone_maps(draw, max_obj=6):
     n = draw(st.integers(0, max_obj))
     vals = draw(st.lists(st.integers(0, n), min_size=mm + 1, max_size=mm + 1))
     return MonotoneMap(tuple(sorted(vals)), n)
+
+
+@given(monotone_maps())
+def test_image_splitting_property(f):
+    image = sorted(set(f.values))
+    epi = MonotoneMap(tuple(image.index(v) for v in f.values), len(image) - 1)
+    mono = MonotoneMap(tuple(image), f.cod)
+    assert epi in enumerate_surjections(f.dom, epi.cod)
+    assert mono.is_injective()
+    assert compose(epi, mono) == f
 
 
 @given(monotone_maps(), st.data())

@@ -79,6 +79,17 @@ class TestFreeNaturalStructure:
         assert solve_value_all(N, 5, 2) == []
         assert N.op(solve_value_all(N, 2, 5)[0], 2) == 5
 
+    def test_free_natural_means_non_negative_integers(self):
+        rng = random.Random(11)
+        assert nat().is_free_natural
+        for M in (int_group(), cyclic(3), boolean(), trivial()):
+            assert not M.is_free_natural
+        N = nat()
+        for _ in range(100):
+            a, b = N.sample(rng, 40), N.sample(rng, 40)
+            assert type(a) is int and a >= 0
+            assert N.op(a, b) == a + b
+
 
 class TestTableMonoids:
     def test_boolean_accepted_not_a_group(self):

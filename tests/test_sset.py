@@ -1,8 +1,9 @@
+import dataclasses
 from math import comb
 
 import pytest
 
-from emhorn.delta import MonotoneMap
+from emhorn.delta import MonotoneMap, codegeneracy, coface, identity
 from emhorn.sset import (
     BASEPOINT,
     render_id,
@@ -30,6 +31,53 @@ class TestStandardSimplex:
         X = standard_simplex(2, 3)
         top = MonotoneMap((0, 1, 2), 2)
         assert [str(X.face(2, i, top)) for i in range(3)] == ["12", "02", "01"]
+
+    def test_level_counts(self):
+        # monotone maps [k] -> [n] are the (k+1)-multisets of n+1 values
+        for n in range(4):
+            X = standard_simplex(n, 6)
+            for k in range(7):
+                assert len(X.level(k)) == comb(n + k + 1, k + 1)
+
+    def test_degeneracies_of_top_cell(self):
+        for n in range(4):
+            X = standard_simplex(n, n + 1)
+            for j in range(n + 1):
+                assert X.degeneracy(n, j, identity(n)) == codegeneracy(n, j)
+
+    def test_boundary_is_a_subcomplex(self):
+        # the non-surjective cells; at level n everything but the identity
+        for n in range(1, 4):
+            D = 5
+            X = standard_simplex(n, D)
+            inside = [{x for x in X.level(k) if not x.is_surjective()} for k in range(D + 1)]
+            assert inside[n] == set(X.level(n)) - {identity(n)}
+            assert_closed_under_operators(X, inside)
+
+    def test_horns_are_subcomplexes(self):
+        # the cells whose image together with k misses a vertex
+        for n in range(1, 4):
+            D = 5
+            X = standard_simplex(n, D)
+            for k in range(n + 1):
+                inside = [
+                    {x for x in X.level(lv) if set(x.values) | {k} != set(range(n + 1))}
+                    for lv in range(D + 1)
+                ]
+                assert_closed_under_operators(X, inside)
+                faces_of_top = [X.face(n, i, identity(n)) in inside[n - 1] for i in range(n + 1)]
+                assert faces_of_top == [i != k for i in range(n + 1)]
+                assert coface(n, k) not in inside[n - 1]
+
+
+def assert_closed_under_operators(X, inside):
+    D = X.dim_bound
+    for k in range(D + 1):
+        for x in inside[k]:
+            for i in range(k + 1 if k else 0):
+                assert X.face(k, i, x) in inside[k - 1]
+            for j in range(k + 1 if k < D else 0):
+                assert X.degeneracy(k, j, x) in inside[k + 1]
 
 
 class TestSphere:
@@ -64,6 +112,15 @@ class TestSphere:
         S = sphere(2, 3)
         assert S.dump() == "0: *\n1: *\n2: * 012\n3: * 0012 0112 0122"
 
+    def test_target_interface(self):
+        # what the horn solvers call on a target besides face and degeneracy
+        S = sphere(2, 3)
+        x = MonotoneMap((0, 0, 1, 2), 2)
+        assert S.enumerate_level(3, bound=0) == list(S.level(3))
+        assert S.contains(3, x) and S.contains(3, BASEPOINT)
+        assert not S.contains(2, x)
+        assert S.encode(x) == ["0012"] and S.encode(BASEPOINT) == ["*"]
+
 
 class TestSimplicialIdentities:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -71,6 +128,24 @@ class TestSimplicialIdentities:
         D = 6
         for X in (standard_simplex(n, D), sphere(n, D)):
             assert simplicial_identity_violations(X) == []
+
+
+class TestIdentityScanner:
+    def test_reports_a_corrupted_face(self):
+        X = standard_simplex(2, 3)
+        faces = dict(X.faces)
+        faces[(2, 0, identity(2))] = MonotoneMap((0, 1), 2)
+        bad = simplicial_identity_violations(dataclasses.replace(X, faces=faces))
+        assert "d0 d1 012: 2 != 1" in bad
+        assert "d0 s1 012: 112 != 001" in bad
+
+    def test_reports_a_corrupted_degeneracy(self):
+        X = standard_simplex(2, 3)
+        degeneracies = dict(X.degeneracies)
+        degeneracies[(1, 0, MonotoneMap((0, 1), 2))] = MonotoneMap((0, 1, 1), 2)
+        bad = simplicial_identity_violations(dataclasses.replace(X, degeneracies=degeneracies))
+        assert "s0 s0 01" in bad
+        assert "d0 s0 01: 11 != 01" in bad
 
 
 class TestQuotientCompatibility:
