@@ -210,6 +210,8 @@ def cmd_check_horn(args) -> int:
 def cmd_sweep(args) -> int:
     if args.unique and args.kind == "kan":
         raise ValueError("--unique applies to quasicategory sweeps only")
+    if args.bound < 0:
+        raise ValueError(f"coordinate bound {args.bound} is negative")
     M = parse_monoid(args.monoid)
     K = em.EMSpace(M, args.n, args.dim)
     bound = None if M.is_finite else args.bound

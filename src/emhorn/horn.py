@@ -10,15 +10,13 @@ face.
 The solver first propagates: any equation with a single unknown is solved
 outright and substituted.  Either this chain ends in an unsolvable
 single-unknown equation, which is a human-readable certificate that no
-filler exists, or a residual system remains and is finished by search
-(finite monoids, and the naturals where subset sums bound every variable
-by the smallest right-hand side it appears under) or by exact integer
-elimination (the integers).
-
-Group targets additionally get the classical constructive filler, built by
-correcting a degenerate start with degeneracies and inverses below the
-missing index and then above it.  Every filler returned by any engine is
-re-verified against the given faces before being reported.
+filler exists, or some coordinates are left unset.  Over a group they are
+finished by the classical constructive filler, built by correcting a
+degenerate start with degeneracies and inverses below the missing index
+and then above it.  Over the naturals and finite monoids the residual
+system is finished by search (over the naturals, subset sums bound every
+variable by the smallest right-hand side it appears under).  Every filler
+is re-verified against the given faces before being reported.
 
 A horn target is either an ``EMSpace`` or a finite
 ``TruncatedSimplicialSet``.  Both provide ``name``, ``dim_bound``,
@@ -283,11 +281,12 @@ def _search_residual(
     slack: int = 0,
     limit: int = 1,
 ):
-    """Finish a propagated system by bounded search.
+    """Finish a propagated system over the naturals or a finite monoid by
+    bounded search.
 
-    Yields completed assignments (as lists) in canonical order, at most
-    ``limit`` of them.  Returns the per-variable bounds used, for the
-    exhaustion note.  Raises UndecidableError when no capability applies.
+    Returns the completed assignments (as lists) in canonical order, at
+    most ``limit`` of them, and the per-variable domains searched, for the
+    exhaustion note.
     """
     nvars = len(system.variables)
     unassigned = [v for v in range(nvars) if assignment[v] is None]
@@ -314,12 +313,8 @@ def _search_residual(
                 if best is None or eq.rhs - known < best:
                     best = eq.rhs - known
             domains[v] = list(range(best + slack + 1))
-    elif M.is_finite:
-        domains = {v: list(M.elements) for v in constrained}
     else:
-        raise UndecidableError(
-            f"residual system over {M.name} has no search strategy; undecidable here"
-        )
+        domains = {v: list(M.elements) for v in constrained}
 
     solutions = []
 
@@ -352,113 +347,20 @@ def _search_residual(
     return solutions, domains
 
 
-def _solve_integer_linear(rows: list[list[int]], rhs: list[int], ncols: int):
-    """One integer solution of a linear system, or None; also the number of
-    free columns (zero means the solution is unique when it exists).
-
-    Columns are reduced by unimodular operations while tracking the change
-    of basis, after which forward substitution with divisibility checks
-    decides solvability exactly.
-    """
-    m = len(rows)
-    n = ncols
-    if n == 0:
-        return ([] if all(r == 0 for r in rhs) else None), 0
-    if m == 0:
-        return [0] * n, n
-    A = [list(r) for r in rows]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-    pivots = {}
-    pc = 0
-    for r in range(m):
-        if pc >= n:
-            break
-        while True:
-            nz = [c for c in range(pc, n) if A[r][c] != 0]
-            if len(nz) <= 1:
-                break
-            c0 = min(nz, key=lambda c: abs(A[r][c]))
-            for c in nz:
-                if c == c0:
-                    continue
-                q = A[r][c] // A[r][c0]
-                if q:
-                    for rr in range(m):
-                        A[rr][c] -= q * A[rr][c0]
-                    for rr in range(n):
-                        V[rr][c] -= q * V[rr][c0]
-        nz = [c for c in range(pc, n) if A[r][c] != 0]
-        if nz:
-            c = nz[0]
-            if c != pc:
-                for rr in range(m):
-                    A[rr][pc], A[rr][c] = A[rr][c], A[rr][pc]
-                for rr in range(n):
-                    V[rr][pc], V[rr][c] = V[rr][c], V[rr][pc]
-            pivots[r] = pc
-            pc += 1
-    y = [0] * n
-    for r in range(m):
-        acc = sum(A[r][c] * y[c] for c in range(n) if A[r][c])
-        resid = rhs[r] - acc
-        if r in pivots:
-            c = pivots[r]
-            if resid % A[r][c] != 0:
-                return None, n - pc
-            y[c] = resid // A[r][c]
-        elif resid != 0:
-            return None, n - pc
-    x = [sum(V[r][c] * y[c] for c in range(n)) for r in range(n)]
-    return x, n - pc
-
-
-def _eliminate_group_residual(system, M, assignment):
-    """Exact residual solving over the integers under addition.
-
-    Returns (solution_assignment | None, free_count).  Variables outside
-    every residual equation are unconstrained and take the identity; the
-    free count covers only matrix columns, the caller accounts for the
-    rest.  Only the integers carry this path; other infinite groups have
-    no residual strategy.
-    """
-    if not getattr(M, "integer_addition", False):
-        raise UndecidableError(
-            f"residual elimination over {M.name} is not supported; undecidable here"
-        )
-    residual = [
-        eq for eq in system.equations if any(assignment[v] is None for v in eq.vars)
-    ]
-    involved = sorted({v for eq in residual for v in eq.vars if assignment[v] is None})
-    col_of = {v: c for c, v in enumerate(involved)}
-    rows, rhs = [], []
-    for eq in residual:
-        known = M.sum(assignment[v] for v in eq.vars if assignment[v] is not None)
-        row = [0] * len(involved)
-        for v in eq.vars:
-            if assignment[v] is None:
-                row[col_of[v]] += 1
-        rows.append(row)
-        rhs.append(M.op(eq.rhs, M.inverse(known)))
-    x, free_count = _solve_integer_linear(rows, rhs, len(involved))
-    if x is None:
-        return None, free_count
-    out = list(assignment)
-    for v, c in col_of.items():
-        out[v] = x[c]
-    for v in range(len(out)):
-        if out[v] is None:
-            out[v] = M.identity
-    return out, free_count
-
-
 def _solve(system: ConstraintSystem, limit: int, slack: int = 0):
-    """Propagate, then finish the residual by search or integer elimination.
+    """Propagate, then finish the residual: a group by the constructive
+    filler, the naturals and finite monoids by search.
 
     Returns (solutions, steps, loose, note): at most ``limit`` complete
     assignments; the raw propagation steps, ending in the contradiction
     when there is one; whether some coordinate is left free, so that there
     are more solutions than the ones returned; and the note of a residual
     system found to have no solution, else None.
+
+    Over a group the fillers of a compatible horn differ by normalized
+    chains (Dold-Kan), which in ``K(A,m)`` are the top coordinate at level
+    m and zero elsewhere.  No face sees that coordinate, and the
+    constructive filler leaves it at the identity, as search would.
     """
     M = system.space.monoid
     if not (M.is_group or M.is_free_natural or M.is_finite):
@@ -471,21 +373,16 @@ def _solve(system: ConstraintSystem, limit: int, slack: int = 0):
     in_equation = {v for eq in system.equations for v in eq.vars}
     free = [v for v, a in enumerate(assignment) if a is None and v not in in_equation]
     loose = bool(free) and not (M.is_finite and len(M.elements) == 1)
-    if M.is_free_natural or M.is_finite:
-        solutions, domains = _search_residual(system, M, assignment, slack, limit)
-        if solutions:
-            return solutions, steps, loose, None
-        sizes = ", ".join(
-            f"x({system.variables[v]}): {len(dom)} candidates"
-            for v, dom in sorted(domains.items())
-        )
-        note = f"search exhausted; {sizes or 'no residual candidates'}"
-    else:
-        solved, free_cols = _eliminate_group_residual(system, M, assignment)
-        if solved is not None:
-            return [solved], steps, loose or free_cols > 0, None
-        note = "integer elimination: residual system has no solution"
-    return [], steps, False, note
+    if M.is_group:
+        return [_moore(system.space, system.problem).coords], steps, loose, None
+    solutions, domains = _search_residual(system, M, assignment, slack, limit)
+    if solutions:
+        return solutions, steps, loose, None
+    sizes = ", ".join(
+        f"x({system.variables[v]}): {len(dom)} candidates"
+        for v, dom in sorted(domains.items())
+    )
+    return [], steps, False, f"search exhausted; {sizes or 'no residual candidates'}"
 
 
 def _result(system: ConstraintSystem, solutions: list, steps: list, note: Optional[str]) -> FillerResult:
@@ -531,6 +428,13 @@ def moore_filler(K: EMSpace, problem: HornProblem) -> FillerResult:
     if not M.is_group:
         raise ValueError(f"{M.name} is not a group; the constructive filler needs inverses")
     _require_compatible(problem)
+    y = _moore(K, problem)
+    assert _fills(K, problem, y), "constructive filler missed a face; this is a bug"
+    return FillerResult(y, (), "constructive group filler")
+
+
+def _moore(K: EMSpace, problem: HornProblem) -> EMSimplex:
+    """The correction loop of ``moore_filler``, for compatible group data."""
     n, k = problem.n, problem.k
     y = K.zero(n)
     for r in range(k):
@@ -539,8 +443,7 @@ def moore_filler(K: EMSpace, problem: HornProblem) -> FillerResult:
     for r in range(n, k, -1):
         error = K.sub(problem.faces[r], K.face(n, r, y))
         y = K.add(y, K.degeneracy(n - 1, r - 1, error))
-    assert _fills(K, problem, y), "constructive filler missed a face; this is a bug"
-    return FillerResult(y, (), "constructive group filler")
+    return y
 
 
 # ---------------------------------------------------------------------------

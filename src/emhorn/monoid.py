@@ -52,8 +52,8 @@ class CommutativeMonoid:
         self.is_finite = elements is not None
         self.is_group = inverse is not None
         self.is_free_natural = free_natural
-        # True only when elements are plain integers under +, which is what
-        # lets residual systems be finished by exact integer elimination.
+        # True only when elements are plain integers under +.  No solver
+        # reads it; it is kept because the benchmark harness copies it.
         self.integer_addition = integer_addition
         self._render = render
         self._parse = parse

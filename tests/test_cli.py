@@ -210,6 +210,7 @@ class TestSweep:
         # at --dim 1 there is no inner horn, so no level is ever enumerated
         for monoid_spec, degree, dim, bound in (
             ("nat", "2", "3", "-1"), ("int", "1", "3", "-2"), ("nat", "2", "1", "-1"),
+            ("cyclic:2", "2", "2", "-5"),  # a finite monoid ignores the bound otherwise
         ):
             code, out, err = run(
                 capsys, "sweep", "--monoid", monoid_spec, "--n", degree, "--dim", dim,

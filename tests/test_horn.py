@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -13,10 +14,8 @@ from emhorn.horn import (
     Equation,
     FillerResult,
     HornProblem,
-    _eliminate_group_residual,
     _propagate,
     _search_residual,
-    _solve_integer_linear,
     brute_force_filler,
     build_constraints,
     certificate_json,
@@ -302,15 +301,15 @@ class TestMonotonicityWitness:
 
 
 class TestMooreFiller:
-    def test_matches_elimination_on_integers(self):
+    def test_matches_solver_on_integers(self):
         K = em_space(int_group(), 2, 3)
         faces = {0: K.simplex(2, (0,)), 2: K.simplex(2, (1,)), 3: K.simplex(2, (3,))}
         p = HornProblem(K, 3, 1, faces)
         res = moore_filler(K, p)
         assert res.found
         assert all(K.face(3, i, res.filler) == x for i, x in faces.items())
-        elim = solve_em(build_constraints(K, p))
-        assert elim.found and elim.filler.coords == (0, -2, 3)
+        solved = solve_em(build_constraints(K, p))
+        assert solved.found and solved.filler.coords == (0, -2, 3)
 
     def test_exhaustive_mod_two_all_horns(self):
         K = em_space(cyclic(2), 2, 3)
@@ -332,20 +331,25 @@ class TestMooreFiller:
                     res = moore_filler(K, p)
                     assert res.found
 
-    def test_agrees_with_elimination_across_degrees(self):
+    def test_solver_returns_constructive_filler_across_degrees(self):
+        # fillers are unique up to the top coordinate at level n = degree,
+        # which no face sees and both leave at the identity
         rng = random.Random(99)
         for degree in (2, 3):
             K = em_space(int_group(), degree, 5)
             for n in range(max(2, degree), 6):
                 for _ in range(10):
                     k = rng.randrange(n + 1)
-                    p = horn_from_simplex(K, n, k, K.random_simplex(n, rng, 9))
-                    by_search = solve_em(build_constraints(K, p))
+                    y = K.random_simplex(n, rng, 9)
+                    p = horn_from_simplex(K, n, k, y)
+                    by_solver = solve_em(build_constraints(K, p))
                     by_correction = moore_filler(K, p)
-                    assert by_search.found and by_correction.found
+                    assert by_solver.found and by_correction.found
+                    assert by_solver.filler == by_correction.filler
+                    if n != degree:
+                        assert by_solver.filler == y
                     for i, x in p.faces.items():
-                        assert K.face(n, i, by_search.filler) == x
-                        assert K.face(n, i, by_correction.filler) == x
+                        assert K.face(n, i, by_solver.filler) == x
 
     def test_agrees_with_brute_force_small_groups(self):
         for M in (cyclic(2), cyclic(3)):
@@ -354,6 +358,17 @@ class TestMooreFiller:
                 for p in iter_compatible_horn_data(K, 3, k):
                     assert moore_filler(K, p).found
                     assert brute_force_filler(K, p).found
+
+    def test_group_outside_the_builtins_is_filled(self):
+        # the rationals, with neither an element list nor any integer flag
+        Q = CommutativeMonoid("Q", Fraction(0), lambda a, b: a + b, inverse=lambda a: -a)
+        K = em_space(Q, 2, 3)
+        system = build_constraints(K, HornProblem(K, 2, 1, {0: K.zero(1), 2: K.zero(1)}))
+        res = solve_em(system)
+        assert res.found and res.filler == K.zero(2)
+        assert count_fillers(system) == 2
+        y = K.simplex(3, (Fraction(1, 2), Fraction(-3), Fraction(2, 7)))
+        assert solve_em(build_constraints(K, horn_from_simplex(K, 3, 1, y))).filler == y
 
     def test_rejects_non_group(self):
         K, p = nat_horn(1, 1, 1)
@@ -534,68 +549,6 @@ class TestSweeps:
         assert "FAIL" in report.summary()
 
 
-class TestIntegerElimination:
-    def test_divisibility_detected(self):
-        x, free = _solve_integer_linear([[2]], [2], 1)
-        assert x == [1] and free == 0
-        x, _ = _solve_integer_linear([[2]], [1], 1)
-        assert x is None
-
-    def test_triangularization_with_mixing(self):
-        rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
-        x, free = _solve_integer_linear(rows, [5, 3, 4], 3)
-        assert x == [3, 2, 1] and free == 0
-        x, _ = _solve_integer_linear(rows, [0, 0, 1], 3)  # parity obstruction
-        assert x is None
-
-    def test_underdetermined_reports_freedom(self):
-        x, free = _solve_integer_linear([[1, 1]], [4], 2)
-        assert x is not None and sum(x) == 4 and free == 1
-
-    def test_inconsistent_duplicate_rows(self):
-        x, _ = _solve_integer_linear([[1, 1], [1, 1]], [2, 3], 2)
-        assert x is None
-
-    def test_no_rows_leaves_everything_free(self):
-        x, free = _solve_integer_linear([], [], 2)
-        assert x == [0, 0] and free == 2
-
-    def test_random_systems_against_verification(self):
-        # any solution claimed must satisfy the rows; none-claims are spot
-        # checked by scanning a small integer box
-        rng = random.Random(21)
-        for _ in range(300):
-            m, n = rng.randrange(1, 5), rng.randrange(1, 5)
-            rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(m)]
-            rhs = [rng.randrange(-6, 7) for _ in range(m)]
-            x, _ = _solve_integer_linear(rows, rhs, n)
-            if x is not None:
-                for row, b in zip(rows, rhs):
-                    assert sum(c * v for c, v in zip(row, x)) == b
-            elif n <= 2:
-                for candidate in itertools.product(range(-8, 9), repeat=n):
-                    ok = all(
-                        sum(c * v for c, v in zip(row, candidate)) == b
-                        for row, b in zip(rows, rhs)
-                    )
-                    assert not ok, (rows, rhs, candidate)
-
-    def test_group_residual_path_on_synthetic_system(self):
-        K = em_space(int_group(), 2, 3)
-        faces = {0: K.simplex(2, (0,)), 2: K.simplex(2, (0,)), 3: K.simplex(2, (0,))}
-        system = build_constraints(K, HornProblem(K, 3, 1, faces))
-        # overwrite with equations whose only solution needs elimination
-        system.equations = [
-            Equation(0, 0, (0, 1), 5),
-            Equation(2, 0, (1, 2), 3),
-            Equation(3, 0, (0, 2), 4),
-        ]
-        assignment, steps, failed = _propagate(system, K.monoid)
-        assert failed is None and all(v is None for v in assignment)
-        solved, free = _eliminate_group_residual(system, K.monoid, assignment)
-        assert solved == [3, 2, 1] and free == 0
-
-
 class TestSimplicialSetUniqueness:
     def test_sphere_horn_with_two_fillers_is_not_unique(self):
         # Lambda^1[2] -> S^2 with both faces at the basepoint is filled by
@@ -639,6 +592,10 @@ class TestSimplicialSetUniqueness:
         assert report.passed and report.unique is True
 
 
+def table_z3():
+    return from_table(["0", "1", "2"], [["0", "1", "2"], ["1", "2", "0"], ["2", "0", "1"]], "Z/3t")
+
+
 def max_monoid():
     return from_table(["0", "1", "2"], [["0", "1", "2"], ["1", "1", "2"], ["2", "2", "2"]], "max")
 
@@ -654,8 +611,8 @@ class TestSolverAgainstScan:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: cyclic(2), boolean, trivial, max_monoid, saturating_monoid],
-        ids=["Z/2", "bool", "trivial", "max", "saturating"],
+        [lambda: cyclic(2), table_z3, boolean, trivial, max_monoid, saturating_monoid],
+        ids=["Z/2", "table Z/3", "bool", "trivial", "max", "saturating"],
     )
     def test_counts_and_verdicts_agree(self, make):
         rng = random.Random(2006)
