@@ -300,6 +300,11 @@ class TestMonotonicityWitness:
                     assert brute.found == expected
 
 
+def rationals():
+    # neither an element list nor any integer flag: only the group capability
+    return CommutativeMonoid("Q", Fraction(0), lambda a, b: a + b, inverse=lambda a: -a)
+
+
 class TestMooreFiller:
     def test_matches_solver_on_integers(self):
         K = em_space(int_group(), 2, 3)
@@ -360,9 +365,7 @@ class TestMooreFiller:
                     assert brute_force_filler(K, p).found
 
     def test_group_outside_the_builtins_is_filled(self):
-        # the rationals, with neither an element list nor any integer flag
-        Q = CommutativeMonoid("Q", Fraction(0), lambda a, b: a + b, inverse=lambda a: -a)
-        K = em_space(Q, 2, 3)
+        K = em_space(rationals(), 2, 3)
         system = build_constraints(K, HornProblem(K, 2, 1, {0: K.zero(1), 2: K.zero(1)}))
         res = solve_em(system)
         assert res.found and res.filler == K.zero(2)
@@ -383,6 +386,57 @@ class TestMooreFiller:
         broken[0] = K.add(broken[0], K.simplex(3, (1, 0, 0)))
         with pytest.raises(ValueError, match="incompatible"):
             moore_filler(K, HornProblem(K, 4, 1, broken))
+
+
+GROUPS = [
+    (int_group, lambda rng: rng.randrange(-9, 10)),
+    (rationals, lambda rng: Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))),
+    (lambda: cyclic(4), lambda rng: rng.randrange(4)),
+]
+
+
+class TestGroupBranch:
+    """After propagation a group horn is finished by the constructive
+    filler; these pin what that branch promises."""
+
+    @pytest.mark.parametrize("make, element", GROUPS, ids=["Z", "Q", "Z/4"])
+    def test_fillers_are_unique_except_at_the_degree_level(self, make, element):
+        # the fillers form a coset of N_n K(A,m), which is A at n = m and
+        # zero elsewhere; at n = m the identity simplex is returned
+        rng = random.Random(7)
+        for degree in (1, 2, 3):
+            K = em_space(make(), degree, 4)
+            for n in range(max(2, degree), 5):
+                for k in range(n + 1):
+                    y = K.simplex(n, tuple(element(rng) for _ in K.gens[n]))
+                    system = build_constraints(K, horn_from_simplex(K, n, k, y))
+                    filler = solve_em(system).filler
+                    assert filler == (K.zero(n) if n == degree else y)
+                    for limit in (1, 2, 3):
+                        assert count_fillers(system, limit) == (limit if n == degree else 1)
+
+    def test_decision_carries_only_propagation_steps(self):
+        # the branch adds no step and no note of its own, and the
+        # certificate stays in the documented layout
+        rng = random.Random(9)
+        K = em_space(int_group(), 2, 4)
+        for n in (2, 3, 4):
+            for k in range(n + 1):
+                for p in random_compatible_horns(K, n, k, rng, 4):
+                    res = solve_em(build_constraints(K, p))
+                    assert res.found and res.note is None
+                    assert all(step.kind == "assign" for step in res.steps)
+                    jsonschema.validate(certificate_json(p, res), CERTIFICATE_SCHEMA)
+
+    def test_incompatible_group_data_is_refused_before_solving(self):
+        # the constructive filler reads only the faces, so compatibility is
+        # checked when the system is built
+        K = em_space(int_group(), 2, 4)
+        p = horn_from_simplex(K, 4, 2, K.random_simplex(4, random.Random(3), 5))
+        broken = dict(p.faces)
+        broken[0] = K.add(broken[0], K.simplex(3, (1, 0, 0)))
+        with pytest.raises(ValueError, match="incompatible"):
+            build_constraints(K, HornProblem(K, 4, 2, broken))
 
 
 class TestBruteForce:
@@ -611,8 +665,9 @@ class TestSolverAgainstScan:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: cyclic(2), table_z3, boolean, trivial, max_monoid, saturating_monoid],
-        ids=["Z/2", "table Z/3", "bool", "trivial", "max", "saturating"],
+        [lambda: cyclic(2), table_z3, lambda: cyclic(4), boolean, trivial, max_monoid,
+         saturating_monoid],
+        ids=["Z/2", "table Z/3", "Z/4", "bool", "trivial", "max", "saturating"],
     )
     def test_counts_and_verdicts_agree(self, make):
         rng = random.Random(2006)
