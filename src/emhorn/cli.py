@@ -167,6 +167,8 @@ def cmd_faces(args) -> int:
 
 
 def cmd_check_horn(args) -> int:
+    if args.dim < 0:  # before max(args.dim, n) below can hide it
+        raise ValueError("degree and dimension bound must be non-negative")
     M = parse_monoid(args.monoid)
     try:
         n_str, k_str = args.horn.split(",")

@@ -71,6 +71,7 @@ class EMSpace:
         self._face_plans: dict[tuple[int, int], tuple] = {}
         self._degeneracy_plans: dict[tuple[int, int], tuple] = {}
         self._gen_names: dict[int, tuple[str, ...]] = {}
+        self._horn_shapes: dict[tuple[int, int], tuple] = {}  # filled by emhorn.horn
 
     @property
     def name(self) -> str:

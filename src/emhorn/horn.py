@@ -7,6 +7,12 @@ face index i and per target generator g, saying that the coordinates whose
 i-th face lands on g add up to the corresponding coordinate of the given
 face.
 
+Only the right-hand sides depend on the horn data.  The rows (face, target
+generator, summed coordinates) depend only on the shape (space, n, k), so
+they are compiled once per shape, kept with the space's operator tables
+and shared by every horn of that shape; ``Equation`` objects are built only
+when a system's ``equations`` are read.
+
 The solver first propagates: any equation with a single unknown is solved
 outright and substituted.  Either this chain ends in an unsolvable
 single-unknown equation, which is a human-readable certificate that no
@@ -38,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .em import EMSimplex, EMSpace
 from .monoid import CommutativeMonoid, Element, UndecidableError, solve_value_all
@@ -122,12 +128,59 @@ class Equation:
     rhs: Element
 
 
+class _HornShape(NamedTuple):
+    """What the equations of a horn owe to its shape (space, n, k) alone."""
+
+    given: tuple[int, ...]  # the given face indices, in order
+    rows: tuple[tuple[int, int, tuple[int, ...]], ...]  # (face, gen_pos, vars)
+    variables: tuple  # the level-n generators
+    in_equation: frozenset  # the variables that occur in some row
+
+
+def _shape_of(given: tuple, rows: tuple, variables) -> _HornShape:
+    return _HornShape(given, rows, tuple(variables), frozenset(v for _, _, vs in rows for v in vs))
+
+
+def _horn_shape(K: EMSpace, n: int, k: int) -> _HornShape:
+    """The shape of the horns Lambda^k[n] -> K, built once and kept with
+    the space's operator tables."""
+    shape = K._horn_shapes.get((n, k))
+    if shape is None:
+        given = tuple(i for i in range(n + 1) if i != k)
+        rows = tuple(
+            (i, gen_pos, vs) for i in given for gen_pos, vs in enumerate(K.face_fibers(n, i))
+        )
+        shape = K._horn_shapes[n, k] = _shape_of(given, rows, K.gens[n])
+    return shape
+
+
 @dataclass
 class ConstraintSystem:
+    """The filler conditions of one horn: the rows of its shape, shared by
+    every horn of that shape, and this horn's right-hand sides in row order."""
+
     space: EMSpace
     problem: HornProblem
-    variables: list
-    equations: list[Equation] = field(repr=False)
+    shape: _HornShape = field(repr=False)
+    rhs: list = field(repr=False)
+
+    @property
+    def variables(self) -> list:
+        return list(self.shape.variables)
+
+    @property
+    def equations(self) -> list[Equation]:
+        """The rows and right-hand sides as ``Equation`` objects, built on each read."""
+        return [Equation(i, g, vs, r) for (i, g, vs), r in zip(self.shape.rows, self.rhs)]
+
+    @equations.setter
+    def equations(self, equations) -> None:
+        """Replace this system's rows and right-hand sides; the shape it
+        shared with other horns is left as it was."""
+        equations = list(equations)
+        rows = tuple((eq.face, eq.gen_pos, eq.vars) for eq in equations)
+        self.shape = _shape_of(self.shape.given, rows, self.shape.variables)
+        self.rhs = [eq.rhs for eq in equations]
 
 
 def build_constraints(K: EMSpace, problem: HornProblem) -> ConstraintSystem:
@@ -142,15 +195,13 @@ def build_constraints(K: EMSpace, problem: HornProblem) -> ConstraintSystem:
 
 
 def _compile(K: EMSpace, problem: HornProblem) -> ConstraintSystem:
-    """``build_constraints`` without validating the horn data."""
-    n = problem.n
-    equations = []
-    for i in problem.given_indices():
-        fibers = K.face_fibers(n, i)
-        rhs_coords = problem.faces[i].coords
-        for gen_pos, var_idxs in enumerate(fibers):
-            equations.append(Equation(i, gen_pos, var_idxs, rhs_coords[gen_pos]))
-    return ConstraintSystem(K, problem, list(K.gens[n]), equations)
+    """``build_constraints`` without validating the horn data: the shared
+    shape, and the faces' coordinates as right-hand sides.  Each given face
+    has one row per level-(n-1) generator, so its coordinates line up."""
+    shape = _horn_shape(K, problem.n, problem.k)
+    faces = problem.faces
+    rhs = [c for i in shape.given for c in faces[i].coords]
+    return ConstraintSystem(K, problem, shape, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +246,22 @@ class FillerResult:
         return f"FillerResult(filler={self.filler!r}, steps={self.steps!r}, note={self.note!r})"
 
 
-def _render_steps(system: ConstraintSystem, raw: list, note: Optional[str]) -> tuple[CertStep, ...]:
-    """Raw (kind, var, eq, known, value) steps as ``CertStep``s, with the
-    equation as ``x(g) + known = rhs``, then the exhaustion note if any."""
-    M = system.space.monoid
-    names = system.space.gen_names(system.problem.n)
+def _render_steps(
+    K: EMSpace, n: int, rows: tuple, rhs: list, raw: list, note: Optional[str]
+) -> tuple[CertStep, ...]:
+    """Raw (kind, var, e, known, value) steps on equation ``e`` of ``rows``
+    and ``rhs`` as ``CertStep``s, with the equation as ``x(g) + known = rhs``,
+    then the exhaustion note if any."""
+    M = K.monoid
+    names = K.gen_names(n)
     steps = []
-    for kind, var, eq, known, value in raw:
+    for kind, var, e, known, value in raw:
         name = None if var is None else names[var]
         terms = [] if name is None else [f"x({name})"]
         if known != M.identity or not terms:
             terms.append(M.render(known))
-        text = " + ".join(terms) + f" = {M.render(eq.rhs)}"
-        steps.append(CertStep(kind, name, text, value, known=known, rhs=eq.rhs, face=eq.face))
+        text = " + ".join(terms) + f" = {M.render(rhs[e])}"
+        steps.append(CertStep(kind, name, text, value, known=known, rhs=rhs[e], face=rows[e][0]))
     if note is not None:
         steps.append(CertStep("exhausted", None, note, None))
     return tuple(steps)
@@ -232,43 +286,44 @@ def _propagate(system: ConstraintSystem, M: CommutativeMonoid):
     are left for the search phase and only the forced ones are substituted.
 
     Returns (assignment, steps, failed_step), the steps as raw
-    (kind, var, eq, known, value) records for ``_render_steps``.  When
-    failed_step is not None the chain ended in a contradiction and the
-    assignment is meaningless.
+    (kind, var, e, known, value) records on equation index ``e`` for
+    ``_render_steps``.  When failed_step is not None the chain ended in a
+    contradiction and the assignment is meaningless.
     """
     op, identity = M.op, M.identity
-    assignment: list = [None] * len(system.variables)
+    rows, rhs = system.shape.rows, system.rhs
+    assignment: list = [None] * len(system.shape.variables)
     steps: list = []
-    pending = system.equations
+    pending = range(len(rows))
     progress = True
     while progress:
         progress = False
         remaining = []
-        for eq in pending:
+        for e in pending:
             # one pass: fold the known values, stop at a second unknown
             known, var = identity, None
-            for v in eq.vars:
+            for v in rows[e][2]:
                 a = assignment[v]
                 if a is not None:
                     known = op(known, a)
                 elif var is None:
                     var = v
                 else:
-                    remaining.append(eq)
+                    remaining.append(e)
                     break
             else:
                 if var is None:
-                    if known != eq.rhs:
-                        return assignment, steps, ("contradiction", None, eq, known, None)
+                    if known != rhs[e]:
+                        return assignment, steps, ("contradiction", None, e, known, None)
                     continue
-                solutions = solve_value_all(M, known, eq.rhs)
+                solutions = solve_value_all(M, known, rhs[e])
                 if not solutions:
-                    return assignment, steps, ("contradiction", var, eq, known, None)
+                    return assignment, steps, ("contradiction", var, e, known, None)
                 if len(solutions) > 1:
-                    remaining.append(eq)
+                    remaining.append(e)
                     continue
                 assignment[var] = solutions[0]
-                steps.append(("assign", var, eq, known, solutions[0]))
+                steps.append(("assign", var, e, known, solutions[0]))
                 progress = True
         pending = remaining
     return assignment, steps, None
@@ -288,16 +343,13 @@ def _search_residual(
     most ``limit`` of them, and the per-variable domains searched, for the
     exhaustion note.
     """
-    nvars = len(system.variables)
-    unassigned = [v for v in range(nvars) if assignment[v] is None]
-    residual = [
-        eq for eq in system.equations if any(assignment[v] is None for v in eq.vars)
-    ]
-    by_var: dict[int, list[Equation]] = {v: [] for v in unassigned}
-    for eq in residual:
-        for v in eq.vars:
+    unassigned = [v for v, a in enumerate(assignment) if a is None]
+    # per unknown, the (vars, rhs) of each equation it occurs in
+    by_var: dict[int, list[tuple]] = {v: [] for v in unassigned}
+    for (_, _, vs), r in zip(system.shape.rows, system.rhs):
+        for v in vs:
             if assignment[v] is None:
-                by_var[v].append(eq)
+                by_var[v].append((vs, r))
 
     constrained = [v for v in unassigned if by_var[v]]
     free = [v for v in unassigned if not by_var[v]]
@@ -306,12 +358,12 @@ def _search_residual(
         domains = {}
         for v in constrained:
             best = None
-            for eq in by_var[v]:
-                known = M.sum(assignment[w] for w in eq.vars if assignment[w] is not None)
-                if known > eq.rhs:
+            for vs, r in by_var[v]:
+                known = M.sum(assignment[w] for w in vs if assignment[w] is not None)
+                if known > r:
                     return [], {v: [] for v in constrained}
-                if best is None or eq.rhs - known < best:
-                    best = eq.rhs - known
+                if best is None or r - known < best:
+                    best = r - known
             domains[v] = list(range(best + slack + 1))
     else:
         domains = {v: list(M.elements) for v in constrained}
@@ -331,9 +383,9 @@ def _search_residual(
             current[v] = value
             done = False
             ok = True
-            for eq in by_var[v]:
-                if all(current[w] is not None for w in eq.vars):
-                    if M.sum(current[w] for w in eq.vars) != eq.rhs:
+            for vs, r in by_var[v]:
+                if all(current[w] is not None for w in vs):
+                    if M.sum(current[w] for w in vs) != r:
                         ok = False
                         break
             if ok:
@@ -368,9 +420,9 @@ def _solve(system: ConstraintSystem, limit: int, slack: int = 0):
     assignment, steps, failed = _propagate(system, M)
     if failed is not None:
         return [], steps + [failed], False, None
-    if all(v is not None for v in assignment):
+    if len(steps) == len(assignment):  # each step assigned one more variable
         return [assignment], steps, False, None
-    in_equation = {v for eq in system.equations for v in eq.vars}
+    in_equation = system.shape.in_equation
     free = [v for v, a in enumerate(assignment) if a is None and v not in in_equation]
     loose = bool(free) and not (M.is_finite and len(M.elements) == 1)
     if M.is_group:
@@ -379,7 +431,7 @@ def _solve(system: ConstraintSystem, limit: int, slack: int = 0):
     if solutions:
         return solutions, steps, loose, None
     sizes = ", ".join(
-        f"x({system.variables[v]}): {len(dom)} candidates"
+        f"x({system.shape.variables[v]}): {len(dom)} candidates"
         for v, dom in sorted(domains.items())
     )
     return [], steps, False, f"search exhausted; {sizes or 'no residual candidates'}"
@@ -387,7 +439,9 @@ def _solve(system: ConstraintSystem, limit: int, slack: int = 0):
 
 def _result(system: ConstraintSystem, solutions: list, steps: list, note: Optional[str]) -> FillerResult:
     """The first solution as a re-verified filler, else no filler."""
-    render = partial(_render_steps, system, steps, note)
+    render = partial(
+        _render_steps, system.space, system.problem.n, system.shape.rows, system.rhs, steps, note
+    )
     if not solutions:
         return FillerResult(None, render, note)
     y = EMSimplex(system.problem.n, tuple(solutions[0]))

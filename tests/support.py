@@ -157,3 +157,25 @@ def check_laws(M, rng=None, samples: int = 1000, hint: int = 50) -> None:
                 assert a == M.identity and b == M.identity
             if b <= a:
                 assert M.op(a - b, b) == a
+
+
+def equations_by_composition(K: EMSpace, problem) -> list:
+    """The filler equations of a horn into ``K``, built one at a time from
+    the defining formula.
+
+    For each given face i, in order, and each level-(n-1) generator g there
+    is one equation: the level-n generators h with h after the i-th coface
+    equal to g add up to g's coordinate of face i.  The composite is taken
+    on value tuples, by dropping position i of h's values.
+    """
+    from emhorn.horn import Equation
+
+    n = problem.n
+    equations = []
+    for i in sorted(problem.faces):
+        composites = [h.values[:i] + h.values[i + 1 :] for h in K.gens[n]]
+        coords = problem.faces[i].coords
+        for gen_pos, g in enumerate(K.gens[n - 1]):
+            fiber = tuple(v for v, c in enumerate(composites) if c == g.values)
+            equations.append(Equation(i, gen_pos, fiber, coords[gen_pos]))
+    return equations

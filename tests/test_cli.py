@@ -116,6 +116,15 @@ class TestCheckHorn:
         assert code == 2
         assert "incompatible" in err
 
+    def test_negative_dim_exits_two(self, capsys):
+        # the horn fills at any dimension >= 3, so only the check can refuse it
+        code, out, err = run(
+            capsys, "check-horn", "--n", "2", "--horn", "3,1",
+            "--faces", "0:[1]", "2:[1]", "3:[1]", "--dim", "-4",
+        )
+        assert code == 2 and out == ""
+        assert "dimension bound must be non-negative" in err
+
     def test_wrong_width_face_exits_two(self, capsys):
         code, _, err = run(
             capsys, "check-horn", "--monoid", "nat", "--n", "2",

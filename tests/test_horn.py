@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import jsonschema
@@ -41,7 +42,7 @@ from emhorn.monoid import (
     trivial,
 )
 from emhorn.sset import BASEPOINT, render_id, sphere, standard_simplex
-from support import random_compatible_horns
+from support import equations_by_composition, random_compatible_horns
 
 
 def nat_horn(f0, f2, f3, k=1):
@@ -778,3 +779,74 @@ class TestSweepRules:
         result = solve_em(system)
         assert "CertStep(kind='assign', variable='0012', equation='x(0012) = 2'" in repr(result)
         assert result.steps is result.steps
+
+
+class TestHornShapes:
+    """The equation structure is compiled once per horn shape (space, n, k)
+    and shared; only the right-hand sides belong to one horn."""
+
+    def test_passing_sweep_builds_each_shape_once_and_no_equation(self, monkeypatch):
+        fiber_calls = []
+
+        class Recording(EMSpace):
+            def face_fibers(self, k, i):
+                fiber_calls.append((k, i))
+                return super().face_fibers(k, i)
+
+        built = []
+        real = horn_module.Equation
+        monkeypatch.setattr(
+            horn_module, "Equation", lambda *args: built.append(args) or real(*args)
+        )
+        report = sweep_kan(Recording(cyclic(2), 2, 3), 3)
+        assert report.passed and report.instances > 0
+        # face i at level n belongs to the n shapes (n, k) with k != i
+        for (n, i), calls in Counter(fiber_calls).items():
+            assert calls <= n, (n, i, calls)
+        assert built == []
+
+    def _horn(self, K, f0, f2, f3):
+        faces = {0: K.simplex(2, (f0,)), 2: K.simplex(2, (f2,)), 3: K.simplex(2, (f3,))}
+        return HornProblem(K, 3, 1, faces)
+
+    def test_systems_of_one_shape_keep_their_own_equations(self):
+        K = em_space(nat(), 2, 3)
+        a = build_constraints(K, self._horn(K, 7, 1, 3))
+        b = build_constraints(K, self._horn(K, 2, 5, 4))
+        assert a.shape is b.shape
+        assert a.equations == [
+            Equation(0, 0, (0,), 7), Equation(2, 0, (1, 2), 1), Equation(3, 0, (2,), 3)
+        ]
+        assert b.equations == [
+            Equation(0, 0, (0,), 2), Equation(2, 0, (1, 2), 5), Equation(3, 0, (2,), 4)
+        ]
+        assert not solve_em(a).found
+        assert solve_em(b).filler.coords == (2, 1, 4)
+
+    def test_assigning_equations_touches_no_other_system(self):
+        K = em_space(nat(), 2, 3)
+        p = self._horn(K, 2, 5, 4)
+        a, b = build_constraints(K, p), build_constraints(K, p)
+        shared, before = a.shape, b.equations
+        a.equations = [Equation(0, 0, (0,), 2)]
+        assert a.equations == [Equation(0, 0, (0,), 2)]
+        # the two coordinates left out of every equation are free
+        assert count_fillers(a) == 2
+        assert b.shape is shared and b.equations == before
+        later = build_constraints(K, p)
+        assert later.shape is shared
+        assert later.equations == before == equations_by_composition(K, p)
+        assert count_fillers(later) == count_fillers(b) == 1
+
+    @pytest.mark.parametrize(
+        "make, bound",
+        [(nat, 2), (lambda: cyclic(2), None), (boolean, None), (saturating_monoid, None)],
+        ids=["N", "Z/2", "bool", "saturating"],
+    )
+    def test_equations_match_the_defining_formula(self, make, bound):
+        for degree in (1, 2, 3):
+            K = em_space(make(), degree, 4)
+            for n in range(1, 5):
+                for k in range(n + 1):
+                    for p in iter_compatible_horn_data(K, n, k, bound=bound):
+                        assert build_constraints(K, p).equations == equations_by_composition(K, p)
