@@ -4,7 +4,9 @@ For a commutative monoid M and degree n, level k of the space is the
 reduced free monoid over M on the k-cells of the n-sphere: a direct sum of
 one copy of M per monotone surjection [k] -> [n], the basepoint acting as
 the identity.  Simplices are dense coefficient vectors indexed by the
-generator list in lexicographic order.
+generator list in lexicographic order, held as named tuples
+``(level, coords)``: hashable, immutable, and equal to a plain tuple of the
+same value.
 
 Operators are induced by precomposition on the sphere.  The i-th face of a
 vector adds up, for each target generator g, the coordinates of all sources
@@ -16,7 +18,9 @@ M the naturals and degree 2 at level 3, where the generators are 0012,
     d0 (a, b, c) = (a)        d1 (a, b, c) = (a + b)
     d2 (a, b, c) = (b + c)    d3 (a, b, c) = (c)
 
-into the single level-2 coordinate at the generator 012.
+into the single level-2 coordinate at the generator 012.  The operators
+and the levelwise sum refuse a simplex whose coordinate count is not the
+rank of its level.
 
 Degree 0 makes every level a single copy of M with all operators the
 identity (the discrete simplicial monoid).  Degree 1 is the nerve of M;
@@ -26,7 +30,7 @@ identity (the discrete simplicial monoid).  Degree 1 is the nerve of M;
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -34,16 +38,18 @@ from .delta import MonotoneMap, coface, codegeneracy, compose, enumerate_surject
 from .monoid import CommutativeMonoid, Element
 
 
-@dataclass(frozen=True, slots=True)
-class EMSimplex:
-    """A level-k element: one coefficient per generator, in canonical order."""
+class EMSimplex(namedtuple("EMSimplex", "level coords")):
+    """A level-k element: one coefficient per generator, in canonical order.
 
-    level: int
-    coords: tuple[Element, ...]
+    The operators below build their results with ``tuple.__new__``, since
+    their coordinates are already tuples."""
 
-    def __post_init__(self) -> None:
-        if type(self.coords) is not tuple:
-            object.__setattr__(self, "coords", tuple(self.coords))
+    __slots__ = ()
+
+    def __new__(cls, level: int, coords: Sequence[Element]) -> EMSimplex:
+        if type(coords) is not tuple:
+            coords = tuple(coords)
+        return tuple.__new__(cls, (level, coords))
 
 
 class EMSpace:
@@ -86,7 +92,7 @@ class EMSpace:
         return len(self.gens[k])
 
     def zero(self, k: int) -> EMSimplex:
-        return EMSimplex(k, (self.monoid.identity,) * self.rank(k))
+        return tuple.__new__(EMSimplex, (k, (self.monoid.identity,) * self.rank(k)))
 
     def simplex(self, k: int, coords: Sequence[Element]) -> EMSimplex:
         if not 0 <= k <= self.dim_bound:
@@ -95,7 +101,7 @@ class EMSpace:
             raise ValueError(
                 f"level {k} of {self.name} has {self.rank(k)} coordinates, got {len(coords)}"
             )
-        return EMSimplex(k, tuple(coords))
+        return tuple.__new__(EMSimplex, (k, tuple(coords)))
 
     def face_targets(self, k: int, i: int) -> list[int]:
         """For each level-k generator, the index of its i-th face generator,
@@ -133,49 +139,58 @@ class EMSpace:
         return [index.get(compose(theta, h), -1) for h in self.gens[k]]
 
     def face(self, k: int, i: int, x: EMSimplex) -> EMSimplex:
-        if x.level != k:
-            raise ValueError(f"simplex at level {x.level}, face asked at level {k}")
+        level, coords = x
+        if level != k:
+            raise ValueError(f"simplex at level {level}, face asked at level {k}")
         plan = self._face_plans.get((k, i))
         if plan is None:
-            plan = self._face_plans[k, i] = _plan(self.face_targets(k, i), self.rank(k - 1))
-        return self._apply(plan, k - 1, x)
+            plan = self._face_plans[k, i] = _plan(
+                self.face_targets(k, i), self.rank(k - 1), self.monoid
+            )
+        if len(coords) != len(self.gens[k]):
+            raise self._width_error(x)
+        return tuple.__new__(EMSimplex, (k - 1, plan(coords)))
 
     def degeneracy(self, k: int, j: int, x: EMSimplex) -> EMSimplex:
-        if x.level != k:
-            raise ValueError(f"simplex at level {x.level}, degeneracy asked at level {k}")
+        level, coords = x
+        if level != k:
+            raise ValueError(f"simplex at level {level}, degeneracy asked at level {k}")
         plan = self._degeneracy_plans.get((k, j))
         if plan is None:
             plan = self._degeneracy_plans[k, j] = _plan(
-                self.degeneracy_targets(k, j), self.rank(k + 1)
+                self.degeneracy_targets(k, j), self.rank(k + 1), self.monoid
             )
-        return self._apply(plan, k + 1, x)
+        if len(coords) != len(self.gens[k]):
+            raise self._width_error(x)
+        return tuple.__new__(EMSimplex, (k + 1, plan(coords)))
 
-    def _apply(self, plan: tuple, level: int, x: EMSimplex) -> EMSimplex:
-        """Gather the first coordinate of each fiber, then fold in the rest."""
-        gather, rest = plan
-        coords = x.coords + (self.monoid.identity,)
-        if not rest:
-            return EMSimplex(level, gather(coords))
-        out = list(gather(coords))
-        op = self.monoid.op
-        for tgt, src in rest:
-            out[tgt] = op(out[tgt], coords[src])
-        return EMSimplex(level, tuple(out))
+    def _width_error(self, x: EMSimplex) -> ValueError:
+        return ValueError(
+            f"level {x.level} of {self.name} has {self.rank(x.level)} coordinates, "
+            f"got {len(x.coords)}"
+        )
 
     def add(self, x: EMSimplex, y: EMSimplex) -> EMSimplex:
-        if x.level != y.level:
-            raise ValueError(f"cannot add levels {x.level} and {y.level}")
-        M = self.monoid
-        return EMSimplex(x.level, tuple(M.op(a, b) for a, b in zip(x.coords, y.coords)))
+        k = x.level
+        if k != y.level:
+            raise ValueError(f"cannot add levels {k} and {y.level}")
+        if not 0 <= k <= self.dim_bound:
+            raise ValueError(f"level {k} outside truncation 0..{self.dim_bound}")
+        for z in (x, y):
+            if len(z.coords) != len(self.gens[k]):
+                raise self._width_error(z)
+        op = self.monoid.op
+        return tuple.__new__(EMSimplex, (k, tuple(map(op, x.coords, y.coords))))
 
     def neg(self, x: EMSimplex) -> EMSimplex:
-        return EMSimplex(x.level, tuple(self.monoid.inverse(a) for a in x.coords))
+        return tuple.__new__(EMSimplex, (x.level, tuple(map(self.monoid.inverse, x.coords))))
 
     def sub(self, x: EMSimplex, y: EMSimplex) -> EMSimplex:
         return self.add(x, self.neg(y))
 
     def random_simplex(self, k: int, rng, hint: int = 10) -> EMSimplex:
-        return EMSimplex(k, tuple(self.monoid.sample(rng, hint) for _ in self.gens[k]))
+        coords = tuple(self.monoid.sample(rng, hint) for _ in self.gens[k])
+        return tuple.__new__(EMSimplex, (k, coords))
 
     def enumerate_level(self, k: int, bound: Optional[int] = None) -> list[EMSimplex]:
         """All level-k simplices, with coordinates capped at ``bound`` when
@@ -195,7 +210,7 @@ class EMSpace:
         else:
             raise ValueError(f"{M.name} is infinite; a coordinate bound is required")
         return [
-            EMSimplex(k, coords)
+            tuple.__new__(EMSimplex, (k, coords))
             for coords in itertools.product(values, repeat=self.rank(k))
         ]
 
@@ -220,11 +235,17 @@ class EMSpace:
         return f"EMSpace({self.name}, D={self.dim_bound})"
 
 
-def _plan(targets: list[int], size: int) -> tuple:
-    """An operator table as (gather, rest): ``gather`` picks, from a vector
-    with the identity appended, the first source of each of the ``size``
-    target slots (the identity when none maps there); ``rest`` lists the
-    later (target, source) pairs, in source order, to add on."""
+def _plan(targets: list[int], size: int, monoid: CommutativeMonoid):
+    """An operator table as one function from a coordinate tuple to the
+    ``size`` coordinates of the result.
+
+    It gathers the first source of each target slot, then folds the later
+    (target, source) pairs onto it in source order.  A slot no source maps
+    to takes the identity, read from a copy of the coordinates with the
+    identity appended.  Every i-th face fiber has one or two sources, so a
+    face never pays for that copy; a degeneracy, which leaves slots empty,
+    has no later sources and so no fold.
+    """
     first = [-1] * size
     rest = []
     for src, tgt in enumerate(targets):
@@ -234,10 +255,27 @@ def _plan(targets: list[int], size: int) -> tuple:
             first[tgt] = src
         else:
             rest.append((tgt, src))
-    if len(first) == 1:
+    if size == 1:
         only = first[0]
-        return (lambda coords: (coords[only],)), rest
-    return (itemgetter(*first) if first else (lambda coords: ())), rest
+        pick = lambda coords: (coords[only],)
+    else:
+        pick = itemgetter(*first) if first else (lambda coords: ())
+    gather = pick
+    if -1 in first:
+        pad = (monoid.identity,)
+        gather = lambda coords: pick(coords + pad)
+    if not rest:
+        return gather
+    rest = tuple(rest)
+    op = monoid.op
+
+    def fold(coords):
+        out = list(gather(coords))
+        for tgt, src in rest:
+            out[tgt] = op(out[tgt], coords[src])
+        return tuple(out)
+
+    return fold
 
 
 def em_space(monoid: CommutativeMonoid, degree: int, dim_bound: int) -> EMSpace:

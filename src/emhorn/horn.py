@@ -268,8 +268,11 @@ def _render_steps(
 
 
 def _fills(target: Target, problem: HornProblem, y) -> bool:
-    n = problem.n
-    return all(target.face(n, i, y) == x for i, x in problem.faces.items())
+    n, face = problem.n, target.face
+    for i, x in problem.faces.items():
+        if face(n, i, y) != x:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +440,20 @@ def _solve(system: ConstraintSystem, limit: int, slack: int = 0):
     return [], steps, False, f"search exhausted; {sizes or 'no residual candidates'}"
 
 
+def _filler(system: ConstraintSystem, solution) -> EMSimplex:
+    """A solution as a simplex, re-verified against the given faces."""
+    y = tuple.__new__(EMSimplex, (system.problem.n, tuple(solution)))
+    assert _fills(system.space, system.problem, y), "solver produced a non-filler; this is a bug"
+    return y
+
+
 def _result(system: ConstraintSystem, solutions: list, steps: list, note: Optional[str]) -> FillerResult:
     """The first solution as a re-verified filler, else no filler."""
+    filler = _filler(system, solutions[0]) if solutions else None
     render = partial(
         _render_steps, system.space, system.problem.n, system.shape.rows, system.rhs, steps, note
     )
-    if not solutions:
-        return FillerResult(None, render, note)
-    y = EMSimplex(system.problem.n, tuple(solutions[0]))
-    assert _fills(system.space, system.problem, y), "solver produced a non-filler; this is a bug"
-    return FillerResult(y, render)
+    return FillerResult(filler, render, note)
 
 
 def solve_em(system: ConstraintSystem, slack: int = 0) -> FillerResult:
@@ -784,18 +791,22 @@ class SweepReport:
 
 
 def _decide(target: Target, problem: HornProblem, check_unique: bool):
-    """The verdict on one horn and its fillers counted up to 2 if ``check_unique``,
-    else 1: one scan of a finite simplicial set, or one solver run over ``K(M,n)``
-    that validates the horn only when no filler vouches for it."""
+    """One horn's fillers counted up to 2 if ``check_unique``, else 1, and
+    the verdict when there is none: one scan of a finite simplicial set, or
+    one solver run over ``K(M,n)`` that validates the horn only when no
+    filler vouches for it.  Over ``K(M,n)`` a filler is re-verified but no
+    result is built for it."""
     limit = 2 if check_unique else 1
     if not isinstance(target, EMSpace):
-        return _scan_verdict(target, problem, None, limit)
+        result, count = _scan_verdict(target, problem, None, limit)
+        return (None if count else result), count
     system = _compile(target, problem)
     solutions, steps, loose, note = _solve(system, limit)
     if not solutions:
         _require_compatible(problem)
-    count = limit if solutions and loose else len(solutions)
-    return _result(system, solutions, steps, note), count
+        return _result(system, solutions, steps, note), 0
+    _filler(system, solutions[0])
+    return None, limit if loose else len(solutions)
 
 
 def _sweep(
@@ -818,11 +829,11 @@ def _sweep(
         for k in ks:
             for problem in iter_compatible_horn_data(target, n, k, bound=bound):
                 instances += 1
-                result, count = _decide(target, problem, check_unique)
-                if not result.found:
+                failure, count = _decide(target, problem, check_unique)
+                if failure is not None:
                     return SweepReport(
                         name, mode, max_dim, bound, instances, False,
-                        witness=problem, witness_result=result,
+                        witness=problem, witness_result=failure,
                         unique=unique, nonunique_witness=nonunique,
                     )
                 if count > 1 and nonunique is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from emhorn.delta import coface, compose
+from emhorn.delta import codegeneracy, coface, compose
 from emhorn.em import EMSimplex, EMSpace
 
 
@@ -49,6 +49,22 @@ def face_by_composition(K: EMSpace, k: int, i: int, x: EMSimplex) -> EMSimplex:
         if composite.is_surjective():
             out[composite] = M.op(out[composite], value)
     return EMSimplex(k - 1, tuple(out[g] for g in K.gens[k - 1]))
+
+
+def degeneracy_by_composition(K: EMSpace, k: int, j: int, x: EMSimplex) -> EMSimplex:
+    """The j-th degeneracy computed directly from generator composites.
+
+    Each level-k generator composed with the j-th codegeneracy is a level
+    k+1 generator, which receives the coordinate; generators reached by
+    none keep the identity.
+    """
+    M = K.monoid
+    out = {g: M.identity for g in K.gens[k + 1]}
+    sigma = codegeneracy(k, j)
+    for h, value in zip(K.gens[k], x.coords):
+        composite = compose(sigma, h)
+        out[composite] = M.op(out[composite], value)
+    return EMSimplex(k + 1, tuple(out[g] for g in K.gens[k + 1]))
 
 
 def em_identity_violations(K: EMSpace, rng, per_level: int = 200, hint: int = 1000):

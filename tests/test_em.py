@@ -4,9 +4,11 @@ from math import comb
 
 import pytest
 
-from emhorn.em import em_space, nerve_view
+from emhorn.em import EMSimplex, em_space, nerve_view
+from emhorn.horn import build_constraints, horn_from_simplex, solve_em
 from emhorn.monoid import boolean, cyclic, int_group, nat, trivial
 from support import (
+    degeneracy_by_composition,
     em_homomorphism_violations,
     em_identity_violations,
     face_by_composition,
@@ -198,3 +200,123 @@ class TestNerveView:
             tuple(rng.randrange(50) for _ in range(k)) for k in range(1, 5) for _ in range(50)
         ]
         nv.check_face_coincidence(chains)
+
+
+class TestSimplexWidth:
+    """Operators refuse a simplex whose coordinate count does not match its
+    level, instead of gathering from the wrong vector."""
+
+    def test_face_rejects_the_wrong_width(self, K_nat2):
+        with pytest.raises(ValueError, match="level 3 of K\\(N,2\\) has 3 coordinates, got 2"):
+            K_nat2.face(3, 3, EMSimplex(3, (5, 7)))
+        with pytest.raises(ValueError, match="got 4"):
+            K_nat2.face(3, 0, EMSimplex(3, (1, 2, 3, 4)))
+
+    def test_degeneracy_rejects_the_wrong_width(self, K_nat2):
+        with pytest.raises(ValueError, match="level 2 of K\\(N,2\\) has 1 coordinates, got 0"):
+            K_nat2.degeneracy(2, 0, EMSimplex(2, ()))
+        with pytest.raises(ValueError, match="got 2"):
+            K_nat2.degeneracy(2, 1, EMSimplex(2, (1, 2)))
+
+    def test_add_rejects_the_wrong_width(self, K_nat2):
+        x = K_nat2.simplex(3, (1, 0, 2))
+        with pytest.raises(ValueError, match="got 2"):
+            K_nat2.add(x, EMSimplex(3, (1, 1)))
+        with pytest.raises(ValueError, match="got 4"):
+            K_nat2.add(EMSimplex(3, (1, 1, 1, 1)), x)
+
+    def test_levels_beyond_the_truncation_stay_value_errors(self, K_nat2):
+        with pytest.raises(ValueError):
+            K_nat2.face(5, 0, EMSimplex(5, (0,) * 10))
+        with pytest.raises(ValueError):
+            K_nat2.degeneracy(4, 0, EMSimplex(4, (0,) * 6))
+        with pytest.raises(ValueError, match="outside truncation"):
+            K_nat2.add(EMSimplex(9, ()), EMSimplex(9, ()))
+        with pytest.raises(ValueError, match="outside truncation"):
+            K_nat2.add(EMSimplex(-1, ()), EMSimplex(-1, ()))
+
+
+class TestSimplexContract:
+    """Simplices are named tuples (level, coords): immutable, hashable by
+    value and equal to a plain tuple, but only an ``EMSimplex`` is one."""
+
+    def test_every_constructor_returns_the_named_type(self, K_nat2):
+        rng = random.Random(5)
+        x = K_nat2.simplex(3, (1, 0, 2))
+        K_int = em_space(int_group(), 2, 4)
+        y = K_nat2.simplex(3, (2, 1, 4))
+        filler = solve_em(build_constraints(K_nat2, horn_from_simplex(K_nat2, 3, 1, y))).filler
+        results = [
+            K_nat2.face(3, 1, x),
+            K_nat2.degeneracy(3, 2, x),
+            K_nat2.add(x, x),
+            K_int.neg(K_int.simplex(3, (1, -2, 3))),
+            K_nat2.zero(4),
+            x,
+            K_nat2.random_simplex(4, rng),
+            *K_nat2.enumerate_level(3, bound=1),
+            filler,
+        ]
+        assert filler == y
+        for r in results:
+            assert type(r) is EMSimplex, r
+
+    def test_fields_and_coercion(self):
+        x = EMSimplex(2, [5])
+        assert type(x.coords) is tuple
+        assert (x.level, x.coords) == (2, (5,))
+        assert x == EMSimplex(2, (5,)) == (2, (5,))
+
+    def test_equal_values_hash_equal(self):
+        assert hash(EMSimplex(3, [1, 2, 3])) == hash(EMSimplex(3, (1, 2, 3)))
+        assert len({EMSimplex(3, [1, 2, 3]), EMSimplex(3, (1, 2, 3))}) == 1
+
+    def test_immutable(self):
+        x = EMSimplex(2, (5,))
+        with pytest.raises(AttributeError):
+            x.level = 3
+        with pytest.raises(AttributeError):
+            x.coords = (6,)
+        with pytest.raises(AttributeError):
+            x.extra = 1
+
+    def test_repr_is_unchanged(self):
+        assert repr(EMSimplex(2, (5,))) == "EMSimplex(level=2, coords=(5,))"
+
+    def test_a_plain_tuple_is_not_contained(self, K_nat2):
+        assert K_nat2.contains(2, EMSimplex(2, (5,)))
+        assert not K_nat2.contains(2, (2, (5,)))
+
+
+class TestWideOperators:
+    """Operators at levels the other tests do not reach, against the
+    defining formulas."""
+
+    SPACES = [(lambda: cyclic(5), 5), (nat, 3), (boolean, 4)]
+
+    @pytest.mark.parametrize("make, degree", SPACES)
+    def test_wide_faces_against_composition_oracle(self, make, degree):
+        K = em_space(make(), degree, 9)
+        rng = random.Random(degree)
+        for k in (7, 8, 9):
+            for _ in range(3):
+                x = K.random_simplex(k, rng, 50)
+                for i in range(k + 1):
+                    assert K.face(k, i, x) == face_by_composition(K, k, i, x)
+
+    @pytest.mark.parametrize("make, degree", SPACES)
+    def test_every_degeneracy_against_composition_oracle(self, make, degree):
+        K = em_space(make(), degree, 9)
+        rng = random.Random(10 + degree)
+        for k in range(9):
+            x = K.random_simplex(k, rng, 50)
+            for j in range(k + 1):
+                assert K.degeneracy(k, j, x) == degeneracy_by_composition(K, k, j, x)
+
+    def test_every_face_fiber_has_one_or_two_sources(self):
+        for degree in range(6):
+            K = em_space(nat(), degree, 8)
+            for k in range(1, 9):
+                for i in range(k + 1):
+                    sizes = {len(fiber) for fiber in K.face_fibers(k, i)}
+                    assert sizes <= {1, 2}, (degree, k, i, sizes)
