@@ -75,9 +75,6 @@ def cmd_enumerate(args) -> int:
     dim = args.dim
     K = em.EMSpace(M, args.n, dim)
     levels = [args.level] if args.level is not None else list(range(dim + 1))
-    for k in levels:
-        if not 0 <= k <= dim:
-            raise ValueError(f"level {k} outside truncation 0..{dim}")
     sphere = sset.sphere(args.n, dim) if args.n >= 1 else None
     if args.format == "json":
         data = {

@@ -85,18 +85,20 @@ class EMSpace:
 
     def gen_names(self, k: int) -> list[str]:
         if k not in self._gen_names:
+            self.rank(k)  # refuses a level outside the truncation
             self._gen_names[k] = tuple(str(g) for g in self.gens[k])
         return list(self._gen_names[k])
 
     def rank(self, k: int) -> int:
+        """The number of coordinates at level k, which must lie in the truncation."""
+        if not 0 <= k <= self.dim_bound:
+            raise ValueError(f"level {k} outside truncation 0..{self.dim_bound}")
         return len(self.gens[k])
 
     def zero(self, k: int) -> EMSimplex:
         return tuple.__new__(EMSimplex, (k, (self.monoid.identity,) * self.rank(k)))
 
     def simplex(self, k: int, coords: Sequence[Element]) -> EMSimplex:
-        if not 0 <= k <= self.dim_bound:
-            raise ValueError(f"level {k} outside truncation 0..{self.dim_bound}")
         if len(coords) != self.rank(k):
             raise ValueError(
                 f"level {k} of {self.name} has {self.rank(k)} coordinates, got {len(coords)}"
@@ -174,28 +176,30 @@ class EMSpace:
         k = x.level
         if k != y.level:
             raise ValueError(f"cannot add levels {k} and {y.level}")
-        if not 0 <= k <= self.dim_bound:
-            raise ValueError(f"level {k} outside truncation 0..{self.dim_bound}")
+        width = self.rank(k)
         for z in (x, y):
-            if len(z.coords) != len(self.gens[k]):
+            if len(z.coords) != width:
                 raise self._width_error(z)
         op = self.monoid.op
         return tuple.__new__(EMSimplex, (k, tuple(map(op, x.coords, y.coords))))
 
     def neg(self, x: EMSimplex) -> EMSimplex:
+        if len(x.coords) != self.rank(x.level):
+            raise self._width_error(x)
         return tuple.__new__(EMSimplex, (x.level, tuple(map(self.monoid.inverse, x.coords))))
 
     def sub(self, x: EMSimplex, y: EMSimplex) -> EMSimplex:
         return self.add(x, self.neg(y))
 
     def random_simplex(self, k: int, rng, hint: int = 10) -> EMSimplex:
-        coords = tuple(self.monoid.sample(rng, hint) for _ in self.gens[k])
+        coords = tuple(self.monoid.sample(rng, hint) for _ in range(self.rank(k)))
         return tuple.__new__(EMSimplex, (k, coords))
 
     def enumerate_level(self, k: int, bound: Optional[int] = None) -> list[EMSimplex]:
         """All level-k simplices, with coordinates capped at ``bound`` when
         the monoid is infinite."""
         M = self.monoid
+        rank = self.rank(k)
         if bound is not None and bound < 0:
             raise ValueError(f"coordinate bound {bound} is negative")
         if M.is_finite:
@@ -211,11 +215,12 @@ class EMSpace:
             raise ValueError(f"{M.name} is infinite; a coordinate bound is required")
         return [
             tuple.__new__(EMSimplex, (k, coords))
-            for coords in itertools.product(values, repeat=self.rank(k))
+            for coords in itertools.product(values, repeat=rank)
         ]
 
     def contains(self, k: int, x) -> bool:
-        return isinstance(x, EMSimplex) and x.level == k and len(x.coords) == self.rank(k)
+        rank = self.rank(k)
+        return isinstance(x, EMSimplex) and x.level == k and len(x.coords) == rank
 
     def encode(self, x: EMSimplex) -> list:
         """The JSON form of a simplex: its coordinates."""

@@ -32,22 +32,22 @@ exhaustive scan, horn enumeration and certificates use only those.  The
 sweeps decide ``K(M,n)`` with the equation solver above and a finite
 simplicial set with the exhaustive scan.
 
-Certificate text is rendered when a result's steps are first read.  A
-sweep over ``K(M,n)`` validates only the horn it reports as a witness: a
-verified filler y proves the data compatible, d_i x_j = d_i d_j y =
-d_{j-1} d_i y = d_{j-1} x_i, so validation could only pass on the others.
-A ``check_unique`` sweep solves or scans each horn once, for up to two fillers.
+Results are frozen values, their certificate steps rendered when they are
+built.  A sweep over ``K(M,n)`` builds a result only for the horn it
+reports as a witness, and validates only that horn: a verified filler y
+proves the data compatible, d_i x_j = d_i d_j y = d_{j-1} d_i y =
+d_{j-1} x_i, so validation could only pass on the others.  A
+``check_unique`` sweep solves or scans each horn once, for up to two fillers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .em import EMSimplex, EMSpace
-from .monoid import CommutativeMonoid, Element, UndecidableError, solve_value_all
+from .monoid import CommutativeMonoid, Element, UndecidableError, nat, solve_value_all
 from .sset import TruncatedSimplicialSet
 
 Target = Union[EMSpace, TruncatedSimplicialSet]
@@ -61,9 +61,6 @@ class HornProblem:
     n: int
     k: int
     faces: dict
-
-    def given_indices(self) -> list[int]:
-        return sorted(self.faces)
 
     def describe(self) -> str:
         return f"Lambda^{self.k}[{self.n}] -> {self.target.name}"
@@ -97,15 +94,19 @@ def validate_horn(problem: HornProblem) -> tuple[bool, Optional[tuple[int, int]]
     for i, x in problem.faces.items():
         if not target.contains(n - 1, x):
             raise ValueError(f"face {i} is not a level-{n - 1} simplex of {target.name}")
-    if n >= 2:
-        given = problem.given_indices()
-        for pos, i in enumerate(given):
-            for j in given[pos + 1 :]:
-                lhs = target.face(n - 1, i, problem.faces[j])
-                rhs = target.face(n - 1, j - 1, problem.faces[i])
-                if lhs != rhs:
-                    return False, (i, j)
+    given = sorted(problem.faces)
+    for pos, i in enumerate(given):
+        for j in given[pos + 1 :]:
+            lhs = target.face(n - 1, i, problem.faces[j])
+            rhs = target.face(n - 1, j - 1, problem.faces[i])
+            if lhs != rhs:
+                return False, (i, j)
     return True, None
+
+
+def _require_target(target: Target, problem: HornProblem) -> None:
+    if target is not problem.target:
+        raise ValueError(f"the horn maps into {problem.target.name}, not the given {target.name}")
 
 
 def _require_compatible(problem: HornProblem) -> None:
@@ -159,7 +160,6 @@ class ConstraintSystem:
     """The filler conditions of one horn: the rows of its shape, shared by
     every horn of that shape, and this horn's right-hand sides in row order."""
 
-    space: EMSpace
     problem: HornProblem
     shape: _HornShape = field(repr=False)
     rhs: list = field(repr=False)
@@ -188,20 +188,22 @@ def build_constraints(K: EMSpace, problem: HornProblem) -> ConstraintSystem:
 
     Equations are ordered by given face index, then by target generator.
     A generator of the missing level that hits the basepoint under some
-    face simply does not occur in that face's equations.
+    face simply does not occur in that face's equations.  ``K`` must be the
+    horn's own target.
     """
+    _require_target(K, problem)
     _require_compatible(problem)
-    return _compile(K, problem)
+    return _compile(problem)
 
 
-def _compile(K: EMSpace, problem: HornProblem) -> ConstraintSystem:
+def _compile(problem: HornProblem) -> ConstraintSystem:
     """``build_constraints`` without validating the horn data: the shared
     shape, and the faces' coordinates as right-hand sides.  Each given face
     has one row per level-(n-1) generator, so its coordinates line up."""
-    shape = _horn_shape(K, problem.n, problem.k)
+    shape = _horn_shape(problem.target, problem.n, problem.k)
     faces = problem.faces
     rhs = [c for i in shape.given for c in faces[i].coords]
-    return ConstraintSystem(K, problem, shape, rhs)
+    return ConstraintSystem(problem, shape, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -219,41 +221,28 @@ class CertStep:
     face: Optional[int] = None
 
 
+@dataclass(frozen=True)
 class FillerResult:
-    """A verdict; ``steps`` may be a function rendering them on first read."""
+    """A verdict: the filler or None, the certificate steps and a note."""
 
-    def __init__(self, filler: Optional[object], steps=(), note: Optional[str] = None):
-        self.filler = filler
-        self._steps = steps
-        self.note = note
-
-    @property
-    def steps(self) -> tuple[CertStep, ...]:
-        if callable(self._steps):
-            self._steps = self._steps()
-        return self._steps
+    filler: Optional[object]
+    steps: tuple[CertStep, ...] = ()
+    note: Optional[str] = None
 
     @property
     def found(self) -> bool:
         return self.filler is not None
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FillerResult):
-            return NotImplemented
-        return (self.filler, self.steps, self.note) == (other.filler, other.steps, other.note)
-
-    def __repr__(self) -> str:
-        return f"FillerResult(filler={self.filler!r}, steps={self.steps!r}, note={self.note!r})"
-
 
 def _render_steps(
-    K: EMSpace, n: int, rows: tuple, rhs: list, raw: list, note: Optional[str]
+    system: ConstraintSystem, raw: list, note: Optional[str]
 ) -> tuple[CertStep, ...]:
-    """Raw (kind, var, e, known, value) steps on equation ``e`` of ``rows``
-    and ``rhs`` as ``CertStep``s, with the equation as ``x(g) + known = rhs``,
+    """Raw (kind, var, e, known, value) steps on equation ``e`` of the
+    system as ``CertStep``s, with the equation as ``x(g) + known = rhs``,
     then the exhaustion note if any."""
+    K, rows, rhs = system.problem.target, system.shape.rows, system.rhs
     M = K.monoid
-    names = K.gen_names(n)
+    names = K.gen_names(system.problem.n)
     steps = []
     for kind, var, e, known, value in raw:
         name = None if var is None else names[var]
@@ -267,8 +256,8 @@ def _render_steps(
     return tuple(steps)
 
 
-def _fills(target: Target, problem: HornProblem, y) -> bool:
-    n, face = problem.n, target.face
+def _fills(problem: HornProblem, y) -> bool:
+    n, face = problem.n, problem.target.face
     for i, x in problem.faces.items():
         if face(n, i, y) != x:
             return False
@@ -406,54 +395,52 @@ def _solve(system: ConstraintSystem, limit: int, slack: int = 0):
     """Propagate, then finish the residual: a group by the constructive
     filler, the naturals and finite monoids by search.
 
-    Returns (solutions, steps, loose, note): at most ``limit`` complete
+    Returns (solutions, steps, count, note): at most ``limit`` complete
     assignments; the raw propagation steps, ending in the contradiction
-    when there is one; whether some coordinate is left free, so that there
-    are more solutions than the ones returned; and the note of a residual
-    system found to have no solution, else None.
+    when there is one; the number of fillers counted up to ``limit``,
+    which exceeds the solutions returned when some coordinate is left free;
+    and the note of a residual system found to have no solution, else None.
 
     Over a group the fillers of a compatible horn differ by normalized
     chains (Dold-Kan), which in ``K(A,m)`` are the top coordinate at level
     m and zero elsewhere.  No face sees that coordinate, and the
     constructive filler leaves it at the identity, as search would.
     """
-    M = system.space.monoid
+    M = system.problem.target.monoid
     if not (M.is_group or M.is_free_natural or M.is_finite):
         raise UndecidableError(f"no solver capability for {M.name}; undecidable here")
     assignment, steps, failed = _propagate(system, M)
     if failed is not None:
-        return [], steps + [failed], False, None
+        return [], steps + [failed], 0, None
     if len(steps) == len(assignment):  # each step assigned one more variable
-        return [assignment], steps, False, None
+        return [assignment], steps, 1, None
     in_equation = system.shape.in_equation
     free = [v for v, a in enumerate(assignment) if a is None and v not in in_equation]
     loose = bool(free) and not (M.is_finite and len(M.elements) == 1)
     if M.is_group:
-        return [_moore(system.space, system.problem).coords], steps, loose, None
-    solutions, domains = _search_residual(system, M, assignment, slack, limit)
+        solutions = [_moore(system.problem).coords]
+    else:
+        solutions, domains = _search_residual(system, M, assignment, slack, limit)
     if solutions:
-        return solutions, steps, loose, None
+        return solutions, steps, limit if loose else len(solutions), None
     sizes = ", ".join(
         f"x({system.shape.variables[v]}): {len(dom)} candidates"
         for v, dom in sorted(domains.items())
     )
-    return [], steps, False, f"search exhausted; {sizes or 'no residual candidates'}"
+    return [], steps, 0, f"search exhausted; {sizes or 'no residual candidates'}"
 
 
 def _filler(system: ConstraintSystem, solution) -> EMSimplex:
     """A solution as a simplex, re-verified against the given faces."""
     y = tuple.__new__(EMSimplex, (system.problem.n, tuple(solution)))
-    assert _fills(system.space, system.problem, y), "solver produced a non-filler; this is a bug"
+    assert _fills(system.problem, y), "solver produced a non-filler; this is a bug"
     return y
 
 
 def _result(system: ConstraintSystem, solutions: list, steps: list, note: Optional[str]) -> FillerResult:
     """The first solution as a re-verified filler, else no filler."""
     filler = _filler(system, solutions[0]) if solutions else None
-    render = partial(
-        _render_steps, system.space, system.problem.n, system.shape.rows, system.rhs, steps, note
-    )
-    return FillerResult(filler, render, note)
+    return FillerResult(filler, _render_steps(system, steps, note), note)
 
 
 def solve_em(system: ConstraintSystem, slack: int = 0) -> FillerResult:
@@ -469,8 +456,7 @@ def solve_em(system: ConstraintSystem, slack: int = 0) -> FillerResult:
 
 def count_fillers(system: ConstraintSystem, limit: int = 2) -> int:
     """How many fillers exist, counted up to ``limit``."""
-    solutions, _, loose, _ = _solve(system, limit)
-    return limit if solutions and loose else len(solutions)
+    return _solve(system, limit)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -485,18 +471,19 @@ def moore_filler(K: EMSpace, problem: HornProblem) -> FillerResult:
     error; the simplicial identities guarantee corrections never disturb
     faces already fixed.  The result is re-verified before returning.
     """
+    _require_target(K, problem)
     M = K.monoid
     if not M.is_group:
         raise ValueError(f"{M.name} is not a group; the constructive filler needs inverses")
     _require_compatible(problem)
-    y = _moore(K, problem)
-    assert _fills(K, problem, y), "constructive filler missed a face; this is a bug"
+    y = _moore(problem)
+    assert _fills(problem, y), "constructive filler missed a face; this is a bug"
     return FillerResult(y, (), "constructive group filler")
 
 
-def _moore(K: EMSpace, problem: HornProblem) -> EMSimplex:
+def _moore(problem: HornProblem) -> EMSimplex:
     """The correction loop of ``moore_filler``, for compatible group data."""
-    n, k = problem.n, problem.k
+    K, n, k = problem.target, problem.n, problem.k
     y = K.zero(n)
     for r in range(k):
         error = K.sub(problem.faces[r], K.face(n, r, y))
@@ -511,23 +498,24 @@ def _moore(K: EMSpace, problem: HornProblem) -> EMSimplex:
 # Brute force oracle
 
 
-def _scan(target: Target, problem: HornProblem, value_bound: Optional[int]):
+def _scan(problem: HornProblem, value_bound: Optional[int]):
     """Check the horn data, then list level n: (candidates, lazy fillers)."""
     _require_compatible(problem)
-    candidates = target.enumerate_level(problem.n, bound=value_bound)
-    return candidates, (y for y in candidates if _fills(target, problem, y))
+    candidates = problem.target.enumerate_level(problem.n, bound=value_bound)
+    return candidates, (y for y in candidates if _fills(problem, y))
 
 
 def iter_fillers(
     target: Target, problem: HornProblem, value_bound: Optional[int] = None
 ) -> Iterator[object]:
     """All fillers in canonical candidate order, by exhaustive scan."""
-    yield from _scan(target, problem, value_bound)[1]
+    _require_target(target, problem)
+    yield from _scan(problem, value_bound)[1]
 
 
-def _scan_verdict(target: Target, problem: HornProblem, value_bound: Optional[int], limit: int):
+def _scan_verdict(problem: HornProblem, value_bound: Optional[int], limit: int):
     """One scan: the oracle's verdict and the fillers counted up to ``limit``."""
-    candidates, fillers = _scan(target, problem, value_bound)
+    candidates, fillers = _scan(problem, value_bound)
     found = list(islice(fillers, limit))
     if found:
         return FillerResult(found[0], (), f"scan of {len(candidates)} candidates"), len(found)
@@ -541,7 +529,8 @@ def brute_force_filler(
     target: Target, problem: HornProblem, value_bound: Optional[int] = None
 ) -> FillerResult:
     """Exhaustive scan oracle: first verified candidate, else the scan size."""
-    return _scan_verdict(target, problem, value_bound, 1)[0]
+    _require_target(target, problem)
+    return _scan_verdict(problem, value_bound, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -550,12 +539,11 @@ def brute_force_filler(
 
 @dataclass
 class CounterexampleReport:
-    space: EMSpace
     problem: HornProblem
     result: FillerResult
 
     def lines(self) -> list[str]:
-        M = self.space.monoid
+        M = self.problem.target.monoid
         face_desc = ", ".join(
             f"{i} -> ({','.join(M.render(c) for c in x.coords)})"
             for i, x in sorted(self.problem.faces.items())
@@ -585,8 +573,6 @@ def quasicategory_counterexample(f0: int = 0) -> CounterexampleReport:
     middle coordinate would have to solve x + 3 = 1 in the naturals, which
     certifies that no filler exists.
     """
-    from .monoid import nat
-
     if f0 < 0:
         raise ValueError("the free face value must be a natural number")
     K = EMSpace(nat(), 2, 3)
@@ -603,7 +589,7 @@ def quasicategory_counterexample(f0: int = 0) -> CounterexampleReport:
     result = solve_em(build_constraints(K, problem))
     if result.found:
         raise RuntimeError("a filler appeared where none can exist; the construction is broken")
-    return CounterexampleReport(K, problem, result)
+    return CounterexampleReport(problem, result)
 
 
 # ---------------------------------------------------------------------------
@@ -790,23 +776,23 @@ class SweepReport:
         return data
 
 
-def _decide(target: Target, problem: HornProblem, check_unique: bool):
+def _decide(problem: HornProblem, check_unique: bool):
     """One horn's fillers counted up to 2 if ``check_unique``, else 1, and
     the verdict when there is none: one scan of a finite simplicial set, or
     one solver run over ``K(M,n)`` that validates the horn only when no
     filler vouches for it.  Over ``K(M,n)`` a filler is re-verified but no
     result is built for it."""
     limit = 2 if check_unique else 1
-    if not isinstance(target, EMSpace):
-        result, count = _scan_verdict(target, problem, None, limit)
+    if not isinstance(problem.target, EMSpace):
+        result, count = _scan_verdict(problem, None, limit)
         return (None if count else result), count
-    system = _compile(target, problem)
-    solutions, steps, loose, note = _solve(system, limit)
+    system = _compile(problem)
+    solutions, steps, count, note = _solve(system, limit)
     if not solutions:
         _require_compatible(problem)
         return _result(system, solutions, steps, note), 0
     _filler(system, solutions[0])
-    return None, limit if loose else len(solutions)
+    return None, count
 
 
 def _sweep(
@@ -829,7 +815,7 @@ def _sweep(
         for k in ks:
             for problem in iter_compatible_horn_data(target, n, k, bound=bound):
                 instances += 1
-                failure, count = _decide(target, problem, check_unique)
+                failure, count = _decide(problem, check_unique)
                 if failure is not None:
                     return SweepReport(
                         name, mode, max_dim, bound, instances, False,

@@ -46,6 +46,17 @@ class TestEnumerate:
         assert "S^" not in out
         assert "K(N,0) levels:" in out
 
+    def test_level_outside_the_truncation_exits_two(self, capsys):
+        for n in ("0", "2"):
+            for fmt in ("text", "json"):
+                for level in ("5", "-1"):
+                    code, out, err = run(
+                        capsys, "enumerate", "--n", n, "--dim", "3", f"--level={level}",
+                        "--format", fmt,
+                    )
+                    assert code == 2 and out == ""
+                    assert err == f"error: level {level} outside truncation 0..3\n"
+
 
 class TestFaces:
     def test_symbolic_fibers(self, capsys):

@@ -235,6 +235,35 @@ class TestSimplexWidth:
         with pytest.raises(ValueError, match="outside truncation"):
             K_nat2.add(EMSimplex(-1, ()), EMSimplex(-1, ()))
 
+    @pytest.mark.parametrize("level", [-1, 5, 7])
+    def test_every_level_argument_is_checked_against_the_truncation(self, K_nat2, level):
+        message = f"level {level} outside truncation 0..4"
+        calls = [
+            lambda: K_nat2.rank(level),
+            lambda: K_nat2.zero(level),
+            lambda: K_nat2.simplex(level, ()),
+            lambda: K_nat2.random_simplex(level, random.Random(0)),
+            lambda: K_nat2.enumerate_level(level, bound=1),
+            lambda: K_nat2.contains(level, EMSimplex(level, ())),
+            lambda: K_nat2.gen_names(level),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_neg_rejects_the_wrong_width(self):
+        K = em_space(int_group(), 2, 4)
+        with pytest.raises(ValueError, match="level 3 of K\\(Z,2\\) has 3 coordinates, got 1"):
+            K.neg(EMSimplex(3, (1,)))
+        with pytest.raises(ValueError, match="outside truncation"):
+            K.neg(EMSimplex(-1, ()))
+
+    def test_random_simplex_draws_one_sample_per_generator(self, K_nat2):
+        drawn, replay = random.Random(11), random.Random(11)
+        x = K_nat2.random_simplex(4, drawn, hint=7)
+        assert x.coords == tuple(nat().sample(replay, 7) for _ in range(K_nat2.rank(4)))
+        assert drawn.random() == replay.random()
+
 
 class TestSimplexContract:
     """Simplices are named tuples (level, coords): immutable, hashable by

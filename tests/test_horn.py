@@ -124,6 +124,19 @@ class TestBuildConstraints:
         assert sys_.equations == []
         assert solve_em(sys_).found
 
+    def test_space_other_than_the_horn_target_is_refused(self):
+        # over the integers this horn has the filler (0, -2, 3); over the
+        # naturals, where its faces live, it has none
+        K, p = nat_horn(0, 1, 3)
+        Z = em_space(int_group(), 2, 3)
+        refused = "the horn maps into K\\(N,2\\), not the given K\\({},2\\)"
+        for call in (build_constraints, moore_filler, brute_force_filler, iter_fillers):
+            with pytest.raises(ValueError, match=refused.format("Z")):
+                list(call(Z, p)) if call is iter_fillers else call(Z, p)
+        with pytest.raises(ValueError, match=refused.format("N")):
+            build_constraints(em_space(nat(), 2, 3), p)
+        assert not solve_em(build_constraints(K, p)).found
+
 
 class TestSolveEM:
     def test_unsolvable_chain_over_naturals(self):
@@ -753,9 +766,10 @@ class TestSweepRules:
         "make, degree, max_dim, bound",
         [
             (nat, 1, 3, 5), (nat, 2, 3, 2), (lambda: cyclic(4), 1, 4, None), (boolean, 1, 3, None),
-            (lambda: cyclic(2), 2, 3, None), (boolean, 2, 3, None),
+            (lambda: cyclic(2), 2, 3, None), (boolean, 2, 3, None), (trivial, 2, 4, None),
         ],
-        ids=["N1", "N2", "Z/4", "bool", "Z/2 not unique", "bool2 not unique, fails"],
+        ids=["N1", "N2", "Z/4", "bool", "Z/2 not unique", "bool2 not unique, fails",
+             "trivial group branch"],
     )
     def test_unique_sweep_matches_public_calls(self, monkeypatch, make, degree, max_dim, bound):
         K = em_space(make(), degree, max_dim)
@@ -770,7 +784,7 @@ class TestSweepRules:
         assert got == expected
         assert len(runs) == report.instances
 
-    def test_results_render_steps_on_demand(self):
+    def test_results_compare_by_value(self):
         K, p = nat_horn(2, 5, 1)
         system = build_constraints(K, p)
         assert solve_em(system) == solve_em(system)
@@ -779,6 +793,16 @@ class TestSweepRules:
         result = solve_em(system)
         assert "CertStep(kind='assign', variable='0012', equation='x(0012) = 2'" in repr(result)
         assert result.steps is result.steps
+
+    def test_results_are_frozen_values_with_rendered_steps(self):
+        result = solve_em(build_constraints(*nat_horn(2, 5, 1)))
+        assert type(result.steps) is tuple and result.steps
+        assert all(type(step) is CertStep for step in result.steps)
+        assert result.found
+        assert vars(result) == {"filler": result.filler, "steps": result.steps, "note": None}
+        assert hash(result) == hash(solve_em(build_constraints(*nat_horn(2, 5, 1))))
+        with pytest.raises(AttributeError):
+            result.note = "changed"
 
 
 class TestHornShapes:
