@@ -16,13 +16,14 @@ when a system's ``equations`` are read.
 The solver first propagates: any equation with a single unknown is solved
 outright and substituted.  Either this chain ends in an unsolvable
 single-unknown equation, which is a human-readable certificate that no
-filler exists, or some coordinates are left unset.  Over a group they are
-finished by the classical constructive filler, built by correcting a
-degenerate start with degeneracies and inverses below the missing index
-and then above it.  Over the naturals and finite monoids the residual
-system is finished by search (over the naturals, subset sums bound every
-variable by the smallest right-hand side it appears under).  Every filler
-is re-verified against the given faces before being reported.
+filler exists, or some coordinates are left unset.  Over a cancellative
+monoid (a group or the naturals) an equation with one unknown has at most
+one solution, and each shape is checked once to reach every coordinate in
+some row, so propagation alone decides; the one coordinate in no row, the
+normalized top coordinate at n = d (Dold-Kan), is free and set to the
+identity, as the constructive group filler leaves it.  Search runs only
+over finite monoids that are not groups.  Every filler is re-verified
+against the given faces before being reported.
 
 A horn target is either an ``EMSpace`` or a finite
 ``TruncatedSimplicialSet``.  Both provide ``name``, ``dim_bound``,
@@ -47,7 +48,7 @@ from itertools import islice
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .em import EMSimplex, EMSpace
-from .monoid import CommutativeMonoid, Element, UndecidableError, nat, solve_value_all
+from .monoid import CommutativeMonoid, Element, UndecidableError, int_group, nat, solve_value_all
 from .sset import TruncatedSimplicialSet
 
 Target = Union[EMSpace, TruncatedSimplicialSet]
@@ -135,11 +136,7 @@ class _HornShape(NamedTuple):
     given: tuple[int, ...]  # the given face indices, in order
     rows: tuple[tuple[int, int, tuple[int, ...]], ...]  # (face, gen_pos, vars)
     variables: tuple  # the level-n generators
-    in_equation: frozenset  # the variables that occur in some row
-
-
-def _shape_of(given: tuple, rows: tuple, variables) -> _HornShape:
-    return _HornShape(given, rows, tuple(variables), frozenset(v for _, _, vs in rows for v in vs))
+    complete: bool  # single-unknown rows reach every variable in some row
 
 
 def _horn_shape(K: EMSpace, n: int, k: int) -> _HornShape:
@@ -151,8 +148,17 @@ def _horn_shape(K: EMSpace, n: int, k: int) -> _HornShape:
         rows = tuple(
             (i, gen_pos, vs) for i in given for gen_pos, vs in enumerate(K.face_fibers(n, i))
         )
-        shape = K._horn_shapes[n, k] = _shape_of(given, rows, K.gens[n])
+        complete = _complete(rows, len(K.gens[n]))
+        shape = K._horn_shapes[n, k] = _HornShape(given, rows, tuple(K.gens[n]), complete)
     return shape
+
+
+def _complete(rows: tuple, size: int) -> bool:
+    """Whether propagation reaches every variable that occurs in a row.
+    Over the integers each single-unknown row has one solution, so zero
+    right-hand sides trace the closure any cancellative monoid follows."""
+    reached = _propagate(rows, [0] * len(rows), size, int_group())[0]
+    return all(reached[v] is not None for _, _, vs in rows for v in vs)
 
 
 @dataclass
@@ -172,15 +178,6 @@ class ConstraintSystem:
     def equations(self) -> list[Equation]:
         """The rows and right-hand sides as ``Equation`` objects, built on each read."""
         return [Equation(i, g, vs, r) for (i, g, vs), r in zip(self.shape.rows, self.rhs)]
-
-    @equations.setter
-    def equations(self, equations) -> None:
-        """Replace this system's rows and right-hand sides; the shape it
-        shared with other horns is left as it was."""
-        equations = list(equations)
-        rows = tuple((eq.face, eq.gen_pos, eq.vars) for eq in equations)
-        self.shape = _shape_of(self.shape.given, rows, self.shape.variables)
-        self.rhs = [eq.rhs for eq in equations]
 
 
 def build_constraints(K: EMSpace, problem: HornProblem) -> ConstraintSystem:
@@ -268,14 +265,16 @@ def _fills(problem: HornProblem, y) -> bool:
 # Propagation and residual search
 
 
-def _propagate(system: ConstraintSystem, M: CommutativeMonoid):
+def _propagate(rows: tuple, rhs: list, size: int, M: CommutativeMonoid):
     """Substitute forced values from single-unknown equations to a fixpoint.
 
-    A single-unknown equation with one solution determines its variable,
-    and one with none ends the chain in a contradiction certificate.  In
-    a non-cancellative finite monoid such an equation may have several
-    solutions; committing to one would lose fillers, so those equations
-    are left for the search phase and only the forced ones are substituted.
+    The equations are ``rows`` (face, gen_pos, vars) with right-hand sides
+    ``rhs`` over ``size`` variables.  A single-unknown equation with one
+    solution determines its variable, and one with none ends the chain in
+    a contradiction certificate.  In a non-cancellative finite monoid such
+    an equation may have several solutions; committing to one would lose
+    fillers, so those equations are left for the search phase and only the
+    forced ones are substituted.
 
     Returns (assignment, steps, failed_step), the steps as raw
     (kind, var, e, known, value) records on equation index ``e`` for
@@ -283,8 +282,7 @@ def _propagate(system: ConstraintSystem, M: CommutativeMonoid):
     contradiction and the assignment is meaningless.
     """
     op, identity = M.op, M.identity
-    rows, rhs = system.shape.rows, system.rhs
-    assignment: list = [None] * len(system.shape.variables)
+    assignment: list = [None] * size
     steps: list = []
     pending = range(len(rows))
     progress = True
@@ -321,19 +319,13 @@ def _propagate(system: ConstraintSystem, M: CommutativeMonoid):
     return assignment, steps, None
 
 
-def _search_residual(
-    system: ConstraintSystem,
-    M: CommutativeMonoid,
-    assignment: list,
-    slack: int = 0,
-    limit: int = 1,
-):
-    """Finish a propagated system over the naturals or a finite monoid by
-    bounded search.
+def _search_residual(system: ConstraintSystem, M: CommutativeMonoid, assignment: list, limit: int):
+    """Finish a propagated system over a finite monoid that is not a group
+    by search over its elements.
 
-    Returns the completed assignments (as lists) in canonical order, at
-    most ``limit`` of them, and the per-variable domains searched, for the
-    exhaustion note.
+    Returns (solutions, count, note): at most ``limit`` completed
+    assignments (as lists) in canonical order, the fillers counted up to
+    ``limit``, and when there is none the exhaustion note.
     """
     unassigned = [v for v, a in enumerate(assignment) if a is None]
     # per unknown, the (vars, rhs) of each equation it occurs in
@@ -345,21 +337,6 @@ def _search_residual(
 
     constrained = [v for v in unassigned if by_var[v]]
     free = [v for v in unassigned if not by_var[v]]
-
-    if M.is_free_natural:
-        domains = {}
-        for v in constrained:
-            best = None
-            for vs, r in by_var[v]:
-                known = M.sum(assignment[w] for w in vs if assignment[w] is not None)
-                if known > r:
-                    return [], {v: [] for v in constrained}
-                if best is None or r - known < best:
-                    best = r - known
-            domains[v] = list(range(best + slack + 1))
-    else:
-        domains = {v: list(M.elements) for v in constrained}
-
     solutions = []
 
     def extend(pos: int, current: list) -> bool:
@@ -371,7 +348,7 @@ def _search_residual(
             solutions.append(out)
             return len(solutions) >= limit
         v = constrained[pos]
-        for value in domains[v]:
+        for value in M.elements:
             current[v] = value
             done = False
             ok = True
@@ -388,12 +365,19 @@ def _search_residual(
         return False
 
     extend(0, list(assignment))
-    return solutions, domains
+    if solutions:
+        # a coordinate in no equation takes every element in some filler
+        return solutions, limit if free and len(M.elements) > 1 else len(solutions), None
+    sizes = ", ".join(
+        f"x({system.shape.variables[v]}): {len(M.elements)} candidates" for v in constrained
+    )
+    return [], 0, f"search exhausted; {sizes or 'no residual candidates'}"
 
 
-def _solve(system: ConstraintSystem, limit: int, slack: int = 0):
-    """Propagate, then finish the residual: a group by the constructive
-    filler, the naturals and finite monoids by search.
+def _solve(system: ConstraintSystem, limit: int):
+    """Propagate, then finish: a cancellative monoid by setting the free
+    coordinates to the identity, a finite monoid that is not a group by
+    search.
 
     Returns (solutions, steps, count, note): at most ``limit`` complete
     assignments; the raw propagation steps, ending in the contradiction
@@ -401,33 +385,30 @@ def _solve(system: ConstraintSystem, limit: int, slack: int = 0):
     which exceeds the solutions returned when some coordinate is left free;
     and the note of a residual system found to have no solution, else None.
 
-    Over a group the fillers of a compatible horn differ by normalized
-    chains (Dold-Kan), which in ``K(A,m)`` are the top coordinate at level
-    m and zero elsewhere.  No face sees that coordinate, and the
-    constructive filler leaves it at the identity, as search would.
+    Over a cancellative monoid (a group or the naturals) a row with one
+    unknown has at most one solution, so propagation ends in a
+    contradiction or reaches every coordinate its shape's closure reaches,
+    which for a complete shape is every coordinate in some row.  The one
+    coordinate in no row, the normalized top coordinate at n = d
+    (Dold-Kan), is free.  An incomplete shape is refused, not searched.
     """
     M = system.problem.target.monoid
-    if not (M.is_group or M.is_free_natural or M.is_finite):
+    cancellative = M.is_group or M.is_free_natural
+    if not (cancellative or M.is_finite):
         raise UndecidableError(f"no solver capability for {M.name}; undecidable here")
-    assignment, steps, failed = _propagate(system, M)
+    shape = system.shape
+    assignment, steps, failed = _propagate(shape.rows, system.rhs, len(shape.variables), M)
     if failed is not None:
         return [], steps + [failed], 0, None
     if len(steps) == len(assignment):  # each step assigned one more variable
         return [assignment], steps, 1, None
-    in_equation = system.shape.in_equation
-    free = [v for v, a in enumerate(assignment) if a is None and v not in in_equation]
-    loose = bool(free) and not (M.is_finite and len(M.elements) == 1)
-    if M.is_group:
-        solutions = [_moore(system.problem).coords]
-    else:
-        solutions, domains = _search_residual(system, M, assignment, slack, limit)
-    if solutions:
-        return solutions, steps, limit if loose else len(solutions), None
-    sizes = ", ".join(
-        f"x({system.shape.variables[v]}): {len(dom)} candidates"
-        for v, dom in sorted(domains.items())
-    )
-    return [], steps, 0, f"search exhausted; {sizes or 'no residual candidates'}"
+    if not cancellative:
+        solutions, count, note = _search_residual(system, M, assignment, limit)
+        return solutions, steps, count, note
+    if not shape.complete:
+        raise UndecidableError(f"propagation leaves {system.problem.describe()} open; undecidable here")
+    solution = [M.identity if a is None else a for a in assignment]
+    return [solution], steps, 1 if M.elements == (M.identity,) else limit, None
 
 
 def _filler(system: ConstraintSystem, solution) -> EMSimplex:
@@ -443,14 +424,16 @@ def _result(system: ConstraintSystem, solutions: list, steps: list, note: Option
     return FillerResult(filler, _render_steps(system, steps, note), note)
 
 
-def solve_em(system: ConstraintSystem, slack: int = 0) -> FillerResult:
+def solve_em(system: ConstraintSystem) -> FillerResult:
     """Decide the constraint system and certify the outcome.
 
-    ``slack`` widens the per-variable search bounds over the naturals; it
-    exists so the bound-soundness claim can be exercised (enlarging the
-    bounds must never change a verdict).
+    Over a cancellative monoid the certificate is the chain of forced
+    values, ending in a contradiction when no filler exists; over a finite
+    monoid that is not a group a failed search ends it in an ``exhausted``
+    step.  Raises ``UndecidableError`` for a monoid with no solver
+    capability, or a cancellative system whose shape is not complete.
     """
-    solutions, steps, _, note = _solve(system, 1, slack)
+    solutions, steps, _, note = _solve(system, 1)
     return _result(system, solutions, steps, note)
 
 

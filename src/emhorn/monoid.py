@@ -125,10 +125,16 @@ def cyclic(m: int) -> CommutativeMonoid:
     )
 
 
+def _zero(text: str) -> int:
+    if text != "0":
+        raise ValueError(f"{text} is not 0, the one element of the trivial monoid")
+    return 0
+
+
 def trivial() -> CommutativeMonoid:
     """The one-element monoid."""
     return CommutativeMonoid(
-        "1", 0, lambda a, b: 0, elements=(0,), inverse=lambda a: 0, parse=lambda s: 0
+        "1", 0, lambda a, b: 0, elements=(0,), inverse=lambda a: 0, parse=_zero
     )
 
 

@@ -191,6 +191,14 @@ class TestCheckHorn:
             assert code == 2 and out == ""
             assert "is not a natural number" in err
 
+    def test_trivial_monoid_literals_other_than_zero_exit_two(self, capsys):
+        code, out, err = run(
+            capsys, "check-horn", "--monoid", "trivial", "--n", "1", "--horn", "2,1",
+            "--faces", "0:[banana]", "2:[-99]",
+        )
+        assert code == 2 and out == ""
+        assert "is not 0" in err
+
     def test_missing_table_file_exits_two(self, capsys):
         code, _, err = run(
             capsys, "check-horn", "--monoid", "table:/nonexistent.json", "--n", "2",

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,11 +13,11 @@ from emhorn.em import EMSpace, em_space
 from emhorn.horn import (
     CERTIFICATE_SCHEMA,
     CertStep,
+    ConstraintSystem,
     Equation,
     FillerResult,
     HornProblem,
-    _propagate,
-    _search_residual,
+    _complete,
     brute_force_filler,
     build_constraints,
     certificate_json,
@@ -214,66 +215,61 @@ class TestSolveEM:
         # chain certificate: c is forced to 1 and then x + 1 = 0 fails
         assert res.steps[-1].kind == "contradiction"
 
-    def test_slack_never_changes_verdicts(self):
-        K = em_space(nat(), 2, 3)
-        for f0, f2, f3 in itertools.product(range(4), repeat=3):
-            p = HornProblem(
-                K, 3, 1,
-                {0: K.simplex(2, (f0,)), 2: K.simplex(2, (f2,)), 3: K.simplex(2, (f3,))},
-            )
-            base = solve_em(build_constraints(K, p)).found
-            widened = solve_em(build_constraints(K, p), slack=5).found
-            assert base == widened
-
-
-class TestNaturalResidualSearch:
-    """Systems where every equation keeps two unknowns, so propagation
-    stalls and the bounded search has to decide."""
-
-    def _system_with(self, K, equations):
-        faces = {i: K.zero(2) for i in (0, 2, 3)}
-        system = build_constraints(K, HornProblem(K, 3, 1, faces))
-        system.equations = equations
-        return system
-
-    def test_bounded_search_finds_interior_solution(self):
-        K = em_space(nat(), 2, 3)
-        system = self._system_with(
-            K,
-            [
-                Equation(0, 0, (0, 1), 2),
-                Equation(2, 0, (1, 2), 2),
-                Equation(3, 0, (0, 2), 2),
-            ],
-        )
-        assignment, _, failed = _propagate(system, K.monoid)
-        assert failed is None and all(v is None for v in assignment)
-        solutions, domains = _search_residual(system, K.monoid, assignment)
-        assert solutions and solutions[0] == [1, 1, 1]
-        # each variable is bounded by the smallest right-hand side over it
-        assert all(dom == [0, 1, 2] for dom in domains.values())
-
-    def test_parity_obstruction_reports_exhaustion(self):
-        K = em_space(nat(), 2, 3)
-        system = self._system_with(
-            K,
-            [
-                Equation(0, 0, (0, 1), 1),
-                Equation(2, 0, (1, 2), 1),
-                Equation(3, 0, (0, 2), 1),
-            ],
-        )
-        res = solve_em(system)
-        assert not res.found
-        assert res.steps[-1].kind == "exhausted"
-        assert "candidates" in res.note
-
     def test_no_capability_raises(self):
         bare = CommutativeMonoid("bare", 0, lambda a, b: a + b)
         K = em_space(bare, 2, 3)
         p = HornProblem(K, 3, 1, {i: K.zero(2) for i in (0, 2, 3)})
         with pytest.raises(UndecidableError, match="undecidable here"):
             solve_em(build_constraints(K, p))
+
+
+class TestCompleteness:
+    """Propagation decides every horn over a cancellative monoid: each
+    shape's single-unknown rows reach every coordinate in some row."""
+
+    @staticmethod
+    def _parity_rows():
+        # every row keeps two unknowns; summing them gives 2(x0+x1+x2) = 3
+        return ((0, 0, (0, 1)), (2, 0, (1, 2)), (3, 0, (0, 2)))
+
+    def test_every_shape_of_the_naturals_is_complete(self):
+        shapes = 0
+        for d in range(1, 7):
+            top = min(d + 5, 10)
+            K = em_space(nat(), d, top)
+            for n in range(1, top + 1):
+                for k in range(n + 1):
+                    assert horn_module._horn_shape(K, n, k).complete, (d, n, k)
+                    shapes += 1
+        assert shapes == 290
+
+    def test_completeness_check_rejects_the_parity_rows(self):
+        assert not _complete(self._parity_rows(), 3)
+        assert _complete(((0, 0, (0,)), (2, 0, (0, 1)), (3, 0, (1, 2))), 3)
+
+    def test_incomplete_shape_gives_no_verdict(self):
+        K, p = nat_horn(0, 0, 0)
+        real = build_constraints(K, p)
+        rows = self._parity_rows()
+        shape = real.shape._replace(rows=rows, complete=_complete(rows, 3))
+        system = ConstraintSystem(real.problem, shape, [1, 1, 1])
+        with pytest.raises(UndecidableError, match="undecidable here"):
+            solve_em(system)
+        with pytest.raises(UndecidableError, match="undecidable here"):
+            count_fillers(system)
+
+    @pytest.mark.parametrize(
+        "order, degree, top", [(2, 1, 4), (2, 2, 5), (2, 3, 5), (3, 2, 4)],
+        ids=["Z/2 d=1", "Z/2 d=2", "Z/2 d=3", "Z/3 d=2"],
+    )
+    def test_finite_group_horns_match_simplices(self, order, degree, top):
+        # above level d every group horn has exactly one filler, so the
+        # compatible data are the level-n simplices, |G|^C(n,d) of them
+        K = em_space(cyclic(order), degree, top)
+        for n in range(degree + 1, top + 1):
+            for k in range(n + 1):
+                data = sum(1 for _ in iter_compatible_horn_data(K, n, k))
+                assert data == order ** math.comb(n, degree), (n, k)
 
 
 class TestOtherInnerHorn:
@@ -846,21 +842,6 @@ class TestHornShapes:
         ]
         assert not solve_em(a).found
         assert solve_em(b).filler.coords == (2, 1, 4)
-
-    def test_assigning_equations_touches_no_other_system(self):
-        K = em_space(nat(), 2, 3)
-        p = self._horn(K, 2, 5, 4)
-        a, b = build_constraints(K, p), build_constraints(K, p)
-        shared, before = a.shape, b.equations
-        a.equations = [Equation(0, 0, (0,), 2)]
-        assert a.equations == [Equation(0, 0, (0,), 2)]
-        # the two coordinates left out of every equation are free
-        assert count_fillers(a) == 2
-        assert b.shape is shared and b.equations == before
-        later = build_constraints(K, p)
-        assert later.shape is shared
-        assert later.equations == before == equations_by_composition(K, p)
-        assert count_fillers(later) == count_fillers(b) == 1
 
     @pytest.mark.parametrize(
         "make, bound",

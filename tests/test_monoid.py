@@ -42,6 +42,13 @@ class TestInstances:
         assert T.elements == (0,)
         assert T.op(0, 0) == 0 == T.identity
 
+    def test_trivial_parses_only_its_element(self):
+        T = trivial()
+        assert T.parse_element("0") == 0
+        for text in ("banana", "-99", "1", ""):
+            with pytest.raises(ValueError, match="not 0"):
+                T.parse_element(text)
+
     def test_finite_laws_exhaustive(self):
         for M in (cyclic(1), cyclic(2), cyclic(5), trivial(), boolean()):
             check_laws(M)
