@@ -1,10 +1,10 @@
 """Eilenberg-MacLane simplicial monoids and horn filling at desk scale.
 
 The package builds the simplicial monoid of a commutative monoid in a
-fixed degree, decides horn-filling problems in it (and in small finite
-simplicial sets), and certifies the inner 3-horn over the naturals in
-degree 2 that admits no filler, so the underlying simplicial set there is
-not a quasi-category even though every simplicial group is a Kan complex.
+fixed degree, decides horn-filling problems in it, and certifies the inner
+3-horn over the naturals in degree 2 that admits no filler, so the
+underlying simplicial set there is not a quasi-category even though every
+simplicial group is a Kan complex.
 """
 
 from .delta import (

@@ -18,7 +18,7 @@ import re
 import sys
 from typing import Optional
 
-from . import em, horn, monoid, sset
+from . import em, horn, monoid
 from .monoid import CommutativeMonoid, UndecidableError
 
 DEFAULT_DIM = 4
@@ -75,14 +75,12 @@ def cmd_enumerate(args) -> int:
     dim = args.dim
     K = em.EMSpace(M, args.n, dim)
     levels = [args.level] if args.level is not None else list(range(dim + 1))
-    sphere = sset.sphere(args.n, dim) if args.n >= 1 else None
+    sphere = args.n >= 1  # its level-k cells: the basepoint and K's level-k generators
     if args.format == "json":
         data = {
             "space": K.name,
             "dim": dim,
-            "sphere": None
-            if sphere is None
-            else {str(k): [sset.render_id(x) for x in sphere.level(k)] for k in levels},
+            "sphere": {str(k): ["*", *K.gen_names(k)] for k in levels} if sphere else None,
             "levels": [
                 {
                     "level": k,
@@ -97,14 +95,15 @@ def cmd_enumerate(args) -> int:
         return 0
     if args.level is not None:
         k = args.level
-        if sphere is not None:
-            print(f"S^{args.n}[{k}]: " + " ".join(sset.render_id(x) for x in sphere.level(k)))
+        if sphere:
+            print(f"S^{args.n}[{k}]: " + " ".join(["*", *K.gen_names(k)]))
         print(f"{K.name}[{k}] = {M.name}^{K.rank(k)}")
         print("generators: " + (" ".join(K.gen_names(k)) or "(none)"))
     else:
-        if sphere is not None:
+        if sphere:
             print(f"S^{args.n} levels up to dimension {dim}:")
-            print(sphere.dump())
+            for k in range(dim + 1):
+                print(f"{k}: " + " ".join(["*", *K.gen_names(k)]))
         print(f"{K.name} levels:")
         for k in range(dim + 1):
             gens = " ".join(K.gen_names(k))
@@ -209,15 +208,11 @@ def cmd_check_horn(args) -> int:
 def cmd_sweep(args) -> int:
     if args.unique and args.kind == "kan":
         raise ValueError("--unique applies to quasicategory sweeps only")
-    if args.bound < 0:
-        raise ValueError(f"coordinate bound {args.bound} is negative")
-    M = parse_monoid(args.monoid)
-    K = em.EMSpace(M, args.n, args.dim)
-    bound = None if M.is_finite else args.bound
+    K = em.EMSpace(parse_monoid(args.monoid), args.n, args.dim)
     if args.kind == "quasicategory":
-        report = horn.sweep_quasicategory(K, args.dim, bound=bound, check_unique=args.unique)
+        report = horn.sweep_quasicategory(K, args.dim, bound=args.bound, check_unique=args.unique)
     else:
-        report = horn.sweep_kan(K, args.dim, bound=bound)
+        report = horn.sweep_kan(K, args.dim, bound=args.bound)
     if args.format == "json":
         _emit_json(report.to_json())
     else:

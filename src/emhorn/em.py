@@ -222,10 +222,6 @@ class EMSpace:
         rank = self.rank(k)
         return isinstance(x, EMSimplex) and x.level == k and len(x.coords) == rank
 
-    def encode(self, x: EMSimplex) -> list:
-        """The JSON form of a simplex: its coordinates."""
-        return list(x.coords)
-
     def render_simplex(self, x: EMSimplex) -> str:
         M = self.monoid
         literal = f"level:{x.level} [" + ",".join(M.render(c) for c in x.coords) + "]"

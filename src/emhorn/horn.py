@@ -25,40 +25,30 @@ identity, as the constructive group filler leaves it.  Search runs only
 over finite monoids that are not groups.  Every filler is re-verified
 against the given faces before being reported.
 
-A horn target is either an ``EMSpace`` or a finite
-``TruncatedSimplicialSet``.  Both provide ``name``, ``dim_bound``,
-``face(k, i, x)``, ``enumerate_level(k, bound=None)``, ``contains(k, x)``
-and ``encode(x)`` (the JSON form of a simplex), and validation, the
-exhaustive scan, horn enumeration and certificates use only those.  The
-sweeps decide ``K(M,n)`` with the equation solver above and a finite
-simplicial set with the exhaustive scan.
-
-Results are frozen values, their certificate steps rendered when they are
-built.  A sweep over ``K(M,n)`` builds a result only for the horn it
+Every horn maps into an ``EMSpace``; the exhaustive scan over its level
+sets (``iter_fillers``, ``brute_force_filler``) is kept as an oracle for
+the solver.  Results are frozen values, their certificate steps rendered
+when they are built.  A sweep builds a result only for the horn it
 reports as a witness, and validates only that horn: a verified filler y
 proves the data compatible, d_i x_j = d_i d_j y = d_{j-1} d_i y =
 d_{j-1} x_i, so validation could only pass on the others.  A
-``check_unique`` sweep solves or scans each horn once, for up to two fillers.
+``check_unique`` sweep solves each horn once, for up to two fillers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional
 
 from .em import EMSimplex, EMSpace
 from .monoid import CommutativeMonoid, Element, UndecidableError, int_group, nat, solve_value_all
-from .sset import TruncatedSimplicialSet
-
-Target = Union[EMSpace, TruncatedSimplicialSet]
 
 
 @dataclass
 class HornProblem:
     """Faces i -> x_i for every i except k, aimed at an n-simplex."""
 
-    target: Target
+    target: EMSpace
     n: int
     k: int
     faces: dict
@@ -105,7 +95,7 @@ def validate_horn(problem: HornProblem) -> tuple[bool, Optional[tuple[int, int]]
     return True, None
 
 
-def _require_target(target: Target, problem: HornProblem) -> None:
+def _require_target(target: EMSpace, problem: HornProblem) -> None:
     if target is not problem.target:
         raise ValueError(f"the horn maps into {problem.target.name}, not the given {target.name}")
 
@@ -222,7 +212,7 @@ class CertStep:
 class FillerResult:
     """A verdict: the filler or None, the certificate steps and a note."""
 
-    filler: Optional[object]
+    filler: Optional[EMSimplex]
     steps: tuple[CertStep, ...] = ()
     note: Optional[str] = None
 
@@ -438,7 +428,9 @@ def solve_em(system: ConstraintSystem) -> FillerResult:
 
 
 def count_fillers(system: ConstraintSystem, limit: int = 2) -> int:
-    """How many fillers exist, counted up to ``limit``."""
+    """How many fillers exist, counted up to ``limit``, which must be at least 1."""
+    if limit < 1:
+        raise ValueError(f"filler count limit {limit} is below 1")
     return _solve(system, limit)[2]
 
 
@@ -459,14 +451,7 @@ def moore_filler(K: EMSpace, problem: HornProblem) -> FillerResult:
     if not M.is_group:
         raise ValueError(f"{M.name} is not a group; the constructive filler needs inverses")
     _require_compatible(problem)
-    y = _moore(problem)
-    assert _fills(problem, y), "constructive filler missed a face; this is a bug"
-    return FillerResult(y, (), "constructive group filler")
-
-
-def _moore(problem: HornProblem) -> EMSimplex:
-    """The correction loop of ``moore_filler``, for compatible group data."""
-    K, n, k = problem.target, problem.n, problem.k
+    n, k = problem.n, problem.k
     y = K.zero(n)
     for r in range(k):
         error = K.sub(problem.faces[r], K.face(n, r, y))
@@ -474,7 +459,8 @@ def _moore(problem: HornProblem) -> EMSimplex:
     for r in range(n, k, -1):
         error = K.sub(problem.faces[r], K.face(n, r, y))
         y = K.add(y, K.degeneracy(n - 1, r - 1, error))
-    return y
+    assert _fills(problem, y), "constructive filler missed a face; this is a bug"
+    return FillerResult(y, (), "constructive group filler")
 
 
 # ---------------------------------------------------------------------------
@@ -489,31 +475,26 @@ def _scan(problem: HornProblem, value_bound: Optional[int]):
 
 
 def iter_fillers(
-    target: Target, problem: HornProblem, value_bound: Optional[int] = None
-) -> Iterator[object]:
+    target: EMSpace, problem: HornProblem, value_bound: Optional[int] = None
+) -> Iterator[EMSimplex]:
     """All fillers in canonical candidate order, by exhaustive scan."""
     _require_target(target, problem)
     yield from _scan(problem, value_bound)[1]
 
 
-def _scan_verdict(problem: HornProblem, value_bound: Optional[int], limit: int):
-    """One scan: the oracle's verdict and the fillers counted up to ``limit``."""
-    candidates, fillers = _scan(problem, value_bound)
-    found = list(islice(fillers, limit))
-    if found:
-        return FillerResult(found[0], (), f"scan of {len(candidates)} candidates"), len(found)
-    note = f"exhausted scan of all {len(candidates)} level-{problem.n} candidates"
-    if value_bound is not None:
-        note += f" (coordinate bound {value_bound})"
-    return FillerResult(None, (CertStep("exhausted", None, note, None),), note), 0
-
-
 def brute_force_filler(
-    target: Target, problem: HornProblem, value_bound: Optional[int] = None
+    target: EMSpace, problem: HornProblem, value_bound: Optional[int] = None
 ) -> FillerResult:
     """Exhaustive scan oracle: first verified candidate, else the scan size."""
     _require_target(target, problem)
-    return _scan_verdict(problem, value_bound, 1)[0]
+    candidates, fillers = _scan(problem, value_bound)
+    y = next(fillers, None)
+    if y is not None:
+        return FillerResult(y, (), f"scan of {len(candidates)} candidates")
+    note = f"exhausted scan of all {len(candidates)} level-{problem.n} candidates"
+    if value_bound is not None:
+        note += f" (coordinate bound {value_bound})"
+    return FillerResult(None, (CertStep("exhausted", None, note, None),), note)
 
 
 # ---------------------------------------------------------------------------
@@ -634,14 +615,10 @@ CERTIFICATE_SCHEMA = {
 
 
 def certificate_json(problem: HornProblem, result: FillerResult) -> dict:
-    """Render a decision in the documented JSON certificate layout.
-
-    Coefficient coordinates serialize as integers; simplex identifiers of
-    finite simplicial-set targets serialize as their display strings.
-    """
-    encode = problem.target.encode
-    witness = encode(result.filler) if result.found else None
-    faces = {str(i): encode(x) for i, x in sorted(problem.faces.items())}
+    """Render a decision in the documented JSON certificate layout: each
+    simplex as the list of its coefficient coordinates."""
+    witness = list(result.filler.coords) if result.found else None
+    faces = {str(i): list(x.coords) for i, x in sorted(problem.faces.items())}
     return {
         "horn": {"n": problem.n, "k": problem.k, "faces": faces},
         "result": "filler" if result.found else "no_filler",
@@ -663,7 +640,7 @@ def certificate_json(problem: HornProblem, result: FillerResult) -> dict:
 
 
 def iter_compatible_horn_data(
-    target: Target, n: int, k: int, bound: Optional[int] = None
+    target: EMSpace, n: int, k: int, bound: Optional[int] = None
 ) -> Iterator[HornProblem]:
     """Every compatible horn assignment, in canonical order.
 
@@ -733,7 +710,7 @@ class SweepReport:
         if self.witness is not None:
             lines.append(f"counterexample: {self.witness.describe()}")
             for i, x in sorted(self.witness.faces.items()):
-                entries = ", ".join(map(str, self.witness.target.encode(x)))
+                entries = ", ".join(map(str, x.coords))
                 lines.append(f"  face {i}: [{entries}]")
             for step in self.witness_result.steps:
                 lines.append(f"  {step.kind}: {step.equation}")
@@ -761,16 +738,11 @@ class SweepReport:
 
 def _decide(problem: HornProblem, check_unique: bool):
     """One horn's fillers counted up to 2 if ``check_unique``, else 1, and
-    the verdict when there is none: one scan of a finite simplicial set, or
-    one solver run over ``K(M,n)`` that validates the horn only when no
-    filler vouches for it.  Over ``K(M,n)`` a filler is re-verified but no
+    the verdict when there is none, from one solver run that validates the
+    horn only when no filler vouches for it.  A filler is re-verified but no
     result is built for it."""
-    limit = 2 if check_unique else 1
-    if not isinstance(problem.target, EMSpace):
-        result, count = _scan_verdict(problem, None, limit)
-        return (None if count else result), count
     system = _compile(problem)
-    solutions, steps, count, note = _solve(system, limit)
+    solutions, steps, count, note = _solve(system, 2 if check_unique else 1)
     if not solutions:
         _require_compatible(problem)
         return _result(system, solutions, steps, note), 0
@@ -779,7 +751,7 @@ def _decide(problem: HornProblem, check_unique: bool):
 
 
 def _sweep(
-    target: Target,
+    target: EMSpace,
     max_dim: int,
     bound: Optional[int],
     inner_only: bool,
@@ -787,6 +759,8 @@ def _sweep(
 ) -> SweepReport:
     if bound is not None and bound < 0:
         raise ValueError(f"coordinate bound {bound} is negative")
+    if target.monoid.is_finite:
+        bound = None  # every element is enumerated, so no bound applies
     mode = "quasicategory" if inner_only else "kan"
     name = target.name
     instances = 0
@@ -815,7 +789,7 @@ def _sweep(
 
 
 def sweep_quasicategory(
-    target: Target,
+    target: EMSpace,
     max_dim: int,
     bound: Optional[int] = 3,
     check_unique: bool = False,
@@ -824,12 +798,13 @@ def sweep_quasicategory(
 
     Over infinite coefficients the bound caps face coordinates, so a pass
     is bounded evidence, never a proof; a failure is a genuine witness.
+    Over a finite monoid every element is enumerated and no bound applies.
     """
     return _sweep(target, max_dim, bound, inner_only=True, check_unique=check_unique)
 
 
 def sweep_kan(
-    target: Target, max_dim: int, bound: Optional[int] = 3
+    target: EMSpace, max_dim: int, bound: Optional[int] = 3
 ) -> SweepReport:
     """Like the inner sweep but covering outer horns as well."""
     return _sweep(target, max_dim, bound, inner_only=False)

@@ -42,17 +42,6 @@ class TruncatedSimplicialSet:
             raise ValueError(f"level {k} outside truncation 0..{self.dim_bound}")
         return self.levels[k]
 
-    def enumerate_level(self, k: int, bound=None) -> list[SimplexId]:
-        """Level k as a list; ``bound`` is ignored, every level is finite."""
-        return list(self.level(k))
-
-    def contains(self, k: int, x) -> bool:
-        return x in self.level(k)
-
-    def encode(self, x: SimplexId) -> list[str]:
-        """The JSON form of a simplex: its display string."""
-        return [render_id(x)]
-
     def face(self, k: int, i: int, x: SimplexId) -> SimplexId:
         if not (1 <= k <= self.dim_bound and 0 <= i <= k):
             raise ValueError(f"face ({k}, {i}) out of range")

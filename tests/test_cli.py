@@ -2,8 +2,10 @@ import json
 
 import jsonschema
 
+import emhorn.sset
 from emhorn.cli import main
 from emhorn.horn import CERTIFICATE_SCHEMA
+from emhorn.sset import render_id, sphere
 
 BOOLEAN_TABLE = '{"name": "bool", "elements": ["0", "1"], "table": [["0", "1"], ["1", "1"]]}'
 
@@ -45,6 +47,25 @@ class TestEnumerate:
         assert code == 0
         assert "S^" not in out
         assert "K(N,0) levels:" in out
+
+    def test_sphere_cells_are_not_built_from_the_sphere(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerate built the sphere")
+
+        monkeypatch.setattr(emhorn.sset, "sphere", refuse)
+        code, out, _ = run(capsys, "enumerate", "--n", "3", "--dim", "22", "--level", "3")
+        assert code == 0
+        assert out.startswith("S^3[3]: * 0123\n")
+
+    def test_sphere_cells_match_the_sphere(self, capsys):
+        S = sphere(10, 11)
+        code, out, _ = run(capsys, "enumerate", "--n", "10", "--dim", "11", "--format", "json")
+        assert code == 0
+        cells = json.loads(out)["sphere"]
+        assert cells == {str(k): [render_id(x) for x in S.level(k)] for k in range(12)}
+        code, out, _ = run(capsys, "enumerate", "--n", "10", "--dim", "11")
+        assert code == 0
+        assert S.dump() + "\nK(N,10) levels:\n" in out
 
     def test_level_outside_the_truncation_exits_two(self, capsys):
         for n in ("0", "2"):

@@ -8,7 +8,6 @@ import jsonschema
 import pytest
 
 import emhorn.horn as horn_module
-from emhorn.delta import MonotoneMap
 from emhorn.em import EMSpace, em_space
 from emhorn.horn import (
     CERTIFICATE_SCHEMA,
@@ -42,7 +41,6 @@ from emhorn.monoid import (
     nat,
     trivial,
 )
-from emhorn.sset import BASEPOINT, render_id, sphere, standard_simplex
 from support import equations_by_composition, random_compatible_horns
 
 
@@ -63,18 +61,6 @@ class TestValidateHorn:
         N = em_space(nat(), 1, 3)
         p = HornProblem(N, 2, 1, {0: N.simplex(1, (4,)), 2: N.simplex(1, (9,))})
         assert validate_horn(p) == (True, None)
-
-    def test_mismatched_simplex_horn_reports_pair(self):
-        X = standard_simplex(3, 3)
-        top = next(x for x in X.level(3) if x.is_identity())
-        faces = {i: X.face(3, i, top) for i in range(4) if i != 1}
-        ok, violation = validate_horn(HornProblem(X, 3, 1, faces))
-        assert ok
-        # now perturb one face so it shares no compatible sub-face
-        faces[0] = X.level(2)[0]  # the constant map 000
-        ok, violation = validate_horn(HornProblem(X, 3, 1, faces))
-        assert not ok
-        assert violation in [(0, 2), (0, 3)]
 
     def test_missing_and_extra_faces_rejected(self):
         K = em_space(nat(), 2, 3)
@@ -214,6 +200,16 @@ class TestSolveEM:
         assert not res.found
         # chain certificate: c is forced to 1 and then x + 1 = 0 fails
         assert res.steps[-1].kind == "contradiction"
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_count_limit_below_one_is_refused(self, limit):
+        K = em_space(nat(), 2, 3)
+        p = HornProblem(K, 2, 1, {0: K.simplex(1, ()), 2: K.simplex(1, ())})
+        B = em_space(boolean(), 2, 3)
+        q = HornProblem(B, 3, 1, {i: B.simplex(2, (1,)) for i in (0, 2, 3)})
+        for system in (build_constraints(K, p), build_constraints(B, q)):
+            with pytest.raises(ValueError, match=f"filler count limit {limit} is below 1"):
+                count_fillers(system, limit)
 
     def test_no_capability_raises(self):
         bare = CommutativeMonoid("bare", 0, lambda a, b: a + b)
@@ -465,17 +461,6 @@ class TestBruteForce:
                 res = brute_force_filler(K, p)
                 assert res.found
 
-    def test_simplex_target_fills_its_own_horn(self):
-        X = standard_simplex(3, 3)
-        top = next(x for x in X.level(3) if x.is_identity())
-        problem = HornProblem(X, 3, 1, {i: X.face(3, i, top) for i in range(4) if i != 1})
-        res = brute_force_filler(X, problem)
-        assert res.found
-        assert res.filler == top
-        data = certificate_json(problem, res)
-        jsonschema.validate(data, CERTIFICATE_SCHEMA)
-        assert data["witness"] == ["0123"]
-
     def test_iter_fillers_counts_multiplicity(self):
         K = em_space(boolean(), 2, 3)
         faces = {0: K.simplex(2, (1,)), 2: K.simplex(2, (1,)), 3: K.simplex(2, (1,))}
@@ -613,47 +598,37 @@ class TestSweeps:
         assert "FAIL" in report.summary()
 
 
-class TestSimplicialSetUniqueness:
-    def test_sphere_horn_with_two_fillers_is_not_unique(self):
-        # Lambda^1[2] -> S^2 with both faces at the basepoint is filled by
-        # the basepoint and by the cell 012, whose faces all collapse
-        report = sweep_quasicategory(sphere(2, 4), 4, check_unique=True)
+class TestFiniteMonoidSweep:
+    def test_boolean_sweep_is_not_unique_and_fails(self):
+        # Lambda^1[2] -> K(bool,2) has empty faces, so its one coordinate is free
+        report = sweep_quasicategory(em_space(boolean(), 2, 3), 3, check_unique=True)
         assert report.unique is False
         witness = report.nonunique_witness
         assert (witness.n, witness.k) == (2, 1)
-        assert witness.faces == {0: BASEPOINT, 2: BASEPOINT}
+        assert all(x.coords == () for x in witness.faces.values())
         fillers = iter_fillers(witness.target, witness)
-        assert [render_id(y) for y in fillers] == ["*", "012"]
-
-    def test_unique_sweep_scans_each_horn_once(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            horn_module, "validate_horn", lambda p: calls.append(p) or validate_horn(p)
-        )
-        report = sweep_quasicategory(sphere(2, 4), 4, check_unique=True)
-        assert len(calls) == report.instances == 3
-        assert not report.passed and report.unique is False
-        w = report.witness
-        assert (w.n, w.k) == (3, 1)
-        assert w.faces == {0: BASEPOINT, 2: BASEPOINT, 3: MonotoneMap((0, 1, 2), 2)}
-        note = "exhausted scan of all 4 level-3 candidates"
-        assert report.witness_result == FillerResult(
-            None, (CertStep("exhausted", None, note, None),), note
-        )
+        assert [y.coords for y in fillers] == [(0,), (1,)]
         assert report.summary() == (
-            "quasicategory sweep of S^2 up to dimension 4: FAIL "
-            "(3 horn instances, coordinate bound 3)\n"
-            "counterexample: Lambda^1[3] -> S^2\n"
-            "  face 0: [*]\n"
-            "  face 2: [*]\n"
-            "  face 3: [012]\n"
-            f"  exhausted: {note}\n"
+            "quasicategory sweep of K(bool,2) up to dimension 3: FAIL (3 horn instances)\n"
+            "counterexample: Lambda^1[3] -> K(bool,2)\n"
+            "  face 0: [0]\n"
+            "  face 2: [0]\n"
+            "  face 3: [1]\n"
+            "  assign: x(0012) = 0\n"
+            "  assign: x(0122) = 1\n"
+            "  contradiction: x(0112) + 1 = 0\n"
             "fillers NOT unique"
         )
 
-    def test_simplex_fillers_are_unique(self):
-        report = sweep_quasicategory(standard_simplex(2, 3), 3, check_unique=True)
-        assert report.passed and report.unique is True
+    def test_finite_monoid_reports_no_bound(self):
+        # every element is enumerated, so the default bound never applies
+        for report in (
+            sweep_quasicategory(em_space(boolean(), 2, 3), 3),
+            sweep_kan(em_space(cyclic(2), 1, 3), 3, bound=1),
+        ):
+            assert report.bound is None and report.to_json()["bound"] is None
+            assert "coordinate bound" not in report.summary()
+        assert sweep_quasicategory(em_space(nat(), 2, 3), 3, bound=2).bound == 2
 
 
 def table_z3():

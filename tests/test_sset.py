@@ -112,16 +112,6 @@ class TestSphere:
         S = sphere(2, 3)
         assert S.dump() == "0: *\n1: *\n2: * 012\n3: * 0012 0112 0122"
 
-    def test_target_interface(self):
-        # what the horn solvers call on a target besides face and degeneracy
-        S = sphere(2, 3)
-        x = MonotoneMap((0, 0, 1, 2), 2)
-        assert S.enumerate_level(3, bound=0) == list(S.level(3))
-        assert S.contains(3, x) and S.contains(3, BASEPOINT)
-        assert not S.contains(2, x)
-        assert S.encode(x) == ["0012"] and S.encode(BASEPOINT) == ["*"]
-
-
 class TestSimplicialIdentities:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_all_families_satisfy_identities(self, n):
