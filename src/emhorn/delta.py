@@ -63,9 +63,6 @@ class MonotoneMap:
             vals = tuple(int(ch) for ch in text)
         return cls(vals, cod)
 
-    def __call__(self, i: int) -> int:
-        return self.values[i]
-
     def __str__(self) -> str:
         if self.cod <= 9:
             return "".join(str(v) for v in self.values)
@@ -79,9 +76,6 @@ class MonotoneMap:
 
     def is_injective(self) -> bool:
         return all(a < b for a, b in zip(self.values, self.values[1:]))
-
-    def is_identity(self) -> bool:
-        return self.dom == self.cod and all(v == i for i, v in enumerate(self.values))
 
 
 def identity(n: int) -> MonotoneMap:

@@ -18,12 +18,12 @@ outright and substituted.  Either this chain ends in an unsolvable
 single-unknown equation, which is a human-readable certificate that no
 filler exists, or some coordinates are left unset.  Over a cancellative
 monoid (a group or the naturals) an equation with one unknown has at most
-one solution, and each shape is checked once to reach every coordinate in
-some row, so propagation alone decides; the one coordinate in no row, the
-normalized top coordinate at n = d (Dold-Kan), is free and set to the
-identity, as the constructive group filler leaves it.  Search runs only
-over finite monoids that are not groups.  Every filler is re-verified
-against the given faces before being reported.
+one solution, and ``_solve`` proves that propagation then refutes the horn
+or sets every coordinate, save at n = d, where the one coordinate lies in
+no equation and is set to the identity, as the constructive group filler
+leaves it.  So propagation alone decides, and search runs only over
+finite monoids that are not groups.  Every filler is re-verified against
+the given faces before being reported.
 
 Every horn maps into an ``EMSpace``; the exhaustive scan over its level
 sets (``iter_fillers``, ``brute_force_filler``) is kept as an oracle for
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
 from .em import EMSimplex, EMSpace
-from .monoid import CommutativeMonoid, Element, UndecidableError, int_group, nat, solve_value_all
+from .monoid import CommutativeMonoid, Element, UndecidableError, nat, solve_value_all
 
 
 @dataclass
@@ -126,7 +126,6 @@ class _HornShape(NamedTuple):
     given: tuple[int, ...]  # the given face indices, in order
     rows: tuple[tuple[int, int, tuple[int, ...]], ...]  # (face, gen_pos, vars)
     variables: tuple  # the level-n generators
-    complete: bool  # single-unknown rows reach every variable in some row
 
 
 def _horn_shape(K: EMSpace, n: int, k: int) -> _HornShape:
@@ -138,17 +137,8 @@ def _horn_shape(K: EMSpace, n: int, k: int) -> _HornShape:
         rows = tuple(
             (i, gen_pos, vs) for i in given for gen_pos, vs in enumerate(K.face_fibers(n, i))
         )
-        complete = _complete(rows, len(K.gens[n]))
-        shape = K._horn_shapes[n, k] = _HornShape(given, rows, tuple(K.gens[n]), complete)
+        shape = K._horn_shapes[n, k] = _HornShape(given, rows, tuple(K.gens[n]))
     return shape
-
-
-def _complete(rows: tuple, size: int) -> bool:
-    """Whether propagation reaches every variable that occurs in a row.
-    Over the integers each single-unknown row has one solution, so zero
-    right-hand sides trace the closure any cancellative monoid follows."""
-    reached = _propagate(rows, [0] * len(rows), size, int_group())[0]
-    return all(reached[v] is not None for _, _, vs in rows for v in vs)
 
 
 @dataclass
@@ -313,9 +303,8 @@ def _search_residual(system: ConstraintSystem, M: CommutativeMonoid, assignment:
     """Finish a propagated system over a finite monoid that is not a group
     by search over its elements.
 
-    Returns (solutions, count, note): at most ``limit`` completed
-    assignments (as lists) in canonical order, the fillers counted up to
-    ``limit``, and when there is none the exhaustion note.
+    Returns (solutions, note): at most ``limit`` completed assignments (as
+    lists) in canonical order, and when there is none the exhaustion note.
     """
     unassigned = [v for v, a in enumerate(assignment) if a is None]
     # per unknown, the (vars, rhs) of each equation it occurs in
@@ -324,20 +313,14 @@ def _search_residual(system: ConstraintSystem, M: CommutativeMonoid, assignment:
         for v in vs:
             if assignment[v] is None:
                 by_var[v].append((vs, r))
-
-    constrained = [v for v in unassigned if by_var[v]]
-    free = [v for v in unassigned if not by_var[v]]
     solutions = []
 
     def extend(pos: int, current: list) -> bool:
-        if pos == len(constrained):
+        if pos == len(unassigned):
             # each residual equation was checked when its last unknown was set
-            out = list(current)
-            for v in free:
-                out[v] = M.identity
-            solutions.append(out)
+            solutions.append(list(current))
             return len(solutions) >= limit
-        v = constrained[pos]
+        v = unassigned[pos]
         for value in M.elements:
             current[v] = value
             done = False
@@ -356,31 +339,47 @@ def _search_residual(system: ConstraintSystem, M: CommutativeMonoid, assignment:
 
     extend(0, list(assignment))
     if solutions:
-        # a coordinate in no equation takes every element in some filler
-        return solutions, limit if free and len(M.elements) > 1 else len(solutions), None
+        return solutions, None
     sizes = ", ".join(
-        f"x({system.shape.variables[v]}): {len(M.elements)} candidates" for v in constrained
+        f"x({system.shape.variables[v]}): {len(M.elements)} candidates" for v in unassigned
     )
-    return [], 0, f"search exhausted; {sizes or 'no residual candidates'}"
+    return [], f"search exhausted; {sizes}"
 
 
 def _solve(system: ConstraintSystem, limit: int):
-    """Propagate, then finish: a cancellative monoid by setting the free
-    coordinates to the identity, a finite monoid that is not a group by
-    search.
+    """Propagate, then finish a finite monoid that is not a group by search.
 
     Returns (solutions, steps, count, note): at most ``limit`` complete
     assignments; the raw propagation steps, ending in the contradiction
     when there is one; the number of fillers counted up to ``limit``,
-    which exceeds the solutions returned when some coordinate is left free;
-    and the note of a residual system found to have no solution, else None.
+    which exceeds the solutions returned at n = d; and the note of a
+    residual system found to have no solution, else None.
 
-    Over a cancellative monoid (a group or the naturals) a row with one
-    unknown has at most one solution, so propagation ends in a
-    contradiction or reaches every coordinate its shape's closure reaches,
-    which for a complete shape is every coordinate in some row.  The one
-    coordinate in no row, the normalized top coordinate at n = d
-    (Dold-Kan), is free.  An incomplete shape is refused, not searched.
+    Over a cancellative monoid (a group or the naturals) propagation
+    decides.  Write a level-n generator, a surjection s: [n] -> [d], as
+    its repeat set R = {p in 1..n : s(p) = s(p-1)}, which holds n - d
+    tokens.  Face i drops position i, so s occurs in face i's rows when
+    s(i) is repeated, and then:
+
+    - s is the sole source of its row exactly when i = 0 and 1 is in R,
+      or i = n and n is in R, or i and i+1 are both in R;
+    - otherwise its row holds s and the one s' whose token has moved
+      between positions i and i+1.
+
+    A row with one unknown has at most one solution, so unless it refutes
+    the horn, propagation assigns each sole source of a given face and
+    spreads along the token moves at the given faces 0 < i < n.  The
+    missing face k blocks only the move between k and k+1.  For n > d,
+    if the leftmost token of s sits at or left of k, it slides to
+    position 1, whose face 0 is given as k > 0; otherwise every token is
+    right of k, and the rightmost slides to position n, whose face n is
+    given as k < n.  So propagation refutes the horn or assigns every
+    coordinate, and the filler is unique.  For n = d the one generator,
+    the identity (R empty), lies in no row: every element fills, and the
+    identity is returned, as the constructive group filler leaves it.
+    A token at p puts s in the rows of faces p-1 and p, at most one of
+    them missing, so at n > d search, too, sets only coordinates that
+    some row constrains.
     """
     M = system.problem.target.monoid
     cancellative = M.is_group or M.is_free_natural
@@ -392,13 +391,12 @@ def _solve(system: ConstraintSystem, limit: int):
         return [], steps + [failed], 0, None
     if len(steps) == len(assignment):  # each step assigned one more variable
         return [assignment], steps, 1, None
-    if not cancellative:
-        solutions, count, note = _search_residual(system, M, assignment, limit)
-        return solutions, steps, count, note
-    if not shape.complete:
-        raise UndecidableError(f"propagation leaves {system.problem.describe()} open; undecidable here")
-    solution = [M.identity if a is None else a for a in assignment]
-    return [solution], steps, 1 if M.elements == (M.identity,) else limit, None
+    if assignment == [None]:  # n = d
+        count = min(limit, len(M.elements)) if M.is_finite else limit
+        return [[M.identity]], steps, count, None
+    assert not cancellative, "propagation left a cancellative horn open; this is a bug"
+    solutions, note = _search_residual(system, M, assignment, limit)
+    return solutions, steps, len(solutions), note
 
 
 def _filler(system: ConstraintSystem, solution) -> EMSimplex:
@@ -421,7 +419,8 @@ def solve_em(system: ConstraintSystem) -> FillerResult:
     values, ending in a contradiction when no filler exists; over a finite
     monoid that is not a group a failed search ends it in an ``exhausted``
     step.  Raises ``UndecidableError`` for a monoid with no solver
-    capability, or a cancellative system whose shape is not complete.
+    capability; over a cancellative monoid propagation always decides
+    (see ``_solve``).
     """
     solutions, steps, _, note = _solve(system, 1)
     return _result(system, solutions, steps, note)
@@ -518,10 +517,8 @@ class CounterexampleReport:
         for step in self.result.steps:
             if step.kind == "assign":
                 out.append(f"forced: x({step.variable}) = {M.render(step.value)}   [face {step.face}]")
-            elif step.kind == "contradiction":
+            else:  # the chain ends in its contradiction
                 out.append(f"required: {step.equation}: no solution in {M.name}   [face {step.face}]")
-            else:
-                out.append(step.equation)
         out.append("no filler exists")
         return out
 
@@ -759,6 +756,8 @@ def _sweep(
 ) -> SweepReport:
     if bound is not None and bound < 0:
         raise ValueError(f"coordinate bound {bound} is negative")
+    if not 0 <= max_dim <= target.dim_bound:
+        raise ValueError(f"sweep dimension {max_dim} outside truncation 0..{target.dim_bound}")
     if target.monoid.is_finite:
         bound = None  # every element is enumerated, so no bound applies
     mode = "quasicategory" if inner_only else "kan"
@@ -766,8 +765,7 @@ def _sweep(
     instances = 0
     unique: Optional[bool] = True if check_unique else None
     nonunique: Optional[HornProblem] = None
-    top = min(max_dim, target.dim_bound)
-    for n in range(1, top + 1):
+    for n in range(1, max_dim + 1):
         ks = range(1, n) if inner_only else range(n + 1)
         for k in ks:
             for problem in iter_compatible_horn_data(target, n, k, bound=bound):
@@ -799,6 +797,8 @@ def sweep_quasicategory(
     Over infinite coefficients the bound caps face coordinates, so a pass
     is bounded evidence, never a proof; a failure is a genuine witness.
     Over a finite monoid every element is enumerated and no bound applies.
+    A ``max_dim`` outside ``0..target.dim_bound``, like a negative bound,
+    raises ``ValueError`` before any horn is enumerated.
     """
     return _sweep(target, max_dim, bound, inner_only=True, check_unique=check_unique)
 
@@ -806,5 +806,6 @@ def sweep_quasicategory(
 def sweep_kan(
     target: EMSpace, max_dim: int, bound: Optional[int] = 3
 ) -> SweepReport:
-    """Like the inner sweep but covering outer horns as well."""
+    """Like the inner sweep but covering outer horns as well; ``max_dim``
+    and ``bound`` are refused in the same way."""
     return _sweep(target, max_dim, bound, inner_only=False)

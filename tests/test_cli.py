@@ -107,6 +107,22 @@ class TestFaces:
         assert code == 2
         assert "malformed simplex literal" in err
 
+    def test_trivial_target_level(self, capsys):
+        code, out, _ = run(capsys, "faces", "--n", "2", "--level", "2")
+        assert code == 0
+        assert out == (
+            "faces at level 2 of K(N,2):\n"
+            "d0: (trivial target level)\n"
+            "d1: (trivial target level)\n"
+            "d2: (trivial target level)\n"
+        )
+
+    def test_level_zero_exits_two(self, capsys):
+        for argv in (["--level", "0"], ["--simplex", "level:0 []"]):
+            code, out, err = run(capsys, "faces", *argv)
+            assert code == 2 and out == ""
+            assert err == "error: faces need a level in 1..4, got 0\n"
+
 
 class TestCheckHorn:
     def test_filler_with_verification_transcript(self, capsys):
@@ -127,6 +143,55 @@ class TestCheckHorn:
         assert code == 1
         assert "x(0112) + 3 = 1" in out
         assert "no filler exists" in out
+
+    def test_exhausted_search_transcript(self, capsys, tmp_path):
+        path = tmp_path / "sat2.json"
+        path.write_text(
+            '{"name": "sat2", "elements": ["0","1","2"], '
+            '"table": [["0","1","2"],["1","2","2"],["2","2","2"]]}'
+        )
+        code, out, _ = run(
+            capsys, "check-horn", "--monoid", f"table:{path}", "--n", "2",
+            "--horn", "3,0", "--faces", "1:[0]", "2:[2]", "3:[1]",
+        )
+        assert code == 1
+        assert out == (
+            "horn Lambda^0[3] -> K(sat2,2)\n"
+            "face 1: level:2 [0]  (012=0)\n"
+            "face 2: level:2 [2]  (012=2)\n"
+            "face 3: level:2 [1]  (012=1)\n"
+            "forced: x(0122) = 1   [face 3]\n"
+            "search exhausted; x(0012): 3 candidates, x(0112): 3 candidates\n"
+            "no filler exists\n"
+        )
+
+    def test_face_given_twice_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "check-horn", "--n", "2", "--horn", "3,1",
+            "--faces", "0:[1]", "0:[1]", "3:[1]",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: face 0 given twice\n"
+
+    def test_malformed_face_literal_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "check-horn", "--n", "2", "--horn", "3,1",
+            "--faces", "0:5", "2:[1]", "3:[1]",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: malformed face literal '0:5'; expected 'i:[v1,v2,...]'\n"
+
+    def test_table_elements_parse_by_name_or_index(self, capsys, tmp_path):
+        path = tmp_path / "ft.json"
+        path.write_text('{"name": "bool", "elements": ["f", "t"], "table": [["f", "t"], ["t", "t"]]}')
+        argv = ["check-horn", "--monoid", f"table:{path}", "--n", "1", "--horn", "2,1", "--faces"]
+        code, out, _ = run(capsys, *argv, "0:[1]", "2:[f]")
+        assert code == 0
+        assert "face 0: level:1 [t]  (01=t)\n" in out
+        assert "filler: level:2 [t,f]  (001=t, 011=f)\n" in out
+        code, out, err = run(capsys, *argv, "0:[5]", "2:[f]")
+        assert code == 2 and out == ""
+        assert err == "error: element index 5 out of range for bool\n"
 
     def test_json_certificate_validates(self, capsys):
         code, out, _ = run(
@@ -254,6 +319,19 @@ class TestSweep:
         )
         assert code == 0
         assert "fillers unique" in out
+
+    def test_bounded_integer_sweep(self, capsys):
+        # face data over Z are enumerated from -bound to bound
+        code, out, _ = run(
+            capsys, "sweep", "--monoid", "int", "--n", "1", "--dim", "3", "--bound", "1",
+            "--unique",
+        )
+        assert code == 0
+        assert out == (
+            "quasicategory sweep of K(Z,1) up to dimension 3: pass "
+            "(51 horn instances, coordinate bound 1)\n"
+            "fillers unique\n"
+        )
 
     def test_negative_bound_exits_two(self, capsys):
         # at --dim 1 there is no inner horn, so no level is ever enumerated

@@ -6,17 +6,17 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import emhorn.horn as horn_module
 from emhorn.em import EMSpace, em_space
 from emhorn.horn import (
     CERTIFICATE_SCHEMA,
     CertStep,
-    ConstraintSystem,
     Equation,
     FillerResult,
     HornProblem,
-    _complete,
+    _propagate,
     brute_force_filler,
     build_constraints,
     certificate_json,
@@ -69,6 +69,16 @@ class TestValidateHorn:
         faces = {i: K.simplex(2, (1,)) for i in (0, 1, 2, 3)}
         with pytest.raises(ValueError, match="needs faces"):
             validate_horn(HornProblem(K, 3, 1, faces))
+
+    def test_horn_outside_its_range_rejected(self):
+        K = em_space(nat(), 2, 3)
+        for n, k, faces, message in (
+            (0, 0, {}, "horns exist in dimension >= 1, got n=0"),
+            (3, 4, {}, "horn index 4 out of range for \\[3\\]"),
+            (4, 1, dict.fromkeys((0, 2, 3, 4), K.zero(3)), "dimension 4 exceeds truncation 3"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                validate_horn(HornProblem(K, n, k, faces))
 
     def test_wrong_level_rejected(self):
         K = em_space(nat(), 2, 3)
@@ -201,6 +211,14 @@ class TestSolveEM:
         # chain certificate: c is forced to 1 and then x + 1 = 0 fails
         assert res.steps[-1].kind == "contradiction"
 
+    def test_count_at_the_degree_level_is_the_monoid_size(self):
+        # at n = d every element fills the one coordinate
+        for M in (boolean(), cyclic(3), trivial()):
+            K = em_space(M, 2, 2)
+            system = build_constraints(K, HornProblem(K, 2, 1, {0: K.zero(1), 2: K.zero(1)}))
+            assert count_fillers(system, 5) == len(M.elements)
+            assert solve_em(system).filler == K.zero(2)
+
     @pytest.mark.parametrize("limit", [0, -1])
     def test_count_limit_below_one_is_refused(self, limit):
         K = em_space(nat(), 2, 3)
@@ -219,14 +237,14 @@ class TestSolveEM:
             solve_em(build_constraints(K, p))
 
 
-class TestCompleteness:
-    """Propagation decides every horn over a cancellative monoid: each
-    shape's single-unknown rows reach every coordinate in some row."""
+def _repeats(g):
+    """A surjection's repeat set: the positions p with g(p) = g(p-1)."""
+    return frozenset(p for p in range(1, len(g.values)) if g.values[p] == g.values[p - 1])
 
-    @staticmethod
-    def _parity_rows():
-        # every row keeps two unknowns; summing them gives 2(x0+x1+x2) = 3
-        return ((0, 0, (0, 1)), (2, 0, (1, 2)), (3, 0, (0, 2)))
+
+class TestCompleteness:
+    """Propagation decides every horn over a cancellative monoid; the
+    proof in ``_solve`` rests on the repeat-set form of the face rows."""
 
     def test_every_shape_of_the_naturals_is_complete(self):
         shapes = 0
@@ -234,25 +252,25 @@ class TestCompleteness:
             top = min(d + 5, 10)
             K = em_space(nat(), d, top)
             for n in range(1, top + 1):
+                index = {_repeats(g): v for v, g in enumerate(K.gens[n])}
+                for i in range(n + 1):
+                    row_of = {v: vs for vs in K.face_fibers(n, i) for v in vs}
+                    for v, g in enumerate(K.gens[n]):
+                        R = _repeats(g)
+                        if (i == 0 and 1 in R) or (i == n and n in R) or {i, i + 1} <= R:
+                            assert row_of[v] == (v,), (d, n, i, g)
+                        elif 0 < i < n and len(R & {i, i + 1}) == 1:
+                            moved = index[R ^ {i, i + 1}]
+                            assert row_of[v] == tuple(sorted((v, moved))), (d, n, i, g)
+                        else:
+                            assert v not in row_of, (d, n, i, g)
                 for k in range(n + 1):
-                    assert horn_module._horn_shape(K, n, k).complete, (d, n, k)
+                    shape = horn_module._horn_shape(K, n, k)
+                    rows = shape.rows
+                    reached = _propagate(rows, [0] * len(rows), len(shape.variables), int_group())[0]
+                    assert (None not in reached) == (n != d), (d, n, k)
                     shapes += 1
         assert shapes == 290
-
-    def test_completeness_check_rejects_the_parity_rows(self):
-        assert not _complete(self._parity_rows(), 3)
-        assert _complete(((0, 0, (0,)), (2, 0, (0, 1)), (3, 0, (1, 2))), 3)
-
-    def test_incomplete_shape_gives_no_verdict(self):
-        K, p = nat_horn(0, 0, 0)
-        real = build_constraints(K, p)
-        rows = self._parity_rows()
-        shape = real.shape._replace(rows=rows, complete=_complete(rows, 3))
-        system = ConstraintSystem(real.problem, shape, [1, 1, 1])
-        with pytest.raises(UndecidableError, match="undecidable here"):
-            solve_em(system)
-        with pytest.raises(UndecidableError, match="undecidable here"):
-            count_fillers(system)
 
     @pytest.mark.parametrize(
         "order, degree, top", [(2, 1, 4), (2, 2, 5), (2, 3, 5), (3, 2, 4)],
@@ -583,6 +601,20 @@ class TestSweeps:
         with pytest.raises(ValueError, match="coordinate bound -2 is negative"):
             sweep_kan(EMSpace(int_group(), 1, 1), 1, bound=-2)
 
+    def test_dimension_outside_the_truncation_is_refused(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a horn was enumerated")
+
+        monkeypatch.setattr(horn_module, "iter_compatible_horn_data", refuse)
+        for max_dim in (9, 3, -1):
+            message = f"sweep dimension {max_dim} outside truncation 0..2"
+            with pytest.raises(ValueError, match=message):
+                sweep_kan(em_space(cyclic(2), 2, 2), max_dim)
+            with pytest.raises(ValueError, match=message):
+                sweep_quasicategory(em_space(nat(), 2, 2), max_dim, bound=1)
+        report = sweep_kan(em_space(cyclic(2), 2, 2), 0)
+        assert report.passed and report.instances == 0
+
     def test_degenerate_dimensions_pass_trivially(self):
         K = em_space(trivial(), 2, 4)
         assert sweep_quasicategory(K, 4).passed
@@ -666,6 +698,45 @@ class TestSolverAgainstScan:
                         scanned = len(list(itertools.islice(iter_fillers(K, p), 2)))
                         assert count_fillers(system) == scanned, p
                         assert solve_em(system).found == brute_force_filler(K, p).found, p
+
+
+FACTORS = {
+    "1": trivial, "bool": boolean, "sat2": saturating_monoid, "max3": max_monoid,
+    "Z/2": lambda: cyclic(2),
+}
+
+
+def product(A, B):
+    """A x B as a table monoid, validated by ``from_table``."""
+    pairs = list(itertools.product(A.elements, B.elements))
+    names = {pair: f"({A.render(pair[0])},{B.render(pair[1])})" for pair in pairs}
+    table = [[names[A.op(a, c), B.op(b, e)] for c, e in pairs] for a, b in pairs]
+    return from_table(list(names.values()), table, f"{A.name}x{B.name}")
+
+
+@st.composite
+def product_horn_shapes(draw):
+    """A non-cancellative factor times another factor or the trivial
+    monoid, a degree 1-2 and a horn shape: up to level 4 over two
+    elements, level 3 otherwise."""
+    A = FACTORS[draw(st.sampled_from(["bool", "sat2", "max3"]))]()
+    B = FACTORS[draw(st.sampled_from(list(FACTORS)))]()
+    M = product(A, B)
+    n = draw(st.integers(1, 4 if len(M.elements) == 2 else 3))
+    return em_space(M, draw(st.integers(1, 2)), n), n, draw(st.integers(0, n))
+
+
+class TestProductMonoids:
+    """The filler count against the exhaustive scan over products of
+    monoids that are not cancellative, for every compatible horn."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(product_horn_shapes())
+    def test_counts_agree_with_the_scan(self, shape):
+        K, n, k = shape
+        for p in iter_compatible_horn_data(K, n, k):
+            scanned = len(list(iter_fillers(K, p)))
+            assert count_fillers(build_constraints(K, p), 2) == min(2, scanned), p
 
 
 def _reference_unique_sweep(K, max_dim, bound):
