@@ -16,7 +16,7 @@ from .delta import (
     enumerate_surjections,
     identity,
 )
-from .em import EMSimplex, EMSpace, NerveView, em_space, nerve_view
+from .em import EMSimplex, EMSpace, NerveView
 from .horn import (
     CERTIFICATE_SCHEMA,
     ConstraintSystem,

@@ -66,22 +66,18 @@ def horn_from_simplex(K: EMSpace, n: int, k: int, y: EMSimplex) -> HornProblem:
 def validate_horn(problem: HornProblem) -> tuple[bool, Optional[tuple[int, int]]]:
     """Check the data defines a map from the horn.
 
-    Malformed input (wrong face indices, wrong levels) raises ValueError.
+    Malformed input (a shape outside the truncation, wrong face indices,
+    wrong levels, coordinates that are not elements) raises ValueError.
     Returns (True, None) when all pairwise face compatibilities hold, else
     (False, (i, j)) with the first violating pair.
     """
     target, n, k = problem.target, problem.n, problem.k
-    if n < 1:
-        raise ValueError(f"horns exist in dimension >= 1, got n={n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"horn index {k} out of range for [{n}]")
+    _check_shape(target, n, k)
     expected = {i for i in range(n + 1) if i != k}
     if set(problem.faces) != expected:
         raise ValueError(
             f"horn needs faces {sorted(expected)}, got {sorted(problem.faces)}"
         )
-    if n > target.dim_bound:
-        raise ValueError(f"dimension {n} exceeds truncation {target.dim_bound}")
     for i, x in problem.faces.items():
         if not target.contains(n - 1, x):
             raise ValueError(f"face {i} is not a level-{n - 1} simplex of {target.name}")
@@ -93,6 +89,16 @@ def validate_horn(problem: HornProblem) -> tuple[bool, Optional[tuple[int, int]]
             if lhs != rhs:
                 return False, (i, j)
     return True, None
+
+
+def _check_shape(target: EMSpace, n: int, k: int) -> None:
+    """Refuse a horn shape Lambda^k[n] that has no horns in ``target``."""
+    if n < 1:
+        raise ValueError(f"horns exist in dimension >= 1, got n={n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"horn index {k} out of range for [{n}]")
+    if n > target.dim_bound:
+        raise ValueError(f"dimension {n} exceeds truncation {target.dim_bound}")
 
 
 def _require_target(target: EMSpace, problem: HornProblem) -> None:
@@ -392,7 +398,7 @@ def _solve(system: ConstraintSystem, limit: int):
     if len(steps) == len(assignment):  # each step assigned one more variable
         return [assignment], steps, 1, None
     if assignment == [None]:  # n = d
-        count = min(limit, len(M.elements)) if M.is_finite else limit
+        count = len(M.elements[:limit]) if M.is_finite else limit
         return [[M.identity]], steps, count, None
     assert not cancellative, "propagation left a cancellative horn open; this is a bug"
     solutions, note = _search_residual(system, M, assignment, limit)
@@ -645,7 +651,9 @@ def iter_compatible_horn_data(
     time; a projection onto the faces shared with earlier choices prunes the
     search, so only compatible tuples are ever completed.  For infinite
     coefficient monoids the candidate coordinates are capped at ``bound``.
+    A shape with no horns in ``target`` raises as ``validate_horn`` does.
     """
+    _check_shape(target, n, k)
     given = [i for i in range(n + 1) if i != k]
     candidates = target.enumerate_level(n - 1, bound=bound)
 
@@ -706,8 +714,9 @@ class SweepReport:
         lines = [head]
         if self.witness is not None:
             lines.append(f"counterexample: {self.witness.describe()}")
+            render = self.witness.target.monoid.render
             for i, x in sorted(self.witness.faces.items()):
-                entries = ", ".join(map(str, x.coords))
+                entries = ", ".join(map(render, x.coords))
                 lines.append(f"  face {i}: [{entries}]")
             for step in self.witness_result.steps:
                 lines.append(f"  {step.kind}: {step.equation}")

@@ -4,8 +4,8 @@ A monoid instance bundles its identity, its binary operation ``op`` (the
 given callable, called directly) and capability flags, plain attributes
 fixed at construction:
 
-- ``is_finite``: the full element tuple is available, so laws can be checked
-  exhaustively and equations solved by scanning.
+- ``is_finite``: the elements are available as a sequence, so laws can be
+  checked exhaustively and equations solved by scanning.
 - ``is_group``: an inverse operation is available.
 - ``is_free_natural``: the elements are non-negative Python integers under
   ``+``, so the solvers may compare and subtract them directly.  That is
@@ -37,7 +37,7 @@ class CommutativeMonoid:
         identity: Element,
         op: Callable[[Element, Element], Element],
         *,
-        elements: Optional[tuple[Element, ...]] = None,
+        elements: Optional[Sequence[Element]] = None,
         inverse: Optional[Callable[[Element], Element]] = None,
         free_natural: bool = False,
         integer_addition: bool = False,
@@ -52,9 +52,19 @@ class CommutativeMonoid:
         self.is_finite = elements is not None
         self.is_group = inverse is not None
         self.is_free_natural = free_natural
-        # True only when elements are plain integers under +.  No solver
-        # reads it; it is kept because the benchmark harness copies it.
+        # True only when elements are plain integers under +.
         self.integer_addition = integer_addition
+        # membership, fixed with the flags: one of the elements when finite,
+        # a non-negative int over N, an int over the integers; any other
+        # infinite monoid has no membership test and takes every value
+        if elements is not None:
+            self.is_element = elements.__contains__
+        elif free_natural:
+            self.is_element = lambda a: isinstance(a, int) and a >= 0
+        elif integer_addition:
+            self.is_element = lambda a: isinstance(a, int)
+        else:
+            self.is_element = lambda a: True
         self._render = render
         self._parse = parse
 
@@ -69,14 +79,23 @@ class CommutativeMonoid:
             raise UndecidableError(f"{self.name} is not a group; undecidable here")
         return self._inverse(a)
 
-    def sample(self, rng, hint: int = 10) -> Element:
+    def values(self, bound: Optional[int] = None) -> Sequence[Element]:
+        """The coefficients a coordinate ranges over: every element of a
+        finite monoid, else those of absolute value at most ``bound``."""
+        if bound is not None and bound < 0:
+            raise ValueError(f"coordinate bound {bound} is negative")
         if self.is_finite:
-            return rng.choice(self.elements)
+            return self.elements
+        if bound is None:
+            raise ValueError(f"{self.name} is infinite; a coordinate bound is required")
         if self.is_free_natural:
-            return rng.randrange(hint + 1)
+            return range(bound + 1)
         if self.is_group:
-            return rng.randrange(-hint, hint + 1)
-        raise UndecidableError(f"cannot sample from {self.name}; undecidable here")
+            return range(-bound, bound + 1)
+        raise UndecidableError(f"cannot enumerate {self.name}; undecidable here")
+
+    def sample(self, rng, hint: int = 10) -> Element:
+        return rng.choice(self.values(hint))
 
     def render(self, a: Element) -> str:
         return self._render(a) if self._render else str(a)
@@ -119,7 +138,7 @@ def cyclic(m: int) -> CommutativeMonoid:
         f"Z/{m}",
         0,
         lambda a, b: (a + b) % m,
-        elements=tuple(range(m)),
+        elements=range(m),
         inverse=lambda a: (-a) % m,
         parse=lambda s: int(s) % m,
     )

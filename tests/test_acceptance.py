@@ -15,7 +15,7 @@ import time
 import jsonschema
 import pytest
 
-from emhorn.em import em_space, nerve_view
+from emhorn.em import EMSpace, NerveView
 from emhorn.horn import (
     CERTIFICATE_SCHEMA,
     HornProblem,
@@ -42,7 +42,7 @@ def test_criterion_1_example_reproduction():
     assert [[render_id(x) for x in S.level(k)] for k in range(4)] == [
         ["*"], ["*"], ["*", "012"], ["*", "0012", "0112", "0122"],
     ]
-    K = em_space(nat(), 2, 3)
+    K = EMSpace(nat(), 2, 3)
     assert K.gen_names(2) == ["012"]
     assert K.gen_names(3) == ["0012", "0112", "0122"]
     rng = random.Random(20260810)
@@ -72,10 +72,10 @@ def test_criterion_2_no_filler_certificate():
 def test_criterion_3_group_kan_evidence():
     start = time.monotonic()
     for m in (2, 3):
-        K = em_space(cyclic(m), 2, 3)
+        K = EMSpace(cyclic(m), 2, 3)
         report = sweep_kan(K, 3)
         assert report.passed, report.summary()
-    KZ = em_space(int_group(), 2, 4)
+    KZ = EMSpace(int_group(), 2, 4)
     rng = random.Random(3)
     for idx in range(500):
         n = 3 if idx % 2 == 0 else 4
@@ -99,7 +99,7 @@ def test_criterion_3_group_kan_evidence():
 def test_criterion_4_nerve_quasicategory_evidence():
     start = time.monotonic()
     for M, bound in ((cyclic(4), None), (boolean(), None), (nat(), 5)):
-        N = em_space(M, 1, 4)
+        N = EMSpace(M, 1, 4)
         report = sweep_quasicategory(N, 4, bound=bound, check_unique=True)
         assert report.passed, report.summary()
         assert report.unique is True, report.summary()
@@ -110,7 +110,7 @@ def test_criterion_4_nerve_quasicategory_evidence():
 def test_criterion_5_oracle_equivalence():
     start = time.monotonic()
     for make in (lambda: cyclic(2), boolean, trivial):
-        K = em_space(make(), 2, 4)
+        K = EMSpace(make(), 2, 4)
         for k in range(4):
             for problem in iter_compatible_horn_data(K, 3, k):
                 fast = solve_em(build_constraints(K, problem)).found
@@ -138,23 +138,23 @@ def test_criterion_6_structural_suites():
     makers = [nat, int_group, lambda: cyclic(4), boolean, trivial]
     for make in makers:
         for n in range(4):
-            K = em_space(make(), n, 6)
+            K = EMSpace(make(), n, 6)
             rng = random.Random(n * 1009 + len(K.monoid.name))
             assert em_identity_violations(K, rng, per_level=200, hint=100) == []
             assert em_homomorphism_violations(K, rng, samples=40, hint=100) == []
     for n in range(4):
-        K = em_space(nat(), n, 8)
+        K = EMSpace(nat(), n, 8)
         for k in range(9):
             assert K.rank(k) == comb(k, n)
     # the worked example, bit for bit
-    K = em_space(nat(), 2, 3)
+    K = EMSpace(nat(), 2, 3)
     assert K.gen_names(2) == ["012"] and K.gen_names(3) == ["0012", "0112", "0122"]
     x = K.simplex(3, (4, 7, 9))
     assert [K.face(3, i, x).coords for i in range(4)] == [(4,), (11,), (16,), (9,)]
     # induced faces against the chain formulas on the nerve
     for make in (lambda: cyclic(4), boolean, trivial):
         M = make()
-        view = nerve_view(M, 4)
+        view = NerveView(M, 4)
         for k in range(1, 5):
             view.check_face_coincidence(itertools.product(M.elements, repeat=k))
     assert time.monotonic() - start < 10.0
@@ -164,7 +164,7 @@ def test_criterion_7_discreteness_and_degeneracy():
     start = time.monotonic()
     rng = random.Random(7)
     for M in (nat(), cyclic(4)):
-        K = em_space(M, 0, 4)
+        K = EMSpace(M, 0, 4)
         for k in range(5):
             for _ in range(25):
                 x = K.random_simplex(k, rng, 100)
@@ -174,10 +174,10 @@ def test_criterion_7_discreteness_and_degeneracy():
                     assert all(
                         K.degeneracy(k, j, x).coords == x.coords for j in range(k + 1)
                     )
-    P = em_space(trivial(), 2, 4)
+    P = EMSpace(trivial(), 2, 4)
     for k in range(5):
         assert P.enumerate_level(k) == [P.zero(k)]
-    assert sweep_quasicategory(em_space(nat(), 0, 3), 3, bound=3).passed
+    assert sweep_quasicategory(EMSpace(nat(), 0, 3), 3, bound=3).passed
     assert sweep_quasicategory(P, 4).passed
     assert time.monotonic() - start < 1.0
 

@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "compose",
     "count_fillers",
     "cyclic",
-    "em_space",
     "enumerate_monotone",
     "enumerate_surjections",
     "from_table",
@@ -37,7 +36,6 @@ PUBLIC_NAMES = [
     "load_table",
     "moore_filler",
     "nat",
-    "nerve_view",
     "quasicategory_counterexample",
     "simplicial_identity_violations",
     "solve_em",

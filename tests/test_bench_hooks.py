@@ -69,6 +69,16 @@ def test_operator_overrides_are_honoured():
     assert calls == {"face", "degeneracy", "face_fibers", "degeneracy_targets"}
 
 
+def test_spaces_built_before_the_module_name_is_patched_keep_working(monkeypatch):
+    # the benchmark swaps emhorn.em.EMSpace for a traced subclass while
+    # spaces built earlier, such as the paper's, are still in use
+    before = EMSpace(cyclic(3), 2, 3)
+    expected = _exercise(EMSpace(cyclic(3), 2, 3))
+    tracer = _harness().Tracer()
+    monkeypatch.setattr(em_module, "EMSpace", _harness().traced_space_class(tracer))
+    assert _exercise(before) == expected
+
+
 def test_cli_builds_spaces_through_em_module_name(monkeypatch, capsys):
     built = []
 

@@ -135,6 +135,22 @@ class TestCheckHorn:
         assert "verified: d0 -> [1] matches face 0" in out
         assert "verified: d3 -> [0] matches face 3" in out
 
+    def test_cyclic_monoid_of_huge_order_fills(self, capsys):
+        # the elements are a range, so none of them is ever built
+        code, out, _ = run(
+            capsys, "check-horn", "--monoid", "cyclic:1000000000000", "--n", "2",
+            "--horn", "3,1", "--faces", "0:[1]", "2:[999999999999]", "3:[0]",
+        )
+        assert code == 0
+        assert "filler: level:3 [1,999999999999,0]" in out
+        # past 2**63 elements a range has no len(); n = d counts without it
+        code, out, _ = run(
+            capsys, "check-horn", "--monoid", "cyclic:100000000000000000000", "--n", "2",
+            "--horn", "2,1", "--faces", "0:[]", "2:[]",
+        )
+        assert code == 0
+        assert "filler: level:2 [0]" in out
+
     def test_no_filler_exits_one(self, capsys):
         code, out, _ = run(
             capsys, "check-horn", "--monoid", "nat", "--n", "2",
@@ -303,6 +319,22 @@ class TestSweep:
         assert code == 1
         assert "FAIL" in out
         assert "counterexample: Lambda^" in out
+
+    def test_witness_faces_use_element_names(self, capsys, tmp_path):
+        path = tmp_path / "ft.json"
+        path.write_text('{"elements": ["f","t"], "table": [["f","t"],["t","t"]]}')
+        code, out, _ = run(
+            capsys, "sweep", "--kind", "kan", "--monoid", f"table:{path}",
+            "--n", "1", "--dim", "3",
+        )
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "counterexample: Lambda^0[2] -> K(table,1)",
+            "  face 1: [f]",
+            "  face 2: [t]",
+            "  assign: x(011) = t",
+            "  contradiction: x(001) + t = f",
+        ]
 
     def test_cyclic_kan_passes(self, capsys):
         code, out, _ = run(

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from emhorn.em import EMSimplex, em_space, nerve_view
+from emhorn.em import EMSimplex, EMSpace, NerveView
 from emhorn.horn import build_constraints, horn_from_simplex, solve_em
 from emhorn.monoid import boolean, cyclic, int_group, nat, trivial
 from support import (
@@ -17,7 +17,7 @@ from support import (
 
 @pytest.fixture
 def K_nat2():
-    return em_space(nat(), 2, 4)
+    return EMSpace(nat(), 2, 4)
 
 
 class TestConstruction:
@@ -31,22 +31,22 @@ class TestConstruction:
 
     def test_generator_counts(self):
         for n in range(4):
-            K = em_space(nat(), n, 8)
+            K = EMSpace(nat(), n, 8)
             for k in range(9):
                 assert K.rank(k) == comb(k, n)
 
     def test_degree_zero_single_generator_everywhere(self):
-        K = em_space(nat(), 0, 4)
+        K = EMSpace(nat(), 0, 4)
         assert all(K.rank(k) == 1 for k in range(5))
 
     def test_trivial_monoid_is_a_point(self):
-        K = em_space(trivial(), 2, 4)
+        K = EMSpace(trivial(), 2, 4)
         for k in range(5):
             assert K.enumerate_level(k) == [K.zero(k)]
 
     def test_enumeration_refuses_a_negative_bound(self, K_nat2):
         assert len(K_nat2.enumerate_level(3, bound=0)) == 1
-        for K in (K_nat2, em_space(int_group(), 1, 3), em_space(cyclic(2), 1, 3)):
+        for K in (K_nat2, EMSpace(int_group(), 1, 3), EMSpace(cyclic(2), 1, 3)):
             with pytest.raises(ValueError, match="coordinate bound -1 is negative"):
                 K.enumerate_level(2, bound=-1)
 
@@ -79,7 +79,7 @@ class TestFaces:
     def test_random_faces_against_composition_oracle(self):
         rng = random.Random(9)
         for M in (nat(), cyclic(4), boolean()):
-            K = em_space(M, 2, 4)
+            K = EMSpace(M, 2, 4)
             for k in (2, 3, 4):
                 for _ in range(25):
                     x = K.random_simplex(k, rng, 50)
@@ -138,13 +138,13 @@ class TestSimplicialIdentities:
     )
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_identities_on_random_simplices(self, make, n):
-        K = em_space(make(), n, 6)
+        K = EMSpace(make(), n, 6)
         rng = random.Random(hash((str(K.monoid.name), n)) % (2**32))
         assert em_identity_violations(K, rng, per_level=40) == []
 
     @pytest.mark.parametrize("make", [nat, lambda: cyclic(4), boolean])
     def test_operators_are_homomorphisms(self, make):
-        K = em_space(make(), 2, 5)
+        K = EMSpace(make(), 2, 5)
         rng = random.Random(11)
         assert em_homomorphism_violations(K, rng, samples=30) == []
 
@@ -153,7 +153,7 @@ class TestDegreeZero:
     def test_all_operators_are_the_identity(self):
         rng = random.Random(2)
         for M in (nat(), cyclic(4)):
-            K = em_space(M, 0, 5)
+            K = EMSpace(M, 0, 5)
             for k in range(6):
                 for _ in range(20):
                     x = K.random_simplex(k, rng, 100)
@@ -167,7 +167,7 @@ class TestDegreeZero:
 
 class TestNerveView:
     def test_level_two_faces_in_chain_form(self):
-        nv = nerve_view(nat(), 4)
+        nv = NerveView(nat(), 4)
         assert nv.space.gen_names(2) == ["001", "011"]
         x = nv.from_chain((5, 7))
         # coordinate at 001 is the second chain entry, at 011 the first
@@ -177,24 +177,24 @@ class TestNerveView:
         assert nv.space.face(2, 2, x) == nv.from_chain((5,))
 
     def test_level_counts_match_chains(self):
-        nv = nerve_view(cyclic(3), 5)
+        nv = NerveView(cyclic(3), 5)
         for k in range(6):
             assert nv.space.rank(k) == k
 
     def test_chain_roundtrip(self):
-        nv = nerve_view(int_group(), 4)
+        nv = NerveView(int_group(), 4)
         chain = (3, -1, 4, 1)
         assert nv.to_chain(nv.from_chain(chain)) == chain
 
     @pytest.mark.parametrize("make", [lambda: cyclic(4), boolean, trivial])
     def test_coincidence_exhaustive_finite(self, make):
         M = make()
-        nv = nerve_view(M, 4)
+        nv = NerveView(M, 4)
         for k in range(5):
             nv.check_face_coincidence(itertools.product(M.elements, repeat=k))
 
     def test_coincidence_sampled_nat(self):
-        nv = nerve_view(nat(), 4)
+        nv = NerveView(nat(), 4)
         rng = random.Random(4)
         chains = [
             tuple(rng.randrange(50) for _ in range(k)) for k in range(1, 5) for _ in range(50)
@@ -252,7 +252,7 @@ class TestSimplexWidth:
                 call()
 
     def test_neg_rejects_the_wrong_width(self):
-        K = em_space(int_group(), 2, 4)
+        K = EMSpace(int_group(), 2, 4)
         with pytest.raises(ValueError, match="level 3 of K\\(Z,2\\) has 3 coordinates, got 1"):
             K.neg(EMSimplex(3, (1,)))
         with pytest.raises(ValueError, match="outside truncation"):
@@ -272,7 +272,7 @@ class TestSimplexContract:
     def test_every_constructor_returns_the_named_type(self, K_nat2):
         rng = random.Random(5)
         x = K_nat2.simplex(3, (1, 0, 2))
-        K_int = em_space(int_group(), 2, 4)
+        K_int = EMSpace(int_group(), 2, 4)
         y = K_nat2.simplex(3, (2, 1, 4))
         filler = solve_em(build_constraints(K_nat2, horn_from_simplex(K_nat2, 3, 1, y))).filler
         results = [
@@ -325,7 +325,7 @@ class TestWideOperators:
 
     @pytest.mark.parametrize("make, degree", SPACES)
     def test_wide_faces_against_composition_oracle(self, make, degree):
-        K = em_space(make(), degree, 9)
+        K = EMSpace(make(), degree, 9)
         rng = random.Random(degree)
         for k in (7, 8, 9):
             for _ in range(3):
@@ -335,7 +335,7 @@ class TestWideOperators:
 
     @pytest.mark.parametrize("make, degree", SPACES)
     def test_every_degeneracy_against_composition_oracle(self, make, degree):
-        K = em_space(make(), degree, 9)
+        K = EMSpace(make(), degree, 9)
         rng = random.Random(10 + degree)
         for k in range(9):
             x = K.random_simplex(k, rng, 50)
@@ -344,7 +344,7 @@ class TestWideOperators:
 
     def test_every_face_fiber_has_one_or_two_sources(self):
         for degree in range(6):
-            K = em_space(nat(), degree, 8)
+            K = EMSpace(nat(), degree, 8)
             for k in range(1, 9):
                 for i in range(k + 1):
                     sizes = {len(fiber) for fiber in K.face_fibers(k, i)}

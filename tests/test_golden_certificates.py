@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from emhorn.em import em_space
+from emhorn.em import EMSpace
 from emhorn.horn import (
     build_constraints,
     certificate_json,
@@ -68,7 +68,7 @@ def _systems(family):
     for name, make, degree, top, bounds, per_shape in SAMPLED:
         if name != family:
             continue
-        K = em_space(make(), degree, top)
+        K = EMSpace(make(), degree, top)
         for n in range(1, top + 1):
             for k in range(n + 1):
                 horns = list(iter_compatible_horn_data(K, n, k, bound=bounds.get(n)))
@@ -76,7 +76,7 @@ def _systems(family):
                 for idx in picks:
                     yield f"{name} n={n} k={k} #{idx}", build_constraints(K, horns[idx])
     if family == "Zd3_simplex":
-        K = em_space(int_group(), 3, 5)
+        K = EMSpace(int_group(), 3, 5)
         for n in (4, 5):
             for k in range(n + 1):
                 for rep in range(4):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emhorn.horn as horn_module
-from emhorn.em import EMSpace, em_space
+from emhorn.em import EMSpace
 from emhorn.horn import (
     CERTIFICATE_SCHEMA,
     CertStep,
@@ -45,7 +45,7 @@ from support import equations_by_composition, random_compatible_horns
 
 
 def nat_horn(f0, f2, f3, k=1):
-    K = em_space(nat(), 2, 3)
+    K = EMSpace(nat(), 2, 3)
     faces = {0: K.simplex(2, (f0,)), 2: K.simplex(2, (f2,)), 3: K.simplex(2, (f3,))}
     if k != 1:
         raise ValueError("helper builds the inner horn missing face 1")
@@ -58,12 +58,12 @@ class TestValidateHorn:
         assert validate_horn(p) == (True, None)
 
     def test_nerve_horn_at_dimension_two(self):
-        N = em_space(nat(), 1, 3)
+        N = EMSpace(nat(), 1, 3)
         p = HornProblem(N, 2, 1, {0: N.simplex(1, (4,)), 2: N.simplex(1, (9,))})
         assert validate_horn(p) == (True, None)
 
     def test_missing_and_extra_faces_rejected(self):
-        K = em_space(nat(), 2, 3)
+        K = EMSpace(nat(), 2, 3)
         with pytest.raises(ValueError, match="needs faces"):
             validate_horn(HornProblem(K, 3, 1, {0: K.simplex(2, (1,))}))
         faces = {i: K.simplex(2, (1,)) for i in (0, 1, 2, 3)}
@@ -71,7 +71,7 @@ class TestValidateHorn:
             validate_horn(HornProblem(K, 3, 1, faces))
 
     def test_horn_outside_its_range_rejected(self):
-        K = em_space(nat(), 2, 3)
+        K = EMSpace(nat(), 2, 3)
         for n, k, faces, message in (
             (0, 0, {}, "horns exist in dimension >= 1, got n=0"),
             (3, 4, {}, "horn index 4 out of range for \\[3\\]"),
@@ -81,14 +81,43 @@ class TestValidateHorn:
                 validate_horn(HornProblem(K, n, k, faces))
 
     def test_wrong_level_rejected(self):
-        K = em_space(nat(), 2, 3)
+        K = EMSpace(nat(), 2, 3)
         faces = {0: K.simplex(3, (1, 1, 1)), 2: K.simplex(2, (1,)), 3: K.simplex(2, (1,))}
         with pytest.raises(ValueError, match="level"):
             validate_horn(HornProblem(K, 3, 1, faces))
 
+    @pytest.mark.parametrize(
+        "make, outside",
+        [(lambda: cyclic(2), 5), (boolean, 7), (nat, -2)],
+        ids=["Z/2", "bool", "N"],
+    )
+    def test_coordinates_outside_the_monoid_rejected(self, make, outside):
+        # the solver, the constructive filler and the certificate would
+        # otherwise each take the value as given
+        K = EMSpace(make(), 2, 3)
+        p = HornProblem(K, 3, 1, {0: K.simplex(2, (outside,)), 2: K.zero(2), 3: K.zero(2)})
+        message = f"face 0 is not a level-2 simplex of K\\({K.monoid.name},2\\)"
+        with pytest.raises(ValueError, match=message):
+            validate_horn(p)
+        with pytest.raises(ValueError, match=message):
+            build_constraints(K, p)
+        if K.monoid.is_group:
+            with pytest.raises(ValueError, match=message):
+                moore_filler(K, p)
+
+    def test_enumerator_refuses_shapes_outside_the_truncation(self):
+        K = EMSpace(cyclic(2), 2, 3)
+        for n, k, message in (
+            (0, 0, "horns exist in dimension >= 1, got n=0"),
+            (3, 5, "horn index 5 out of range for \\[3\\]"),
+            (4, 1, "dimension 4 exceeds truncation 3"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                next(iter_compatible_horn_data(K, n, k))
+
     def test_incompatible_em_faces_found(self):
         # at dimension 4 the faces meet in level 2, so mismatches are visible
-        K = em_space(nat(), 2, 4)
+        K = EMSpace(nat(), 2, 4)
         rng = random.Random(0)
         y = K.random_simplex(4, rng, 5)
         p = horn_from_simplex(K, 4, 2, y)
@@ -108,14 +137,14 @@ class TestBuildConstraints:
         assert got == [(0, (0,), 7), (2, (1, 2), 1), (3, (2,), 3)]
 
     def test_inner_horn_missing_two(self):
-        K = em_space(nat(), 2, 3)
+        K = EMSpace(nat(), 2, 3)
         faces = {0: K.simplex(2, (7,)), 1: K.simplex(2, (9,)), 3: K.simplex(2, (2,))}
         sys_ = build_constraints(K, HornProblem(K, 3, 2, faces))
         got = [(eq.face, eq.vars, eq.rhs) for eq in sys_.equations]
         assert got == [(0, (0,), 7), (1, (0, 1), 9), (3, (2,), 2)]
 
     def test_degree_two_horn_at_dimension_two_is_empty(self):
-        K = em_space(nat(), 2, 3)
+        K = EMSpace(nat(), 2, 3)
         p = HornProblem(K, 2, 1, {0: K.zero(1), 2: K.zero(1)})
         sys_ = build_constraints(K, p)
         assert sys_.equations == []
@@ -125,13 +154,13 @@ class TestBuildConstraints:
         # over the integers this horn has the filler (0, -2, 3); over the
         # naturals, where its faces live, it has none
         K, p = nat_horn(0, 1, 3)
-        Z = em_space(int_group(), 2, 3)
+        Z = EMSpace(int_group(), 2, 3)
         refused = "the horn maps into K\\(N,2\\), not the given K\\({},2\\)"
         for call in (build_constraints, moore_filler, brute_force_filler, iter_fillers):
             with pytest.raises(ValueError, match=refused.format("Z")):
                 list(call(Z, p)) if call is iter_fillers else call(Z, p)
         with pytest.raises(ValueError, match=refused.format("N")):
-            build_constraints(em_space(nat(), 2, 3), p)
+            build_constraints(EMSpace(nat(), 2, 3), p)
         assert not solve_em(build_constraints(K, p)).found
 
 
@@ -154,7 +183,7 @@ class TestSolveEM:
         assert res.filler.coords == (2, 4, 1)
 
     def test_integers_always_fill(self):
-        K = em_space(int_group(), 2, 3)
+        K = EMSpace(int_group(), 2, 3)
         faces = {0: K.simplex(2, (0,)), 2: K.simplex(2, (1,)), 3: K.simplex(2, (3,))}
         res = solve_em(build_constraints(K, HornProblem(K, 3, 1, faces)))
         assert res.found
@@ -164,7 +193,7 @@ class TestSolveEM:
         # the faces live in a trivial level, so there are no equations and
         # the identity simplex fills; this must not be a special-cased error
         for degree in (2, 3):
-            K = em_space(int_group(), degree, degree)
+            K = EMSpace(int_group(), degree, degree)
             p = HornProblem(
                 K, degree, 1,
                 {i: K.zero(degree - 1) for i in range(degree + 1) if i != 1},
@@ -176,7 +205,7 @@ class TestSolveEM:
     def test_boolean_requires_search_not_first_guess(self):
         # 1 + x = 1 has two solutions; committing to the first would miss
         # the filler that the remaining equations need
-        N = em_space(boolean(), 1, 4)
+        N = EMSpace(boolean(), 1, 4)
         p = HornProblem(
             N,
             3,
@@ -195,7 +224,7 @@ class TestSolveEM:
 
     def test_filler_reverifies_against_faces(self):
         rng = random.Random(6)
-        K = em_space(cyclic(5), 2, 4)
+        K = EMSpace(cyclic(5), 2, 4)
         for n in (3, 4):
             for p in random_compatible_horns(K, n, 1, rng, 20):
                 res = solve_em(build_constraints(K, p))
@@ -204,7 +233,7 @@ class TestSolveEM:
                     assert K.face(n, i, res.filler) == x
 
     def test_exhausted_search_records_note(self):
-        K = em_space(boolean(), 2, 3)
+        K = EMSpace(boolean(), 2, 3)
         faces = {0: K.simplex(2, (1,)), 2: K.simplex(2, (0,)), 3: K.simplex(2, (1,))}
         res = solve_em(build_constraints(K, HornProblem(K, 3, 1, faces)))
         assert not res.found
@@ -214,16 +243,16 @@ class TestSolveEM:
     def test_count_at_the_degree_level_is_the_monoid_size(self):
         # at n = d every element fills the one coordinate
         for M in (boolean(), cyclic(3), trivial()):
-            K = em_space(M, 2, 2)
+            K = EMSpace(M, 2, 2)
             system = build_constraints(K, HornProblem(K, 2, 1, {0: K.zero(1), 2: K.zero(1)}))
             assert count_fillers(system, 5) == len(M.elements)
             assert solve_em(system).filler == K.zero(2)
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_count_limit_below_one_is_refused(self, limit):
-        K = em_space(nat(), 2, 3)
+        K = EMSpace(nat(), 2, 3)
         p = HornProblem(K, 2, 1, {0: K.simplex(1, ()), 2: K.simplex(1, ())})
-        B = em_space(boolean(), 2, 3)
+        B = EMSpace(boolean(), 2, 3)
         q = HornProblem(B, 3, 1, {i: B.simplex(2, (1,)) for i in (0, 2, 3)})
         for system in (build_constraints(K, p), build_constraints(B, q)):
             with pytest.raises(ValueError, match=f"filler count limit {limit} is below 1"):
@@ -231,7 +260,7 @@ class TestSolveEM:
 
     def test_no_capability_raises(self):
         bare = CommutativeMonoid("bare", 0, lambda a, b: a + b)
-        K = em_space(bare, 2, 3)
+        K = EMSpace(bare, 2, 3)
         p = HornProblem(K, 3, 1, {i: K.zero(2) for i in (0, 2, 3)})
         with pytest.raises(UndecidableError, match="undecidable here"):
             solve_em(build_constraints(K, p))
@@ -250,7 +279,7 @@ class TestCompleteness:
         shapes = 0
         for d in range(1, 7):
             top = min(d + 5, 10)
-            K = em_space(nat(), d, top)
+            K = EMSpace(nat(), d, top)
             for n in range(1, top + 1):
                 index = {_repeats(g): v for v, g in enumerate(K.gens[n])}
                 for i in range(n + 1):
@@ -279,7 +308,7 @@ class TestCompleteness:
     def test_finite_group_horns_match_simplices(self, order, degree, top):
         # above level d every group horn has exactly one filler, so the
         # compatible data are the level-n simplices, |G|^C(n,d) of them
-        K = em_space(cyclic(order), degree, top)
+        K = EMSpace(cyclic(order), degree, top)
         for n in range(degree + 1, top + 1):
             for k in range(n + 1):
                 data = sum(1 for _ in iter_compatible_horn_data(K, n, k))
@@ -290,7 +319,7 @@ class TestOtherInnerHorn:
     def test_missing_two_also_fails_over_naturals(self):
         # empirical: the equations are a = f0, a + b = f1, c = f3, so the
         # same order obstruction appears whenever f0 exceeds f1
-        K = em_space(nat(), 2, 3)
+        K = EMSpace(nat(), 2, 3)
         for f0, f1, f3 in itertools.product(range(4), repeat=3):
             faces = {
                 0: K.simplex(2, (f0,)),
@@ -304,7 +333,7 @@ class TestOtherInnerHorn:
 
 class TestMonotonicityWitness:
     def test_filler_exists_iff_last_face_at_most_middle(self):
-        K = em_space(nat(), 2, 3)
+        K = EMSpace(nat(), 2, 3)
         for f0 in range(7):
             for f2 in range(7):
                 for f3 in range(7):
@@ -331,7 +360,7 @@ def rationals():
 
 class TestMooreFiller:
     def test_matches_solver_on_integers(self):
-        K = em_space(int_group(), 2, 3)
+        K = EMSpace(int_group(), 2, 3)
         faces = {0: K.simplex(2, (0,)), 2: K.simplex(2, (1,)), 3: K.simplex(2, (3,))}
         p = HornProblem(K, 3, 1, faces)
         res = moore_filler(K, p)
@@ -341,7 +370,7 @@ class TestMooreFiller:
         assert solved.found and solved.filler.coords == (0, -2, 3)
 
     def test_exhaustive_mod_two_all_horns(self):
-        K = em_space(cyclic(2), 2, 3)
+        K = EMSpace(cyclic(2), 2, 3)
         for k in range(4):
             indices = [i for i in range(4) if i != k]
             for vals in itertools.product((0, 1), repeat=3):
@@ -353,7 +382,7 @@ class TestMooreFiller:
 
     def test_outer_horns_over_cyclic_six(self):
         rng = random.Random(12)
-        K = em_space(cyclic(6), 2, 4)
+        K = EMSpace(cyclic(6), 2, 4)
         for n in (3, 4):
             for k in (0, n):
                 for p in random_compatible_horns(K, n, k, rng, 25):
@@ -365,7 +394,7 @@ class TestMooreFiller:
         # which no face sees and both leave at the identity
         rng = random.Random(99)
         for degree in (2, 3):
-            K = em_space(int_group(), degree, 5)
+            K = EMSpace(int_group(), degree, 5)
             for n in range(max(2, degree), 6):
                 for _ in range(10):
                     k = rng.randrange(n + 1)
@@ -382,14 +411,14 @@ class TestMooreFiller:
 
     def test_agrees_with_brute_force_small_groups(self):
         for M in (cyclic(2), cyclic(3)):
-            K = em_space(M, 2, 3)
+            K = EMSpace(M, 2, 3)
             for k in range(4):
                 for p in iter_compatible_horn_data(K, 3, k):
                     assert moore_filler(K, p).found
                     assert brute_force_filler(K, p).found
 
     def test_group_outside_the_builtins_is_filled(self):
-        K = em_space(rationals(), 2, 3)
+        K = EMSpace(rationals(), 2, 3)
         system = build_constraints(K, HornProblem(K, 2, 1, {0: K.zero(1), 2: K.zero(1)}))
         res = solve_em(system)
         assert res.found and res.filler == K.zero(2)
@@ -403,7 +432,7 @@ class TestMooreFiller:
             moore_filler(K, p)
 
     def test_rejects_incompatible_data(self):
-        K = em_space(int_group(), 2, 4)
+        K = EMSpace(int_group(), 2, 4)
         rng = random.Random(1)
         p = horn_from_simplex(K, 4, 1, K.random_simplex(4, rng, 5))
         broken = dict(p.faces)
@@ -429,7 +458,7 @@ class TestGroupBranch:
         # zero elsewhere; at n = m the identity simplex is returned
         rng = random.Random(7)
         for degree in (1, 2, 3):
-            K = em_space(make(), degree, 4)
+            K = EMSpace(make(), degree, 4)
             for n in range(max(2, degree), 5):
                 for k in range(n + 1):
                     y = K.simplex(n, tuple(element(rng) for _ in K.gens[n]))
@@ -443,7 +472,7 @@ class TestGroupBranch:
         # the branch adds no step and no note of its own, and the
         # certificate stays in the documented layout
         rng = random.Random(9)
-        K = em_space(int_group(), 2, 4)
+        K = EMSpace(int_group(), 2, 4)
         for n in (2, 3, 4):
             for k in range(n + 1):
                 for p in random_compatible_horns(K, n, k, rng, 4):
@@ -455,7 +484,7 @@ class TestGroupBranch:
     def test_incompatible_group_data_is_refused_before_solving(self):
         # the constructive filler reads only the faces, so compatibility is
         # checked when the system is built
-        K = em_space(int_group(), 2, 4)
+        K = EMSpace(int_group(), 2, 4)
         p = horn_from_simplex(K, 4, 2, K.random_simplex(4, random.Random(3), 5))
         broken = dict(p.faces)
         broken[0] = K.add(broken[0], K.simplex(3, (1, 0, 0)))
@@ -465,14 +494,14 @@ class TestGroupBranch:
 
 class TestBruteForce:
     def test_boolean_counterexample_by_scan(self):
-        K = em_space(boolean(), 2, 3)
+        K = EMSpace(boolean(), 2, 3)
         faces = {0: K.simplex(2, (1,)), 2: K.simplex(2, (0,)), 3: K.simplex(2, (1,))}
         res = brute_force_filler(K, HornProblem(K, 3, 1, faces))
         assert not res.found
         assert "8" in res.note  # the whole level was scanned
 
     def test_trivial_monoid_always_fills(self):
-        K = em_space(trivial(), 2, 4)
+        K = EMSpace(trivial(), 2, 4)
         for n in (2, 3, 4):
             for k in range(n + 1):
                 p = HornProblem(K, n, k, {i: K.zero(n - 1) for i in range(n + 1) if i != k})
@@ -480,7 +509,7 @@ class TestBruteForce:
                 assert res.found
 
     def test_iter_fillers_counts_multiplicity(self):
-        K = em_space(boolean(), 2, 3)
+        K = EMSpace(boolean(), 2, 3)
         faces = {0: K.simplex(2, (1,)), 2: K.simplex(2, (1,)), 3: K.simplex(2, (1,))}
         p = HornProblem(K, 3, 1, faces)
         fillers = list(iter_fillers(K, p))
@@ -491,7 +520,7 @@ class TestBruteForce:
 class TestOracleAgreement:
     @pytest.mark.parametrize("make", [lambda: cyclic(2), boolean, trivial])
     def test_exhaustive_dimension_three(self, make):
-        K = em_space(make(), 2, 3)
+        K = EMSpace(make(), 2, 3)
         for k in range(4):
             for p in iter_compatible_horn_data(K, 3, k):
                 fast = solve_em(build_constraints(K, p)).found
@@ -499,7 +528,7 @@ class TestOracleAgreement:
                 assert fast == slow
 
     def test_enumerator_matches_product_filter(self):
-        K = em_space(cyclic(2), 2, 3)
+        K = EMSpace(cyclic(2), 2, 3)
         got = {
             tuple(sorted((i, x.coords) for i, x in p.faces.items()))
             for p in iter_compatible_horn_data(K, 3, 1)
@@ -514,7 +543,7 @@ class TestOracleAgreement:
 
     def test_enumerator_matches_filter_with_real_compatibility(self):
         # dimension 4 over the nerve: pair conditions actually bite
-        N = em_space(cyclic(2), 1, 4)
+        N = EMSpace(cyclic(2), 1, 4)
         got = [p for p in iter_compatible_horn_data(N, 4, 1)]
         for p in got:
             assert validate_horn(p) == (True, None)
@@ -541,7 +570,7 @@ class TestCounterexampleReport:
         assert "no filler exists" in text
 
     def test_contrast_run_over_the_integers(self):
-        K = em_space(int_group(), 2, 3)
+        K = EMSpace(int_group(), 2, 3)
         f0 = 17
         faces = {0: K.simplex(2, (f0,)), 2: K.simplex(2, (1,)), 3: K.simplex(2, (3,))}
         res = solve_em(build_constraints(K, HornProblem(K, 3, 1, faces)))
@@ -562,7 +591,7 @@ class TestCounterexampleReport:
 
 class TestSweeps:
     def test_naturals_fail_with_inner_witness(self):
-        K = em_space(nat(), 2, 3)
+        K = EMSpace(nat(), 2, 3)
         report = sweep_quasicategory(K, 3, bound=3)
         assert not report.passed
         assert report.witness.n == 3 and report.witness.k in (1, 2)
@@ -572,32 +601,32 @@ class TestSweeps:
 
     def test_kan_passes_for_small_cyclic_groups(self):
         for m in (2, 3):
-            K = em_space(cyclic(m), 2, 3)
+            K = EMSpace(cyclic(m), 2, 3)
             report = sweep_kan(K, 3)
             assert report.passed
             assert report.instances > 0
 
     def test_kan_passes_mod_two_at_dimension_four(self):
-        K = em_space(cyclic(2), 2, 4)
+        K = EMSpace(cyclic(2), 2, 4)
         report = sweep_kan(K, 4)
         assert report.passed
         assert report.instances > 0
 
     def test_nerve_sweeps_pass_with_unique_fillers(self):
         for M, bound in ((cyclic(4), None), (boolean(), None), (nat(), 5)):
-            N = em_space(M, 1, 4)
+            N = EMSpace(M, 1, 4)
             report = sweep_quasicategory(N, 4, bound=bound, check_unique=True)
             assert report.passed
             assert report.unique is True
 
     def test_negative_bound_is_refused(self):
         with pytest.raises(ValueError, match="coordinate bound -1 is negative"):
-            sweep_quasicategory(em_space(nat(), 2, 3), 3, bound=-1)
+            sweep_quasicategory(EMSpace(nat(), 2, 3), 3, bound=-1)
         with pytest.raises(ValueError, match="coordinate bound -2 is negative"):
-            sweep_kan(em_space(int_group(), 1, 3), 3, bound=-2)
+            sweep_kan(EMSpace(int_group(), 1, 3), 3, bound=-2)
         # refused up front, also where no level would be enumerated
         with pytest.raises(ValueError, match="coordinate bound -1 is negative"):
-            sweep_quasicategory(em_space(nat(), 2, 1), 1, bound=-1)
+            sweep_quasicategory(EMSpace(nat(), 2, 1), 1, bound=-1)
         with pytest.raises(ValueError, match="coordinate bound -2 is negative"):
             sweep_kan(EMSpace(int_group(), 1, 1), 1, bound=-2)
 
@@ -609,20 +638,20 @@ class TestSweeps:
         for max_dim in (9, 3, -1):
             message = f"sweep dimension {max_dim} outside truncation 0..2"
             with pytest.raises(ValueError, match=message):
-                sweep_kan(em_space(cyclic(2), 2, 2), max_dim)
+                sweep_kan(EMSpace(cyclic(2), 2, 2), max_dim)
             with pytest.raises(ValueError, match=message):
-                sweep_quasicategory(em_space(nat(), 2, 2), max_dim, bound=1)
-        report = sweep_kan(em_space(cyclic(2), 2, 2), 0)
+                sweep_quasicategory(EMSpace(nat(), 2, 2), max_dim, bound=1)
+        report = sweep_kan(EMSpace(cyclic(2), 2, 2), 0)
         assert report.passed and report.instances == 0
 
     def test_degenerate_dimensions_pass_trivially(self):
-        K = em_space(trivial(), 2, 4)
+        K = EMSpace(trivial(), 2, 4)
         assert sweep_quasicategory(K, 4).passed
-        K0 = em_space(nat(), 0, 3)
+        K0 = EMSpace(nat(), 0, 3)
         assert sweep_quasicategory(K0, 3, bound=3).passed
 
     def test_report_json_shape(self):
-        K = em_space(nat(), 2, 3)
+        K = EMSpace(nat(), 2, 3)
         report = sweep_quasicategory(K, 3, bound=2)
         data = report.to_json()
         assert data["pass"] is False
@@ -633,7 +662,7 @@ class TestSweeps:
 class TestFiniteMonoidSweep:
     def test_boolean_sweep_is_not_unique_and_fails(self):
         # Lambda^1[2] -> K(bool,2) has empty faces, so its one coordinate is free
-        report = sweep_quasicategory(em_space(boolean(), 2, 3), 3, check_unique=True)
+        report = sweep_quasicategory(EMSpace(boolean(), 2, 3), 3, check_unique=True)
         assert report.unique is False
         witness = report.nonunique_witness
         assert (witness.n, witness.k) == (2, 1)
@@ -655,12 +684,12 @@ class TestFiniteMonoidSweep:
     def test_finite_monoid_reports_no_bound(self):
         # every element is enumerated, so the default bound never applies
         for report in (
-            sweep_quasicategory(em_space(boolean(), 2, 3), 3),
-            sweep_kan(em_space(cyclic(2), 1, 3), 3, bound=1),
+            sweep_quasicategory(EMSpace(boolean(), 2, 3), 3),
+            sweep_kan(EMSpace(cyclic(2), 1, 3), 3, bound=1),
         ):
             assert report.bound is None and report.to_json()["bound"] is None
             assert "coordinate bound" not in report.summary()
-        assert sweep_quasicategory(em_space(nat(), 2, 3), 3, bound=2).bound == 2
+        assert sweep_quasicategory(EMSpace(nat(), 2, 3), 3, bound=2).bound == 2
 
 
 def table_z3():
@@ -689,7 +718,7 @@ class TestSolverAgainstScan:
     def test_counts_and_verdicts_agree(self, make):
         rng = random.Random(2006)
         for degree in (1, 2, 3):
-            K = em_space(make(), degree, 4)
+            K = EMSpace(make(), degree, 4)
             for n in range(1, 5):
                 for k in range(n + 1):
                     horns = list(iter_compatible_horn_data(K, n, k))
@@ -723,7 +752,7 @@ def product_horn_shapes(draw):
     B = FACTORS[draw(st.sampled_from(list(FACTORS)))]()
     M = product(A, B)
     n = draw(st.integers(1, 4 if len(M.elements) == 2 else 3))
-    return em_space(M, draw(st.integers(1, 2)), n), n, draw(st.integers(0, n))
+    return EMSpace(M, draw(st.integers(1, 2)), n), n, draw(st.integers(0, n))
 
 
 class TestProductMonoids:
@@ -771,13 +800,13 @@ class TestSweepRules:
 
     def test_passing_sweep_validates_nothing(self, monkeypatch):
         calls = self._count_validations(monkeypatch)
-        report = sweep_kan(em_space(cyclic(2), 2, 3), 3)
+        report = sweep_kan(EMSpace(cyclic(2), 2, 3), 3)
         assert report.passed and report.instances > 0
         assert calls == []
 
     def test_failing_sweep_validates_its_witness_once(self, monkeypatch):
         calls = self._count_validations(monkeypatch)
-        report = sweep_quasicategory(em_space(nat(), 2, 3), 3, bound=2)
+        report = sweep_quasicategory(EMSpace(nat(), 2, 3), 3, bound=2)
         assert calls == [report.witness]
         assert not report.passed and report.instances == 3
         w = report.witness
@@ -794,7 +823,7 @@ class TestSweepRules:
         )
 
     def test_incompatible_horn_still_raises(self, monkeypatch):
-        K = em_space(cyclic(2), 1, 3)
+        K = EMSpace(cyclic(2), 1, 3)
         good = horn_from_simplex(K, 3, 1, K.simplex(3, (1, 0, 1)))
         bad = HornProblem(K, 3, 1, dict(good.faces))
         bad.faces[0] = K.add(bad.faces[0], K.simplex(2, (1, 0)))
@@ -814,7 +843,7 @@ class TestSweepRules:
              "trivial group branch"],
     )
     def test_unique_sweep_matches_public_calls(self, monkeypatch, make, degree, max_dim, bound):
-        K = em_space(make(), degree, max_dim)
+        K = EMSpace(make(), degree, max_dim)
         expected = _reference_unique_sweep(K, max_dim, bound)
         runs = []
         solve = horn_module._solve
@@ -876,7 +905,7 @@ class TestHornShapes:
         return HornProblem(K, 3, 1, faces)
 
     def test_systems_of_one_shape_keep_their_own_equations(self):
-        K = em_space(nat(), 2, 3)
+        K = EMSpace(nat(), 2, 3)
         a = build_constraints(K, self._horn(K, 7, 1, 3))
         b = build_constraints(K, self._horn(K, 2, 5, 4))
         assert a.shape is b.shape
@@ -896,7 +925,7 @@ class TestHornShapes:
     )
     def test_equations_match_the_defining_formula(self, make, bound):
         for degree in (1, 2, 3):
-            K = em_space(make(), degree, 4)
+            K = EMSpace(make(), degree, 4)
             for n in range(1, 5):
                 for k in range(n + 1):
                     for p in iter_compatible_horn_data(K, n, k, bound=bound):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from emhorn.monoid import (
+    CommutativeMonoid,
     UndecidableError,
     boolean,
     cyclic,
@@ -48,6 +49,12 @@ class TestInstances:
         for text in ("banana", "-99", "1", ""):
             with pytest.raises(ValueError, match="not 0"):
                 T.parse_element(text)
+
+    def test_cyclic_elements_are_a_range(self):
+        C = cyclic(10**18)
+        assert C.elements == range(10**18) and C.values() is C.elements
+        assert C.is_element(10**18 - 1) and not C.is_element(10**18)
+        assert not C.is_element(-1)
 
     def test_finite_laws_exhaustive(self):
         for M in (cyclic(1), cyclic(2), cyclic(5), trivial(), boolean()):
@@ -231,3 +238,44 @@ class TestSolveValueAll:
         free_no_caps.is_free_natural = False
         with pytest.raises(UndecidableError, match="undecidable here"):
             solve_value_all(free_no_caps, 1, 2)
+
+
+class TestValues:
+    """``values`` is the one coefficient domain: enumeration and sampling
+    both read it."""
+
+    def test_each_capability_in_order(self):
+        assert nat().values(2) == range(3)
+        assert int_group().values(2) == range(-2, 3)
+        assert boolean().values() == boolean().values(1) == (0, 1)
+        for M in (nat(), int_group()):
+            with pytest.raises(ValueError, match="is infinite; a coordinate bound is required"):
+                M.values()
+        bare = CommutativeMonoid("bare", 0, lambda a, b: a + b)
+        with pytest.raises(UndecidableError):
+            bare.values(3)
+
+    def test_a_negative_bound_is_refused_everywhere(self):
+        bare = CommutativeMonoid("bare", 0, lambda a, b: a + b)
+        for M in (nat(), int_group(), cyclic(3), boolean(), bare):
+            with pytest.raises(ValueError, match="coordinate bound -1 is negative"):
+                M.values(-1)
+            with pytest.raises(ValueError, match="coordinate bound -1 is negative"):
+                M.sample(random.Random(0), -1)
+
+    def test_sampling_draws_what_randrange_drew(self):
+        for M, draw in (
+            (nat(), lambda rng: rng.randrange(8)),
+            (int_group(), lambda rng: rng.randrange(-7, 8)),
+            (cyclic(5), lambda rng: rng.choice(tuple(range(5)))),
+        ):
+            sampled, replay = random.Random(3), random.Random(3)
+            assert [M.sample(sampled, 7) for _ in range(50)] == [draw(replay) for _ in range(50)]
+
+    def test_membership(self):
+        N, Z, B = nat(), int_group(), boolean()
+        assert N.is_element(3) and not N.is_element(-2) and not N.is_element("3")
+        assert Z.is_element(-2) and not Z.is_element(0.5)
+        assert B.is_element(1) and not B.is_element(7)
+        Q = CommutativeMonoid("Q", 0, lambda a, b: a + b, inverse=lambda a: -a)
+        assert Q.is_element(0.5)
