@@ -14,14 +14,17 @@ fixed at construction:
 
 Elements are plain Python values: arbitrary-precision integers for the
 naturals and the integers, residues for the cyclic monoids, and indices
-into the element list for monoids given by a Cayley table.  There is no
-overflow anywhere; a wrapped sum would fabricate solutions.
+into the element list for monoids given by a Cayley table.  So every
+finite monoid's elements are ``int``s, and membership refuses any other
+value before comparing: ``2.0`` or ``Fraction(1)`` equals an element but
+is not one.  There is no overflow anywhere; a wrapped sum would fabricate
+solutions.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 Element = Any
 
@@ -54,11 +57,12 @@ class CommutativeMonoid:
         self.is_free_natural = free_natural
         # True only when elements are plain integers under +.
         self.integer_addition = integer_addition
-        # membership, fixed with the flags: one of the elements when finite,
-        # a non-negative int over N, an int over the integers; any other
-        # infinite monoid has no membership test and takes every value
+        # membership, fixed with the flags: an int among the elements when
+        # finite (a non-int is refused before any comparison), a non-negative
+        # int over N, an int over the integers; any other infinite monoid
+        # has no membership test and takes every value
         if elements is not None:
-            self.is_element = elements.__contains__
+            self.is_element = lambda a: isinstance(a, int) and a in elements
         elif free_natural:
             self.is_element = lambda a: isinstance(a, int) and a >= 0
         elif integer_addition:
@@ -67,12 +71,6 @@ class CommutativeMonoid:
             self.is_element = lambda a: True
         self._render = render
         self._parse = parse
-
-    def sum(self, items: Iterable[Element]) -> Element:
-        total = self.identity
-        for x in items:
-            total = self.op(total, x)
-        return total
 
     def inverse(self, a: Element) -> Element:
         if self._inverse is None:
@@ -95,7 +93,11 @@ class CommutativeMonoid:
         raise UndecidableError(f"cannot enumerate {self.name}; undecidable here")
 
     def sample(self, rng, hint: int = 10) -> Element:
-        return rng.choice(self.values(hint))
+        """The element ``rng.choice`` would draw from ``values(hint)``,
+        without taking ``len()`` of a range too long for it."""
+        values = self.values(hint)
+        size = values.stop - values.start if isinstance(values, range) else len(values)
+        return values[rng.randrange(size)]
 
     def render(self, a: Element) -> str:
         return self._render(a) if self._render else str(a)

@@ -88,12 +88,17 @@ class TestValidateHorn:
 
     @pytest.mark.parametrize(
         "make, outside",
-        [(lambda: cyclic(2), 5), (boolean, 7), (nat, -2)],
-        ids=["Z/2", "bool", "N"],
+        [
+            (lambda: cyclic(2), 5), (boolean, 7), (nat, -2),
+            (lambda: cyclic(3), 2.0), (lambda: cyclic(3), Fraction(1)),
+            (boolean, 2.0), (boolean, Fraction(1)),
+        ],
+        ids=["Z/2", "bool", "N", "Z/3 2.0", "Z/3 Fraction", "bool 2.0", "bool Fraction"],
     )
     def test_coordinates_outside_the_monoid_rejected(self, make, outside):
         # the solver, the constructive filler and the certificate would
-        # otherwise each take the value as given
+        # otherwise each take the value as given; a non-int equal to an
+        # element is not one either
         K = EMSpace(make(), 2, 3)
         p = HornProblem(K, 3, 1, {0: K.simplex(2, (outside,)), 2: K.zero(2), 3: K.zero(2)})
         message = f"face 0 is not a level-2 simplex of K\\({K.monoid.name},2\\)"
@@ -296,7 +301,7 @@ class TestCompleteness:
                 for k in range(n + 1):
                     shape = horn_module._horn_shape(K, n, k)
                     rows = shape.rows
-                    reached = _propagate(rows, [0] * len(rows), len(shape.variables), int_group())[0]
+                    reached = _propagate(rows, [0] * len(rows), [None] * len(K.gens[n]), int_group())[0]
                     assert (None not in reached) == (n != d), (d, n, k)
                     shapes += 1
         assert shapes == 290
@@ -764,8 +769,11 @@ class TestProductMonoids:
     def test_counts_agree_with_the_scan(self, shape):
         K, n, k = shape
         for p in iter_compatible_horn_data(K, n, k):
-            scanned = len(list(iter_fillers(K, p)))
-            assert count_fillers(build_constraints(K, p), 2) == min(2, scanned), p
+            scanned = list(iter_fillers(K, p))
+            system = build_constraints(K, p)
+            assert count_fillers(system, 2) == min(2, len(scanned)), p
+            # search returns the first filler in the scan's order
+            assert solve_em(system).filler == next(iter(scanned), None), p
 
 
 def _reference_unique_sweep(K, max_dim, bound):

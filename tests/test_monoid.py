@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from emhorn.em import EMSpace
 from emhorn.monoid import (
     CommutativeMonoid,
     UndecidableError,
@@ -271,6 +272,25 @@ class TestValues:
         ):
             sampled, replay = random.Random(3), random.Random(3)
             assert [M.sample(sampled, 7) for _ in range(50)] == [draw(replay) for _ in range(50)]
+
+    def test_sampling_a_cyclic_monoid_past_the_machine_word(self):
+        # rng.choice would take len() of range(10**20), which overflows
+        y = EMSpace(cyclic(10**20), 2, 3).random_simplex(3, random.Random(0))
+        replay = random.Random(0)
+        assert y.coords == tuple(replay.randrange(10**20) for _ in range(3))
+
+    def test_membership_never_scans_for_a_non_int(self):
+        class Probe:
+            compared = 0
+
+            def __eq__(self, other):
+                Probe.compared += 1
+                return False
+
+            __hash__ = None
+
+        assert not cyclic(10**6).is_element(Probe())
+        assert Probe.compared <= 1
 
     def test_membership(self):
         N, Z, B = nat(), int_group(), boolean()
