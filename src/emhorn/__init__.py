@@ -12,7 +12,6 @@ from .delta import (
     coface,
     codegeneracy,
     compose,
-    enumerate_monotone,
     enumerate_surjections,
     identity,
 )
@@ -48,12 +47,6 @@ from .monoid import (
     solve_value_all,
     trivial,
 )
-from .sset import (
-    BASEPOINT,
-    TruncatedSimplicialSet,
-    simplicial_identity_violations,
-    sphere,
-    standard_simplex,
-)
+from .sset import sphere
 
 __version__ = "0.1.0"

@@ -72,9 +72,13 @@ def _emit_json(data: dict) -> None:
 
 def cmd_enumerate(args) -> int:
     M = parse_monoid(args.monoid)
-    dim = args.dim
-    K = em.EMSpace(M, args.n, dim)
-    levels = [args.level] if args.level is not None else list(range(dim + 1))
+    dim, level = args.dim, args.level
+    # built only up to the one level asked for; a negative degree or --dim
+    # is still refused by the space, before the level is checked
+    if level is not None and min(args.n, dim) >= 0 and not 0 <= level <= dim:
+        raise ValueError(f"level {level} outside truncation 0..{dim}")
+    K = em.EMSpace(M, args.n, dim if level is None else min(dim, level))
+    levels = [level] if level is not None else list(range(dim + 1))
     sphere = args.n >= 1  # its level-k cells: the basepoint and K's level-k generators
     if args.format == "json":
         data = {
@@ -93,8 +97,8 @@ def cmd_enumerate(args) -> int:
         }
         _emit_json(data)
         return 0
-    if args.level is not None:
-        k = args.level
+    if level is not None:
+        k = level
         if sphere:
             print(f"S^{args.n}[{k}]: " + " ".join(["*", *K.gen_names(k)]))
         print(f"{K.name}[{k}] = {M.name}^{K.rank(k)}")
@@ -114,8 +118,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_faces(args) -> int:
     M = parse_monoid(args.monoid)
-    K = em.EMSpace(M, args.n, args.dim)
     if args.simplex is not None:
+        K = em.EMSpace(M, args.n, args.dim)
         x = parse_simplex(args.simplex, K)
         if not 1 <= x.level <= K.dim_bound:
             raise ValueError(f"faces need a level in 1..{K.dim_bound}, got {x.level}")
@@ -134,9 +138,11 @@ def cmd_faces(args) -> int:
             for i, y in results.items():
                 print(f"d{i} -> {K.render_simplex(y)}")
         return 0
-    k = args.level if args.level is not None else K.dim_bound
-    if not 1 <= k <= K.dim_bound:
-        raise ValueError(f"faces need a level in 1..{K.dim_bound}, got {k}")
+    k = args.level if args.level is not None else args.dim
+    # as in cmd_enumerate: checked against --dim, built only up to level k
+    if min(args.n, args.dim) >= 0 and not 1 <= k <= args.dim:
+        raise ValueError(f"faces need a level in 1..{args.dim}, got {k}")
+    K = em.EMSpace(M, args.n, min(args.dim, k))
     lower = K.gen_names(k - 1)
     upper = K.gen_names(k)
     table = {

@@ -112,16 +112,6 @@ def codegeneracy(n: int, j: int) -> MonotoneMap:
     return MonotoneMap(tuple(range(j + 1)) + tuple(range(j, n + 1)), n)
 
 
-def enumerate_monotone(m: int, n: int) -> list[MonotoneMap]:
-    """All monotone maps [m] -> [n] in lexicographic order on values."""
-    if m < 0 or n < 0:
-        raise ValueError("objects of the simplex category are [m] with m >= 0")
-    return [
-        MonotoneMap(vals, n)
-        for vals in itertools.combinations_with_replacement(range(n + 1), m + 1)
-    ]
-
-
 def enumerate_surjections(m: int, n: int) -> list[MonotoneMap]:
     """All monotone surjections [m] -> [n], lexicographic; there are C(m, n).
 

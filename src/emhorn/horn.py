@@ -563,12 +563,7 @@ CERTIFICATE_SCHEMA = {
                 "faces": {
                     "type": "object",
                     "patternProperties": {
-                        "^[0-9]+$": {
-                            "type": "array",
-                            "items": {
-                                "anyOf": [{"type": "integer"}, {"type": "string"}]
-                            },
-                        }
+                        "^[0-9]+$": {"type": "array", "items": {"type": "integer"}}
                     },
                     "additionalProperties": False,
                 },
@@ -578,10 +573,7 @@ CERTIFICATE_SCHEMA = {
         "witness": {
             "anyOf": [
                 {"type": "null"},
-                {
-                    "type": "array",
-                    "items": {"anyOf": [{"type": "integer"}, {"type": "string"}]},
-                },
+                {"type": "array", "items": {"type": "integer"}},
             ]
         },
         "certificate": {

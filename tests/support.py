@@ -67,44 +67,63 @@ def degeneracy_by_composition(K: EMSpace, k: int, j: int, x: EMSimplex) -> EMSim
     return EMSimplex(k + 1, tuple(out[g] for g in K.gens[k + 1]))
 
 
-def em_identity_violations(K: EMSpace, rng, per_level: int = 200, hint: int = 1000):
-    """Re-evaluate every simplicial relation on random simplices.
+def unit_vectors(K: EMSpace) -> list[EMSimplex]:
+    """Every simplex with one coordinate 1 and the others 0, level by level.
+
+    Over the naturals these are the sphere's cells other than the basepoint
+    (which is the zero vector), and an operator sends each one to a unit
+    vector or to zero exactly as precomposition acts on the sphere.
+    """
+    return [
+        EMSimplex(k, tuple(int(g == h) for h in K.gens[k]))
+        for k in range(K.dim_bound + 1)
+        for g in K.gens[k]
+    ]
+
+
+def em_identity_violations(K: EMSpace, rng, per_level: int = 200, hint: int = 1000,
+                           simplices=None):
+    """Re-evaluate every simplicial relation on random simplices, or on the
+    given ``simplices`` instead.
 
     Returns a list of human-readable violation strings; empty means all of
-    the dd, ss and ds relations held on every sampled simplex.
+    the dd, ss and ds relations held on every simplex checked.
     """
     bad = []
     D = K.dim_bound
-    for k in range(D + 1):
-        for _ in range(per_level):
-            x = K.random_simplex(k, rng, hint)
-            if k >= 2:
-                for j in range(1, k + 1):
-                    for i in range(j):
-                        if K.face(k - 1, i, K.face(k, j, x)) != K.face(
-                            k - 1, j - 1, K.face(k, i, x)
-                        ):
-                            bad.append(f"d{i} d{j} at level {k} of {K.name}")
-            if k + 2 <= D:
-                for j in range(k + 1):
-                    for i in range(j + 1):
-                        if K.degeneracy(k + 1, i, K.degeneracy(k, j, x)) != K.degeneracy(
-                            k + 1, j + 1, K.degeneracy(k, i, x)
-                        ):
-                            bad.append(f"s{i} s{j} at level {k} of {K.name}")
-            if k + 1 <= D:
-                for j in range(k + 1):
-                    sx = K.degeneracy(k, j, x)
-                    for i in range(k + 2):
-                        got = K.face(k + 1, i, sx)
-                        if i < j:
-                            want = K.degeneracy(k - 1, j - 1, K.face(k, i, x))
-                        elif i in (j, j + 1):
-                            want = x
-                        else:
-                            want = K.degeneracy(k - 1, j, K.face(k, i - 1, x))
-                        if got != want:
-                            bad.append(f"d{i} s{j} at level {k} of {K.name}")
+    if simplices is None:
+        simplices = [
+            K.random_simplex(k, rng, hint) for k in range(D + 1) for _ in range(per_level)
+        ]
+    for x in simplices:
+        k = x.level
+        if k >= 2:
+            for j in range(1, k + 1):
+                for i in range(j):
+                    if K.face(k - 1, i, K.face(k, j, x)) != K.face(
+                        k - 1, j - 1, K.face(k, i, x)
+                    ):
+                        bad.append(f"d{i} d{j} at level {k} of {K.name}")
+        if k + 2 <= D:
+            for j in range(k + 1):
+                for i in range(j + 1):
+                    if K.degeneracy(k + 1, i, K.degeneracy(k, j, x)) != K.degeneracy(
+                        k + 1, j + 1, K.degeneracy(k, i, x)
+                    ):
+                        bad.append(f"s{i} s{j} at level {k} of {K.name}")
+        if k + 1 <= D:
+            for j in range(k + 1):
+                sx = K.degeneracy(k, j, x)
+                for i in range(k + 2):
+                    got = K.face(k + 1, i, sx)
+                    if i < j:
+                        want = K.degeneracy(k - 1, j - 1, K.face(k, i, x))
+                    elif i in (j, j + 1):
+                        want = x
+                    else:
+                        want = K.degeneracy(k - 1, j, K.face(k, i - 1, x))
+                    if got != want:
+                        bad.append(f"d{i} s{j} at level {k} of {K.name}")
     return bad
 
 

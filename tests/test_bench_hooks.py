@@ -89,7 +89,7 @@ def test_cli_builds_spaces_through_em_module_name(monkeypatch, capsys):
 
     monkeypatch.setattr(em_module, "EMSpace", Recording)
     assert main(["faces", "--monoid", "nat", "--n", "2", "--level", "3"]) == 0
-    assert built == [(2, 4)]
+    assert built == [(2, 3)]
     assert capsys.readouterr().out.startswith("faces at level 3 of K(N,2):")
 
 

@@ -2,6 +2,7 @@ import json
 
 import jsonschema
 
+import emhorn.em
 import emhorn.sset
 from emhorn.cli import main
 from emhorn.horn import CERTIFICATE_SCHEMA
@@ -65,7 +66,10 @@ class TestEnumerate:
         assert cells == {str(k): [render_id(x) for x in S.level(k)] for k in range(12)}
         code, out, _ = run(capsys, "enumerate", "--n", "10", "--dim", "11")
         assert code == 0
-        assert S.dump() + "\nK(N,10) levels:\n" in out
+        listing = "\n".join(
+            f"{k}: " + " ".join(render_id(x) for x in S.level(k)) for k in range(12)
+        )
+        assert listing + "\nK(N,10) levels:\n" in out
 
     def test_level_outside_the_truncation_exits_two(self, capsys):
         for n in ("0", "2"):
@@ -77,6 +81,35 @@ class TestEnumerate:
                     )
                     assert code == 2 and out == ""
                     assert err == f"error: level {level} outside truncation 0..3\n"
+
+    def test_a_level_builds_the_space_only_up_to_it(self, capsys, monkeypatch):
+        built = []
+
+        class Recording(emhorn.em.EMSpace):
+            def __init__(self, *args):
+                built.append(args[1:])
+                super().__init__(*args)
+
+        monkeypatch.setattr(emhorn.em, "EMSpace", Recording)
+        code, out, _ = run(capsys, "enumerate", "--n", "2", "--dim", "120", "--level", "3")
+        assert code == 0 and built == [(2, 3)]
+        assert out.endswith("generators: 0012 0112 0122\n")
+
+    def test_json_dim_is_the_requested_bound(self, capsys):
+        code, out, _ = run(
+            capsys, "enumerate", "--n", "2", "--dim", "120", "--level", "3", "--format", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["dim"] == 120
+        assert [lv["level"] for lv in data["levels"]] == [3]
+
+    def test_a_negative_degree_or_dim_is_refused_before_the_level(self, capsys):
+        for command, level in (("enumerate", "5"), ("enumerate", "-1"), ("faces", "0")):
+            for n, dim in (("-1", "3"), ("2", "-1")):
+                code, out, err = run(capsys, command, "--n", n, "--dim", dim, f"--level={level}")
+                assert code == 2 and out == ""
+                assert err == "error: degree and dimension bound must be non-negative\n"
 
 
 class TestFaces:
@@ -116,6 +149,24 @@ class TestFaces:
             "d1: (trivial target level)\n"
             "d2: (trivial target level)\n"
         )
+
+    def test_a_level_builds_the_space_only_up_to_it(self, capsys, monkeypatch):
+        built = []
+
+        class Recording(emhorn.em.EMSpace):
+            def __init__(self, *args):
+                built.append(args[1:])
+                super().__init__(*args)
+
+        monkeypatch.setattr(emhorn.em, "EMSpace", Recording)
+        code, out, _ = run(capsys, "faces", "--n", "2", "--dim", "80", "--level", "3")
+        assert code == 0 and built == [(2, 3)]
+        assert out.endswith("d3: 012 <- 0122\n")
+
+    def test_level_above_the_bound_exits_two(self, capsys):
+        code, out, err = run(capsys, "faces", "--n", "2", "--dim", "80", "--level", "81")
+        assert code == 2 and out == ""
+        assert err == "error: faces need a level in 1..80, got 81\n"
 
     def test_level_zero_exits_two(self, capsys):
         for argv in (["--level", "0"], ["--simplex", "level:0 []"]):

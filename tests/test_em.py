@@ -12,6 +12,7 @@ from support import (
     em_homomorphism_violations,
     em_identity_violations,
     face_by_composition,
+    unit_vectors,
 )
 
 
@@ -141,6 +142,24 @@ class TestSimplicialIdentities:
         K = EMSpace(make(), n, 6)
         rng = random.Random(hash((str(K.monoid.name), n)) % (2**32))
         assert em_identity_violations(K, rng, per_level=40) == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_identities_on_every_sphere_cell(self, n):
+        # exhaustive: the unit vectors over N are the sphere's cells
+        K = EMSpace(nat(), n, 6)
+        assert em_identity_violations(K, None, simplices=unit_vectors(K)) == []
+
+    def test_the_scan_reports_a_corrupted_face(self):
+        K = EMSpace(nat(), 2, 4)
+        K._face_fibers[(3, 0)] = [(1,)]  # d0 of 0112 is 112, on the basepoint, not 012
+        bad = em_identity_violations(K, None, simplices=unit_vectors(K))
+        assert "d0 d1 at level 4 of K(N,2)" in bad
+
+    def test_the_scan_reports_a_corrupted_degeneracy(self):
+        K = EMSpace(nat(), 2, 4)
+        K._degeneracy_targets[(2, 0)] = [1]  # s0 of 012 is 0012, not 0112
+        bad = em_identity_violations(K, None, simplices=unit_vectors(K))
+        assert "d0 s0 at level 2 of K(N,2)" in bad
 
     @pytest.mark.parametrize("make", [nat, lambda: cyclic(4), boolean])
     def test_operators_are_homomorphisms(self, make):

@@ -589,6 +589,13 @@ class TestCounterexampleReport:
         assert data["result"] == "no_filler"
         assert data["horn"] == {"n": 3, "k": 1, "faces": {"0": [5], "2": [1], "3": [3]}}
 
+    def test_schema_refuses_string_coordinates(self):
+        data = quasicategory_counterexample(5).to_json()
+        string_face = {**data["horn"], "faces": {"0": ["5"], "2": [1], "3": [3]}}
+        for bad in ({**data, "horn": string_face}, {**data, "witness": ["a"]}):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bad, CERTIFICATE_SCHEMA)
+
     def test_rejects_negative_parameter(self):
         with pytest.raises(ValueError):
             quasicategory_counterexample(-1)
