@@ -119,10 +119,13 @@ def cmd_enumerate(args) -> int:
 def cmd_faces(args) -> int:
     M = parse_monoid(args.monoid)
     if args.simplex is not None:
-        K = em.EMSpace(M, args.n, args.dim)
+        # built only up to the simplex's level; a level above --dim is
+        # refused by a space built to --dim, a malformed literal by parse_simplex
+        m = _SIMPLEX_RE.match(args.simplex.strip())
+        K = em.EMSpace(M, args.n, min(args.dim, int(m.group(1)) if m else 0))
         x = parse_simplex(args.simplex, K)
-        if not 1 <= x.level <= K.dim_bound:
-            raise ValueError(f"faces need a level in 1..{K.dim_bound}, got {x.level}")
+        if not 1 <= x.level <= args.dim:
+            raise ValueError(f"faces need a level in 1..{args.dim}, got {x.level}")
         results = {i: K.face(x.level, i, x) for i in range(x.level + 1)}
         if args.format == "json":
             _emit_json(
@@ -177,8 +180,9 @@ def cmd_check_horn(args) -> int:
         hn, hk = int(n_str), int(k_str)
     except ValueError:
         raise ValueError(f"malformed --horn {args.horn!r}; expected 'n,k'") from None
-    dim = max(args.dim, hn)
-    K = em.EMSpace(M, args.n, dim)
+    # built only up to level n; with n < 1 the first face is refused at
+    # level n - 1 by a space built to --dim, which its message names
+    K = em.EMSpace(M, args.n, hn if hn >= 1 else args.dim)
     faces = {}
     for literal in args.faces:
         i, x = parse_face(literal, K, hn - 1)

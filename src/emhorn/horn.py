@@ -740,6 +740,17 @@ def _sweep(
     inner_only: bool,
     check_unique: bool = False,
 ) -> SweepReport:
+    """Decide the shapes ``(n, k)`` with ``2k <= n``; a shape with ``2k > n``
+    adds the instance count of its mirror ``(n, n-k)`` and is not solved.
+
+    Reversing ``[n]`` is an isomorphism ``K(M,d) ~ K(M,d)^op``: the
+    coordinate at a generator ``s`` moves to ``p -> d - s(n-p)`` and face
+    ``i`` to face ``n-i``, so the mirrored shape has as many compatible
+    horns, within any coordinate bound, with as many fillers each.  Both
+    sweep kinds visit ``k`` in increasing order, so the mirror was decided
+    earlier, and the first failure and the first horn with two fillers
+    always lie in a decided shape.
+    """
     if bound is not None and bound < 0:
         raise ValueError(f"coordinate bound {bound} is negative")
     if not 0 <= max_dim <= target.dim_bound:
@@ -753,7 +764,12 @@ def _sweep(
     nonunique: Optional[HornProblem] = None
     for n in range(1, max_dim + 1):
         ks = range(1, n) if inner_only else range(n + 1)
+        counts: dict[int, int] = {}
         for k in ks:
+            if 2 * k > n:
+                instances += counts[n - k]
+                continue
+            before = instances
             for problem in iter_compatible_horn_data(target, n, k, bound=bound):
                 instances += 1
                 failure, count = _decide(problem, check_unique)
@@ -766,6 +782,7 @@ def _sweep(
                 if count > 1 and nonunique is None:
                     unique = False
                     nonunique = problem
+            counts[k] = instances - before
     return SweepReport(
         name, mode, max_dim, bound, instances, True,
         unique=unique, nonunique_witness=nonunique,
@@ -784,7 +801,9 @@ def sweep_quasicategory(
     is bounded evidence, never a proof; a failure is a genuine witness.
     Over a finite monoid every element is enumerated and no bound applies.
     A ``max_dim`` outside ``0..target.dim_bound``, like a negative bound,
-    raises ``ValueError`` before any horn is enumerated.
+    raises ``ValueError`` before any horn is enumerated.  Only the shapes
+    with ``2k <= n`` are solved: the reversal ``K(M,d) ~ K(M,d)^op`` takes
+    ``(n, k)`` to ``(n, n-k)``, horn for horn and filler for filler.
     """
     return _sweep(target, max_dim, bound, inner_only=True, check_unique=check_unique)
 
@@ -793,5 +812,7 @@ def sweep_kan(
     target: EMSpace, max_dim: int, bound: Optional[int] = 3
 ) -> SweepReport:
     """Like the inner sweep but covering outer horns as well; ``max_dim``
-    and ``bound`` are refused in the same way."""
+    and ``bound`` are refused in the same way, and by the same reversal
+    ``K(M,d) ~ K(M,d)^op`` the shapes with ``2k > n`` count their mirror's
+    horns unsolved."""
     return _sweep(target, max_dim, bound, inner_only=False)

@@ -214,3 +214,47 @@ def equations_by_composition(K: EMSpace, problem) -> list:
             fiber = tuple(v for v, c in enumerate(composites) if c == g.values)
             equations.append(Equation(i, gen_pos, fiber, coords[gen_pos]))
     return equations
+
+
+def reversal(K: EMSpace, k: int) -> list[int]:
+    """The reversal of ``[k]`` on the level-k generators of ``K``.
+
+    A generator ``s: [k] -> [d]``, listed by its value tuple, goes to
+    ``p -> d - s(k - p)``: read the tuple backwards and flip every value.
+    Entry ``j`` is the position of the image of generator ``j`` in the
+    lexicographic list of the surjection tuples.
+    """
+    d = K.degree
+    gens = brute_surjection_tuples(k, d)
+    position = {g: j for j, g in enumerate(gens)}
+    return [position[tuple(d - v for v in reversed(g))] for g in gens]
+
+
+def reverse_simplex(K: EMSpace, x: EMSimplex) -> EMSimplex:
+    """``x`` with the coordinate at each generator moved to its reversal."""
+    coords = [None] * len(x.coords)
+    for j, target in enumerate(reversal(K, x.level)):
+        coords[target] = x.coords[j]
+    return EMSimplex(x.level, tuple(coords))
+
+
+def commutative_tables(order: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every commutative, associative table on ``0..order-1`` with identity 0.
+
+    The products of the non-identity elements are chosen freely, one per
+    unordered pair, and the tables that fail associativity on some triple
+    are dropped: 1, 2 and 9 tables for orders 1, 2 and 3.
+    """
+    elements = range(order)
+    pairs = [(a, b) for a in elements for b in elements if 0 < a <= b]
+    tables = []
+    for products in itertools.product(elements, repeat=len(pairs)):
+        table = [[a + b if 0 in (a, b) else None for b in elements] for a in elements]
+        for (a, b), c in zip(pairs, products):
+            table[a][b] = table[b][a] = c
+        if all(
+            table[table[a][b]][c] == table[a][table[b][c]]
+            for a in elements for b in elements for c in elements
+        ):
+            tables.append(tuple(map(tuple, table)))
+    return tables

@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import pytest
 
 import emhorn.em
 import emhorn.sset
@@ -15,6 +16,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The (degree, dim_bound) of every space the command builds."""
+    spaces = []
+
+    class Recording(emhorn.em.EMSpace):
+        def __init__(self, *args):
+            spaces.append(args[1:])
+            super().__init__(*args)
+
+    monkeypatch.setattr(emhorn.em, "EMSpace", Recording)
+    return spaces
 
 
 class TestEnumerate:
@@ -82,15 +97,7 @@ class TestEnumerate:
                     assert code == 2 and out == ""
                     assert err == f"error: level {level} outside truncation 0..3\n"
 
-    def test_a_level_builds_the_space_only_up_to_it(self, capsys, monkeypatch):
-        built = []
-
-        class Recording(emhorn.em.EMSpace):
-            def __init__(self, *args):
-                built.append(args[1:])
-                super().__init__(*args)
-
-        monkeypatch.setattr(emhorn.em, "EMSpace", Recording)
+    def test_a_level_builds_the_space_only_up_to_it(self, capsys, built):
         code, out, _ = run(capsys, "enumerate", "--n", "2", "--dim", "120", "--level", "3")
         assert code == 0 and built == [(2, 3)]
         assert out.endswith("generators: 0012 0112 0122\n")
@@ -150,18 +157,26 @@ class TestFaces:
             "d2: (trivial target level)\n"
         )
 
-    def test_a_level_builds_the_space_only_up_to_it(self, capsys, monkeypatch):
-        built = []
-
-        class Recording(emhorn.em.EMSpace):
-            def __init__(self, *args):
-                built.append(args[1:])
-                super().__init__(*args)
-
-        monkeypatch.setattr(emhorn.em, "EMSpace", Recording)
+    def test_a_level_builds_the_space_only_up_to_it(self, capsys, built):
         code, out, _ = run(capsys, "faces", "--n", "2", "--dim", "80", "--level", "3")
         assert code == 0 and built == [(2, 3)]
         assert out.endswith("d3: 012 <- 0122\n")
+
+    def test_a_simplex_builds_the_space_only_up_to_its_level(self, capsys, built):
+        code, out, _ = run(
+            capsys, "faces", "--n", "2", "--dim", "80", "--simplex", "level:3 [5,1,3]",
+        )
+        assert code == 0 and built == [(2, 3)]
+        assert out.endswith("d3 -> level:2 [3]  (012=3)\n")
+        # above --dim the level is refused by a space built to --dim
+        code, out, err = run(
+            capsys, "faces", "--n", "2", "--dim", "2", "--simplex", "level:3 [5,1,3]",
+        )
+        assert code == 2 and out == "" and built[1:] == [(2, 2)]
+        assert err == "error: level 3 outside truncation 0..2\n"
+        code, out, err = run(capsys, "faces", "--n", "2", "--dim", "80", "--simplex", "level:0 []")
+        assert code == 2 and out == "" and built[2:] == [(2, 0)]
+        assert err == "error: faces need a level in 1..80, got 0\n"
 
     def test_level_above_the_bound_exits_two(self, capsys):
         code, out, err = run(capsys, "faces", "--n", "2", "--dim", "80", "--level", "81")
@@ -231,6 +246,21 @@ class TestCheckHorn:
             "search exhausted; x(0012): 3 candidates, x(0112): 3 candidates\n"
             "no filler exists\n"
         )
+
+    def test_a_horn_builds_the_space_only_up_to_its_level(self, capsys, built):
+        faces = ("--faces", "0:[5]", "2:[1]", "3:[3]")
+        code, out, _ = run(capsys, "check-horn", "--n", "2", "--dim", "80", "--horn", "3,1", *faces)
+        assert code == 1 and built == [(2, 3)]
+        assert out.endswith("no filler exists\n")
+        # a horn above --dim is built to its own level, as before
+        code, _, _ = run(capsys, "check-horn", "--n", "2", "--dim", "1", "--horn", "3,1", *faces)
+        assert code == 1 and built[1:] == [(2, 3)]
+        # below dimension 1 the first face's level is refused against --dim
+        code, out, err = run(
+            capsys, "check-horn", "--n", "2", "--dim", "5", "--horn", "0,0", "--faces", "1:[]",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: level -1 outside truncation 0..5\n"
 
     def test_face_given_twice_exits_two(self, capsys):
         code, out, err = run(
@@ -415,6 +445,22 @@ class TestSweep:
             "(51 horn instances, coordinate bound 1)\n"
             "fillers unique\n"
         )
+
+    def test_full_size_evidence_sweeps(self, capsys):
+        # the benchmark's four sweeps one dimension up: 16,227 horns in all
+        for argv, expected in (
+            (("--kind", "kan", "--monoid", "cyclic:2", "--n", "2", "--dim", "5"),
+             "kan sweep of K(Z/2,2) up to dimension 5: pass (6501 horn instances)\n"),
+            (("--kind", "kan", "--monoid", "cyclic:3", "--n", "2", "--dim", "4"),
+             "kan sweep of K(Z/3,2) up to dimension 4: pass (3758 horn instances)\n"),
+            (("--kind", "quasicategory", "--monoid", "cyclic:2", "--n", "3", "--dim", "5"),
+             "quasicategory sweep of K(Z/2,3) up to dimension 5: pass (4147 horn instances)\n"),
+            (("--kind", "quasicategory", "--monoid", "nat", "--n", "1", "--dim", "4",
+              "--bound", "5", "--unique"),
+             "quasicategory sweep of K(N,1) up to dimension 4: pass "
+             "(1821 horn instances, coordinate bound 5)\nfillers unique\n"),
+        ):
+            assert run(capsys, "sweep", *argv) == (0, expected, "")
 
     def test_negative_bound_exits_two(self, capsys):
         # at --dim 1 there is no inner horn, so no level is ever enumerated

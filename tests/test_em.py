@@ -12,6 +12,8 @@ from support import (
     em_homomorphism_violations,
     em_identity_violations,
     face_by_composition,
+    reversal,
+    reverse_simplex,
     unit_vectors,
 )
 
@@ -92,6 +94,40 @@ class TestFaces:
             K_nat2.face(3, 0, K_nat2.zero(2))
         with pytest.raises(ValueError):
             K_nat2.face(5, 0, K_nat2.zero(4))
+
+
+class TestReversal:
+    """Reversing ``[k]`` is an isomorphism ``K(M,d) ~ K(M,d)^op``: it takes
+    face ``i`` to face ``k - i``.  Sweeps solve only one shape of each
+    mirrored pair on the strength of it."""
+
+    MONOIDS = [nat, lambda: cyclic(2), boolean]
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("make", MONOIDS, ids=["N", "Z/2", "bool"])
+    def test_fibers_of_face_i_go_to_those_of_face_k_minus_i(self, make, degree):
+        K = EMSpace(make(), degree, 5)
+        for k in range(1, 6):
+            upper, lower = reversal(K, k), reversal(K, k - 1)
+            assert sorted(upper) == list(range(K.rank(k)))
+            for i in range(k + 1):
+                mirror = K.face_fibers(k, k - i)
+                for g, fiber in enumerate(K.face_fibers(k, i)):
+                    assert sorted(upper[h] for h in fiber) == sorted(mirror[lower[g]]), (k, i, g)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("make", MONOIDS, ids=["N", "Z/2", "bool"])
+    def test_reversal_commutes_with_the_defining_faces(self, make, degree):
+        K = EMSpace(make(), degree, 5)
+        rng = random.Random(17)
+        samples = [x for x in unit_vectors(K) if x.level >= 1]
+        samples += [K.random_simplex(k, rng, 1000) for k in range(1, 6) for _ in range(8)]
+        for x in samples:
+            k, rx = x.level, reverse_simplex(K, x)
+            for i in range(k + 1):
+                assert reverse_simplex(K, face_by_composition(K, k, i, x)) == face_by_composition(
+                    K, k, k - i, rx
+                ), (x, i)
 
 
 class TestDegeneracies:

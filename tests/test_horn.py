@@ -41,7 +41,12 @@ from emhorn.monoid import (
     nat,
     trivial,
 )
-from support import equations_by_composition, random_compatible_horns
+from support import (
+    commutative_tables,
+    equations_by_composition,
+    random_compatible_horns,
+    reverse_simplex,
+)
 
 
 def nat_horn(f0, f2, f3, k=1):
@@ -783,20 +788,105 @@ class TestProductMonoids:
             assert solve_em(system).filler == next(iter(scanned), None), p
 
 
-def _reference_unique_sweep(K, max_dim, bound):
-    """A check_unique inner sweep from the public calls alone:
-    (instances, unique, nonunique_witness, failing horn or None)."""
-    instances, unique, nonunique = 0, True, None
-    for n in range(1, min(max_dim, K.dim_bound) + 1):
-        for k in range(1, n):
-            for p in iter_compatible_horn_data(K, n, k, bound=bound):
-                instances += 1
-                system = build_constraints(K, p)
-                if not solve_em(system).found:
-                    return instances, unique, nonunique, p
-                if count_fillers(system) > 1 and nonunique is None:
-                    unique, nonunique = False, p
-    return instances, unique, nonunique, None
+def _shapes(max_dim, inner_only):
+    """The horn shapes of a sweep, in the order it visits them."""
+    for n in range(1, max_dim + 1):
+        yield from ((n, k) for k in (range(1, n) if inner_only else range(n + 1)))
+
+
+def _reference_sweep(K, max_dim, bound, inner_only, check_unique=False):
+    """A sweep that decides every horn of every shape from the public calls:
+    (instances, passed, witness, witness_result, unique, nonunique_witness),
+    the fields of a ``SweepReport``."""
+    instances, unique, nonunique = 0, (True if check_unique else None), None
+    for n, k in _shapes(max_dim, inner_only):
+        for p in iter_compatible_horn_data(K, n, k, bound=bound):
+            instances += 1
+            system = build_constraints(K, p)
+            result = solve_em(system)
+            if not result.found:
+                return instances, False, p, result, unique, nonunique
+            if check_unique and count_fillers(system) > 1 and nonunique is None:
+                unique, nonunique = False, p
+    return instances, True, None, None, unique, nonunique
+
+
+def _report_fields(report):
+    return (report.instances, report.passed, report.witness, report.witness_result,
+            report.unique, report.nonunique_witness)
+
+
+def _mirrored_horns(K, report, max_dim, bound, inner_only):
+    """The horns of the shapes with 2k > n that a sweep reached before its
+    witness's shape, each shape counted through the enumerator."""
+    w = report.witness
+    total = 0
+    for n, k in _shapes(max_dim, inner_only):
+        if w is not None and (n, k) == (w.n, w.k):
+            break
+        if 2 * k > n:
+            total += sum(1 for _ in iter_compatible_horn_data(K, n, k, bound=bound))
+    return total
+
+
+def _reverse_horn(K, p):
+    """The horn of shape (n, n-k) that the reversal of [n] makes of ``p``."""
+    faces = {p.n - i: reverse_simplex(K, x) for i, x in p.faces.items()}
+    return HornProblem(K, p.n, p.n - p.k, faces)
+
+
+def _horn_key(p):
+    return p.n, p.k, tuple(sorted((i, x.coords) for i, x in p.faces.items()))
+
+
+def _table_monoid(table):
+    names = [str(e) for e in range(len(table))]
+    return from_table(names, [[names[c] for c in row] for row in table], "t" + str(table))
+
+
+class TestMirroredShapes:
+    """The reversal of [n] carries the horns of shape (n, k) one to one onto
+    those of (n, n-k), with as many fillers, so a sweep that solves only the
+    shapes with 2k <= n reports what solving every shape reports."""
+
+    @pytest.mark.parametrize(
+        "make, bound",
+        [(nat, 2), (lambda: cyclic(2), None), (boolean, None)],
+        ids=["N bounded", "Z/2", "bool"],
+    )
+    def test_horns_and_filler_counts_are_mirrored(self, make, bound):
+        for degree in (1, 2, 3):
+            K = EMSpace(make(), degree, 4)
+            for n in range(1, 5):
+                for k in range(n + 1):
+                    horns = list(iter_compatible_horn_data(K, n, k, bound=bound))
+                    mirror = list(iter_compatible_horn_data(K, n, n - k, bound=bound))
+                    images = {_horn_key(_reverse_horn(K, p)) for p in horns}
+                    assert len(images) == len(horns) == len(mirror)
+                    assert images == {_horn_key(q) for q in mirror}, (degree, n, k)
+                    for p in horns:
+                        got = count_fillers(build_constraints(K, _reverse_horn(K, p)), 2)
+                        assert got == count_fillers(build_constraints(K, p), 2), p
+
+    def test_sweeps_match_per_shape_decisions_on_every_small_table(self):
+        """Every commutative table of order 1-3, degrees 1 and 2, up to
+        dimension 4: 48 sweeps, of which 27 fail and 11 find a horn with two
+        fillers, so witnesses and the uniqueness flag are both compared."""
+        failed = nonunique = 0
+        for order in (1, 2, 3):
+            for table in commutative_tables(order):
+                M = _table_monoid(table)
+                for degree in (1, 2):
+                    K = EMSpace(M, degree, 4)
+                    for report, inner_only, check_unique in (
+                        (sweep_kan(K, 4), False, False),
+                        (sweep_quasicategory(K, 4, check_unique=True), True, True),
+                    ):
+                        expected = _reference_sweep(K, 4, None, inner_only, check_unique)
+                        assert _report_fields(report) == expected, (table, degree, report.mode)
+                        failed += not report.passed
+                        nonunique += report.unique is False
+        assert (failed, nonunique) == (27, 11)
 
 
 class TestSweepRules:
@@ -859,16 +949,18 @@ class TestSweepRules:
     )
     def test_unique_sweep_matches_public_calls(self, monkeypatch, make, degree, max_dim, bound):
         K = EMSpace(make(), degree, max_dim)
-        expected = _reference_unique_sweep(K, max_dim, bound)
+        expected = _reference_sweep(K, max_dim, bound, inner_only=True, check_unique=True)
         runs = []
         solve = horn_module._solve
         monkeypatch.setattr(
             horn_module, "_solve", lambda *args: runs.append(args) or solve(*args)
         )
         report = sweep_quasicategory(K, max_dim, bound=bound, check_unique=True)
-        got = (report.instances, report.unique, report.nonunique_witness, report.witness)
-        assert got == expected
-        assert len(runs) == report.instances
+        assert _report_fields(report) == expected
+        # one solver run per horn of a solved shape; the shapes with 2k > n
+        # count their mirror's horns and run none
+        mirrored = _mirrored_horns(K, report, max_dim, bound, inner_only=True)
+        assert len(runs) == report.instances - mirrored
 
     def test_results_compare_by_value(self):
         K, p = nat_horn(2, 5, 1)
