@@ -73,11 +73,7 @@ def _emit_json(data: dict) -> None:
 def cmd_enumerate(args) -> int:
     M = parse_monoid(args.monoid)
     dim, level = args.dim, args.level
-    # built only up to the one level asked for; a negative degree or --dim
-    # is still refused by the space, before the level is checked
-    if level is not None and min(args.n, dim) >= 0 and not 0 <= level <= dim:
-        raise ValueError(f"level {level} outside truncation 0..{dim}")
-    K = em.EMSpace(M, args.n, dim if level is None else min(dim, level))
+    K = em.EMSpace(M, args.n, dim)
     levels = [level] if level is not None else list(range(dim + 1))
     sphere = args.n >= 1  # its level-k cells: the basepoint and K's level-k generators
     if args.format == "json":
@@ -118,14 +114,12 @@ def cmd_enumerate(args) -> int:
 
 def cmd_faces(args) -> int:
     M = parse_monoid(args.monoid)
-    if args.simplex is not None:
-        # built only up to the simplex's level; a level above --dim is
-        # refused by a space built to --dim, a malformed literal by parse_simplex
-        m = _SIMPLEX_RE.match(args.simplex.strip())
-        K = em.EMSpace(M, args.n, min(args.dim, int(m.group(1)) if m else 0))
-        x = parse_simplex(args.simplex, K)
-        if not 1 <= x.level <= args.dim:
-            raise ValueError(f"faces need a level in 1..{args.dim}, got {x.level}")
+    K = em.EMSpace(M, args.n, args.dim)
+    x = parse_simplex(args.simplex, K) if args.simplex is not None else None
+    k = x.level if x is not None else args.level if args.level is not None else args.dim
+    if not 1 <= k <= args.dim:
+        raise ValueError(f"faces need a level in 1..{args.dim}, got {k}")
+    if x is not None:
         results = {i: K.face(x.level, i, x) for i in range(x.level + 1)}
         if args.format == "json":
             _emit_json(
@@ -141,11 +135,6 @@ def cmd_faces(args) -> int:
             for i, y in results.items():
                 print(f"d{i} -> {K.render_simplex(y)}")
         return 0
-    k = args.level if args.level is not None else args.dim
-    # as in cmd_enumerate: checked against --dim, built only up to level k
-    if min(args.n, args.dim) >= 0 and not 1 <= k <= args.dim:
-        raise ValueError(f"faces need a level in 1..{args.dim}, got {k}")
-    K = em.EMSpace(M, args.n, min(args.dim, k))
     lower = K.gen_names(k - 1)
     upper = K.gen_names(k)
     table = {
@@ -180,9 +169,7 @@ def cmd_check_horn(args) -> int:
         hn, hk = int(n_str), int(k_str)
     except ValueError:
         raise ValueError(f"malformed --horn {args.horn!r}; expected 'n,k'") from None
-    # built only up to level n; with n < 1 the first face is refused at
-    # level n - 1 by a space built to --dim, which its message names
-    K = em.EMSpace(M, args.n, hn if hn >= 1 else args.dim)
+    K = em.EMSpace(M, args.n, max(args.dim, hn))
     faces = {}
     for literal in args.faces:
         i, x = parse_face(literal, K, hn - 1)

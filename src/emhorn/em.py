@@ -52,11 +52,27 @@ class EMSimplex(namedtuple("EMSimplex", "level coords")):
         return tuple.__new__(cls, (level, coords))
 
 
+class _Levels(dict):
+    """Level k of a truncation: the monotone surjections [k] -> [degree],
+    enumerated on first read.  The one check that refuses a level outside
+    ``0..dim_bound``, with the message every level argument shares."""
+
+    def __init__(self, degree: int, dim_bound: int):
+        super().__init__()
+        self.degree, self.dim_bound = degree, dim_bound
+
+    def __missing__(self, k: int) -> list[MonotoneMap]:
+        if not 0 <= k <= self.dim_bound:
+            raise ValueError(f"level {k} outside truncation 0..{self.dim_bound}")
+        gens = self[k] = enumerate_surjections(k, self.degree)
+        return gens
+
+
 class EMSpace:
     """The simplicial monoid of a commutative monoid in a fixed degree.
 
-    Immutable after construction; face and degeneracy actions are looked up
-    in index tables computed once per (level, operator index).
+    Construction enumerates nothing: level k is enumerated on the first read
+    of ``gens[k]``, and each face and degeneracy table on first use.
     """
 
     def __init__(self, monoid: CommutativeMonoid, degree: int, dim_bound: int):
@@ -65,14 +81,11 @@ class EMSpace:
         self.monoid = monoid
         self.degree = degree
         self.dim_bound = dim_bound
-        self.gens: list[list[MonotoneMap]] = [
-            enumerate_surjections(k, degree) for k in range(dim_bound + 1)
-        ]
-        self._gen_index: list[dict[MonotoneMap, int]] = [
-            {g: i for i, g in enumerate(gs)} for gs in self.gens
-        ]
+        self.gens = _Levels(degree, dim_bound)
+        self._gen_index: dict[int, dict[MonotoneMap, int]] = {}  # filled per level on first use
         self._degeneracy_targets: dict[tuple[int, int], list[int]] = {}
         self._face_fibers: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        # per (level, operator index): the operator and the width it takes
         self._face_plans: dict[tuple[int, int], tuple] = {}
         self._degeneracy_plans: dict[tuple[int, int], tuple] = {}
         self._gen_names: dict[int, tuple[str, ...]] = {}
@@ -84,14 +97,11 @@ class EMSpace:
 
     def gen_names(self, k: int) -> list[str]:
         if k not in self._gen_names:
-            self.rank(k)  # refuses a level outside the truncation
             self._gen_names[k] = tuple(str(g) for g in self.gens[k])
         return list(self._gen_names[k])
 
     def rank(self, k: int) -> int:
         """The number of coordinates at level k, which must lie in the truncation."""
-        if not 0 <= k <= self.dim_bound:
-            raise ValueError(f"level {k} outside truncation 0..{self.dim_bound}")
         return len(self.gens[k])
 
     def zero(self, k: int) -> EMSimplex:
@@ -134,6 +144,8 @@ class EMSpace:
 
     def _precompose(self, theta: MonotoneMap, k: int) -> list[int]:
         """Per level-k generator h, the index of h after theta, or -1 on the basepoint."""
+        if theta.dom not in self._gen_index:
+            self._gen_index[theta.dom] = {g: i for i, g in enumerate(self.gens[theta.dom])}
         index = self._gen_index[theta.dom]
         return [index.get(compose(theta, h), -1) for h in self.gens[k]]
 
@@ -143,10 +155,12 @@ class EMSpace:
             raise ValueError(f"simplex at level {level}, face asked at level {k}")
         plan = self._face_plans.get((k, i))
         if plan is None:
-            plan = self._face_plans[k, i] = _face_plan(self._fibers(k, i), self.monoid)
-        if len(coords) != len(self.gens[k]):
+            fibers = self._fibers(k, i)
+            plan = self._face_plans[k, i] = _face_plan(fibers, self.monoid), self.rank(k)
+        apply, width = plan
+        if len(coords) != width:
             raise self._width_error(x)
-        return tuple.__new__(EMSimplex, (k - 1, plan(coords)))
+        return tuple.__new__(EMSimplex, (k - 1, apply(coords)))
 
     def degeneracy(self, k: int, j: int, x: EMSimplex) -> EMSimplex:
         level, coords = x
@@ -154,12 +168,13 @@ class EMSpace:
             raise ValueError(f"simplex at level {level}, degeneracy asked at level {k}")
         plan = self._degeneracy_plans.get((k, j))
         if plan is None:
-            plan = self._degeneracy_plans[k, j] = _degeneracy_plan(
-                self.degeneracy_targets(k, j), self.rank(k + 1), self.monoid.identity
-            )
-        if len(coords) != len(self.gens[k]):
+            targets = self.degeneracy_targets(k, j)
+            apply = _degeneracy_plan(targets, self.rank(k + 1), self.monoid.identity)
+            plan = self._degeneracy_plans[k, j] = apply, self.rank(k)
+        apply, width = plan
+        if len(coords) != width:
             raise self._width_error(x)
-        return tuple.__new__(EMSimplex, (k + 1, plan(coords)))
+        return tuple.__new__(EMSimplex, (k + 1, apply(coords)))
 
     def _width_error(self, x: EMSimplex) -> ValueError:
         return ValueError(

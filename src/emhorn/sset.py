@@ -4,15 +4,16 @@ Level k is the basepoint followed by the monotone surjections [k] -> [n],
 so the level-3 cells of the 2-sphere really are ``*``, ``0012``, ``0112``
 and ``0122``.  Only the cells live here: the sphere's faces and
 degeneracies act through ``emhorn.em.EMSpace``, whose coordinates are the
-cells other than the basepoint.
+cells other than the basepoint, enumerated on first read by the same level
+container.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
-from .delta import MonotoneMap, enumerate_surjections
+from .delta import MonotoneMap
+from .em import _Levels
 
 BASEPOINT = "*"
 
@@ -23,21 +24,17 @@ def render_id(x: SimplexId) -> str:
     return x if isinstance(x, str) else str(x)
 
 
-@dataclass(frozen=True)
 class TruncatedSphere:
-    dim_bound: int
-    levels: tuple[tuple[SimplexId, ...], ...]
+    def __init__(self, n: int, dim_bound: int):
+        self.dim_bound = dim_bound
+        self._cells = _Levels(n, dim_bound)  # K(N,n)'s generators
 
     def level(self, k: int) -> tuple[SimplexId, ...]:
-        if not 0 <= k <= self.dim_bound:
-            raise ValueError(f"level {k} outside truncation 0..{self.dim_bound}")
-        return self.levels[k]
+        return (BASEPOINT, *self._cells[k])
 
 
 def sphere(n: int, dim_bound: int) -> TruncatedSphere:
     """The n-sphere as the quotient of the n-simplex by its boundary."""
     if n < 1:
         raise ValueError("the quotient sphere is defined for n >= 1")
-    return TruncatedSphere(dim_bound, tuple(
-        (BASEPOINT, *enumerate_surjections(k, n)) for k in range(dim_bound + 1)
-    ))
+    return TruncatedSphere(n, dim_bound)

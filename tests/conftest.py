@@ -1,5 +1,7 @@
 import pytest
 
+import emhorn.em
+
 _ACCEPTANCE: list[tuple[str, bool]] = []
 
 
@@ -23,3 +25,17 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_sep("-", "acceptance criteria")
     for name, passed in _ACCEPTANCE:
         terminalreporter.write_line(f"{'PASS' if passed else 'FAIL'}  {name}")
+
+
+@pytest.fixture
+def levels_read(monkeypatch):
+    """The (level, degree) of every level enumerated through ``emhorn.em``."""
+    calls = []
+    original = emhorn.em.enumerate_surjections
+
+    def recording(m, n):
+        calls.append((m, n))
+        return original(m, n)
+
+    monkeypatch.setattr(emhorn.em, "enumerate_surjections", recording)
+    return calls

@@ -35,14 +35,16 @@ def _exercise(K):
     return solve_em(build_constraints(K, problem)).filler, moore_filler(K, problem).filler
 
 
-def test_space_takes_generators_from_em_module_name(monkeypatch):
-    calls = []
-    original = em_module.enumerate_surjections
-    monkeypatch.setattr(
-        em_module, "enumerate_surjections", lambda m, n: calls.append((m, n)) or original(m, n)
-    )
-    EMSpace(nat(), 2, 3)
-    assert calls == [(0, 2), (1, 2), (2, 2), (3, 2)]
+def test_space_takes_generators_from_em_module_name(levels_read):
+    # levels_read (conftest.py) patches emhorn.em.enumerate_surjections
+    K = EMSpace(nat(), 2, 3)
+    assert levels_read == []
+    for k in range(4):
+        K.rank(k)
+    assert levels_read == [(0, 2), (1, 2), (2, 2), (3, 2)]
+    for k in range(4):
+        K.gen_names(k)
+    assert levels_read == [(0, 2), (1, 2), (2, 2), (3, 2)]
 
 
 def test_operator_overrides_are_honoured():
@@ -89,7 +91,7 @@ def test_cli_builds_spaces_through_em_module_name(monkeypatch, capsys):
 
     monkeypatch.setattr(em_module, "EMSpace", Recording)
     assert main(["faces", "--monoid", "nat", "--n", "2", "--level", "3"]) == 0
-    assert built == [(2, 3)]
+    assert built == [(2, 4)]
     assert capsys.readouterr().out.startswith("faces at level 3 of K(N,2):")
 
 

@@ -1,9 +1,7 @@
 import json
 
 import jsonschema
-import pytest
 
-import emhorn.em
 import emhorn.sset
 from emhorn.cli import main
 from emhorn.horn import CERTIFICATE_SCHEMA
@@ -16,20 +14,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@pytest.fixture
-def built(monkeypatch):
-    """The (degree, dim_bound) of every space the command builds."""
-    spaces = []
-
-    class Recording(emhorn.em.EMSpace):
-        def __init__(self, *args):
-            spaces.append(args[1:])
-            super().__init__(*args)
-
-    monkeypatch.setattr(emhorn.em, "EMSpace", Recording)
-    return spaces
 
 
 class TestEnumerate:
@@ -97,9 +81,9 @@ class TestEnumerate:
                     assert code == 2 and out == ""
                     assert err == f"error: level {level} outside truncation 0..3\n"
 
-    def test_a_level_builds_the_space_only_up_to_it(self, capsys, built):
+    def test_a_level_enumerates_only_that_level(self, capsys, levels_read):
         code, out, _ = run(capsys, "enumerate", "--n", "2", "--dim", "120", "--level", "3")
-        assert code == 0 and built == [(2, 3)]
+        assert code == 0 and levels_read == [(3, 2)]
         assert out.endswith("generators: 0012 0112 0122\n")
 
     def test_json_dim_is_the_requested_bound(self, capsys):
@@ -157,25 +141,26 @@ class TestFaces:
             "d2: (trivial target level)\n"
         )
 
-    def test_a_level_builds_the_space_only_up_to_it(self, capsys, built):
+    def test_a_level_enumerates_only_it_and_the_level_below(self, capsys, levels_read):
         code, out, _ = run(capsys, "faces", "--n", "2", "--dim", "80", "--level", "3")
-        assert code == 0 and built == [(2, 3)]
+        assert code == 0 and sorted(levels_read) == [(2, 2), (3, 2)]
         assert out.endswith("d3: 012 <- 0122\n")
 
-    def test_a_simplex_builds_the_space_only_up_to_its_level(self, capsys, built):
+    def test_a_simplex_enumerates_only_its_level_and_the_level_below(self, capsys, levels_read):
         code, out, _ = run(
             capsys, "faces", "--n", "2", "--dim", "80", "--simplex", "level:3 [5,1,3]",
         )
-        assert code == 0 and built == [(2, 3)]
+        assert code == 0 and sorted(levels_read) == [(2, 2), (3, 2)]
         assert out.endswith("d3 -> level:2 [3]  (012=3)\n")
-        # above --dim the level is refused by a space built to --dim
+        # above --dim the level is refused before it is enumerated
+        levels_read.clear()
         code, out, err = run(
             capsys, "faces", "--n", "2", "--dim", "2", "--simplex", "level:3 [5,1,3]",
         )
-        assert code == 2 and out == "" and built[1:] == [(2, 2)]
+        assert code == 2 and out == "" and levels_read == []
         assert err == "error: level 3 outside truncation 0..2\n"
         code, out, err = run(capsys, "faces", "--n", "2", "--dim", "80", "--simplex", "level:0 []")
-        assert code == 2 and out == "" and built[2:] == [(2, 0)]
+        assert code == 2 and out == "" and levels_read == [(0, 2)]
         assert err == "error: faces need a level in 1..80, got 0\n"
 
     def test_level_above_the_bound_exits_two(self, capsys):
@@ -247,20 +232,29 @@ class TestCheckHorn:
             "no filler exists\n"
         )
 
-    def test_a_horn_builds_the_space_only_up_to_its_level(self, capsys, built):
+    def test_a_horn_enumerates_only_its_levels(self, capsys, levels_read):
+        # levels n and n - 1, and n - 2 where the faces' own faces must agree
         faces = ("--faces", "0:[5]", "2:[1]", "3:[3]")
         code, out, _ = run(capsys, "check-horn", "--n", "2", "--dim", "80", "--horn", "3,1", *faces)
-        assert code == 1 and built == [(2, 3)]
+        assert code == 1 and sorted(levels_read) == [(1, 2), (2, 2), (3, 2)]
         assert out.endswith("no filler exists\n")
-        # a horn above --dim is built to its own level, as before
+        # a horn above --dim reaches its own level, as before
+        levels_read.clear()
         code, _, _ = run(capsys, "check-horn", "--n", "2", "--dim", "1", "--horn", "3,1", *faces)
-        assert code == 1 and built[1:] == [(2, 3)]
+        assert code == 1 and sorted(levels_read) == [(1, 2), (2, 2), (3, 2)]
         # below dimension 1 the first face's level is refused against --dim
         code, out, err = run(
             capsys, "check-horn", "--n", "2", "--dim", "5", "--horn", "0,0", "--faces", "1:[]",
         )
         assert code == 2 and out == ""
         assert err == "error: level -1 outside truncation 0..5\n"
+
+    def test_a_horn_below_dimension_one_enumerates_no_level(self, capsys, levels_read):
+        code, out, err = run(
+            capsys, "check-horn", "--n", "2", "--dim", "80", "--horn", "0,0", "--faces", "1:[]",
+        )
+        assert code == 2 and out == "" and levels_read == []
+        assert err == "error: level -1 outside truncation 0..80\n"
 
     def test_face_given_twice_exits_two(self, capsys):
         code, out, err = run(

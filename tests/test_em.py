@@ -47,6 +47,12 @@ class TestConstruction:
         for k in range(5):
             assert K.enumerate_level(k) == [K.zero(k)]
 
+    def test_levels_are_enumerated_on_first_read_only(self, levels_read):
+        K = EMSpace(nat(), 2, 10**6)
+        assert levels_read == []
+        assert K.gen_names(3) == ["0012", "0112", "0122"] and K.rank(3) == 3
+        assert levels_read == [(3, 2)]
+
     def test_enumeration_refuses_a_negative_bound(self, K_nat2):
         assert len(K_nat2.enumerate_level(3, bound=0)) == 1
         for K in (K_nat2, EMSpace(int_group(), 1, 3), EMSpace(cyclic(2), 1, 3)):

@@ -83,7 +83,14 @@ class TestQuotientCompatibility:
 
 class TestTruncationBoundaries:
     def test_out_of_range_rejected(self):
-        S = sphere(2, 2)
-        for k in (3, -1):
-            with pytest.raises(ValueError, match=rf"level {k} outside truncation 0\.\.2"):
-                S.level(k)
+        for D in (2, 10**6):
+            S = sphere(2, D)
+            for k in (D + 1, -1):
+                with pytest.raises(ValueError, match=rf"^level {k} outside truncation 0\.\.{D}$"):
+                    S.level(k)
+
+    def test_a_deep_truncation_enumerates_only_the_levels_read(self, levels_read):
+        S = sphere(2, 10**6)
+        assert levels_read == []
+        assert names(S.level(3)) == ["*", "0012", "0112", "0122"]
+        assert levels_read == [(3, 2)]
