@@ -27,14 +27,21 @@ coordinate, trying the elements in order, and propagates again, so
 ``_propagate`` is the one code that evaluates a row.  Every filler is
 re-verified against the given faces before being reported.
 
+Validation is compiled per shape as well.  The face compatibilities
+d_i x_j = d_{j-1} x_i of the given faces, one row per pair i < j and
+level-(n-2) generator, become two face plans over the faces'
+concatenated coordinates, built on the shape's first validation; a horn
+is compatible when both plans give the same tuple.
+
 Every horn maps into an ``EMSpace``; the exhaustive scan over its level
 sets (``iter_fillers``, ``brute_force_filler``) is kept as an oracle for
-the solver.  Results are frozen values, their certificate steps rendered
-when they are built.  A sweep builds a result only for the horn it
-reports as a witness, and validates only that horn: a verified filler y
-proves the data compatible, d_i x_j = d_i d_j y = d_{j-1} d_i y =
-d_{j-1} x_i, so validation could only pass on the others.  A
-``check_unique`` sweep solves each horn once, for up to two fillers.
+the solver.  Results are frozen values, their certificate steps named
+tuples rendered when they are built.  A sweep builds a result only for
+the horn it reports as a witness, and validates only that horn: a
+verified filler y proves the data compatible, d_i x_j = d_i d_j y =
+d_{j-1} d_i y = d_{j-1} x_i, so validation could only pass on the
+others.  A ``check_unique`` sweep solves each horn once, for up to two
+fillers.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
-from .em import EMSimplex, EMSpace
+from .em import EMSimplex, EMSpace, _face_plan
 from .monoid import CommutativeMonoid, Element, UndecidableError, nat, solve_value_all
 
 
@@ -71,8 +78,10 @@ def validate_horn(problem: HornProblem) -> tuple[bool, Optional[tuple[int, int]]
 
     Malformed input (a shape outside the truncation, wrong face indices,
     wrong levels, coordinates that are not elements) raises ValueError.
-    Returns (True, None) when all pairwise face compatibilities hold, else
-    (False, (i, j)) with the first violating pair.
+    Returns (True, None) when all pairwise face compatibilities
+    d_i x_j = d_{j-1} x_i hold, else (False, (i, j)) with the first
+    violating pair i < j.  They are checked at once, by the check compiled
+    for the shape (``_compatibility_check``).
     """
     target, n, k = problem.target, problem.n, problem.k
     _check_shape(target, n, k)
@@ -84,14 +93,36 @@ def validate_horn(problem: HornProblem) -> tuple[bool, Optional[tuple[int, int]]
     for i, x in problem.faces.items():
         if not target.contains(n - 1, x):
             raise ValueError(f"face {i} is not a level-{n - 1} simplex of {target.name}")
-    given = sorted(problem.faces)
-    for pos, i in enumerate(given):
-        for j in given[pos + 1 :]:
-            lhs = target.face(n - 1, i, problem.faces[j])
-            rhs = target.face(n - 1, j - 1, problem.faces[i])
-            if lhs != rhs:
-                return False, (i, j)
-    return True, None
+    faces = problem.faces
+    left, right, owners = _compatibility_check(target, n, k)
+    coords = [c for i in sorted(faces) for c in faces[i].coords]  # as _compile's rhs
+    lhs, rhs = left(coords), right(coords)
+    if lhs == rhs:
+        return True, None
+    return False, next(owners[row] for row, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+
+
+def _compatibility_check(K: EMSpace, n: int, k: int):
+    """The compatibility check of the horns Lambda^k[n] -> K, built on the
+    shape's first validation: per given pair i < j, in order, and level-(n-2)
+    generator, the left plan sums a fiber of face i over x_j and the right
+    one a fiber of face j-1 over x_i; ``owners`` holds each row's pair."""
+    check = K._horn_checks.get((n, k))
+    if check is None:
+        given = [i for i in range(n + 1) if i != k]
+        width = K.rank(n - 1)
+        slot = {i: pos * width for pos, i in enumerate(given)}
+        left, right, owners = [], [], []
+        for pos, i in enumerate(given):
+            for j in given[pos + 1 :]:
+                fibers = zip(K.face_fibers(n - 1, i), K.face_fibers(n - 1, j - 1))
+                for lf, rf in fibers:
+                    left.append(tuple(slot[j] + s for s in lf))
+                    right.append(tuple(slot[i] + s for s in rf))
+                    owners.append((i, j))
+        plans = _face_plan(left, K.monoid), _face_plan(right, K.monoid)
+        check = K._horn_checks[n, k] = (*plans, owners)
+    return check
 
 
 def _check_shape(target: EMSpace, n: int, k: int) -> None:
@@ -195,8 +226,11 @@ def _compile(problem: HornProblem) -> ConstraintSystem:
 # Results and certificates
 
 
-@dataclass(frozen=True)
-class CertStep:
+class CertStep(NamedTuple):
+    """One step of a certificate: a forced assignment, the contradiction
+    that ends a chain, or an exhaustion note.  A named tuple, so immutable
+    and equal to a plain tuple of the same value."""
+
     kind: str  # "assign" | "contradiction" | "exhausted"
     variable: Optional[str]
     equation: str

@@ -71,6 +71,8 @@ class CommutativeMonoid:
             self.is_element = lambda a: True
         self._render = render
         self._parse = parse
+        # solve_value_all's scans over a finite monoid, per (a, b)
+        self._solutions: dict[tuple[Element, Element], tuple[Element, ...]] = {}
 
     def inverse(self, a: Element) -> Element:
         if self._inverse is None:
@@ -259,18 +261,22 @@ def load_table(path: str) -> CommutativeMonoid:
     return from_table(elements, table, name=name)
 
 
-def solve_value_all(M: CommutativeMonoid, a: Element, b: Element) -> list[Element]:
-    """Every x with a + x = b.
+def solve_value_all(M: CommutativeMonoid, a: Element, b: Element) -> tuple[Element, ...]:
+    """Every x with a + x = b, as a tuple.
 
     Groups have the one solution inverse(a) + b.  The naturals are
     cancellative too: b - a when a <= b, and none otherwise, which the order
     certifies.  Other finite monoids may have several solutions, found by
-    scanning the elements in canonical order.
+    scanning the elements in canonical order; each pair (a, b) is scanned
+    once and its solutions kept on the monoid.
     """
     if M.is_group:
-        return [M.op(M.inverse(a), b)]
+        return (M.op(M.inverse(a), b),)
     if M.is_free_natural:
-        return [b - a] if a <= b else []
+        return (b - a,) if a <= b else ()
     if M.is_finite:
-        return [x for x in M.elements if M.op(a, x) == b]
+        solutions = M._solutions.get((a, b))
+        if solutions is None:
+            solutions = M._solutions[a, b] = tuple(x for x in M.elements if M.op(a, x) == b)
+        return solutions
     raise UndecidableError(f"cannot solve equations over {M.name}; undecidable here")

@@ -51,6 +51,22 @@ def face_by_composition(K: EMSpace, k: int, i: int, x: EMSimplex) -> EMSimplex:
     return EMSimplex(k - 1, tuple(out[g] for g in K.gens[k - 1]))
 
 
+def pairwise_validation(problem, face=face_by_composition):
+    """``validate_horn``'s verdict on well-formed data, one pair at a time.
+
+    For each given pair i < j in order, compare d_i x_j with d_{j-1} x_i,
+    both by the defining formula (or the given ``face`` with the same
+    arguments); the first pair that differs is the violation.
+    """
+    K, n, faces = problem.target, problem.n, problem.faces
+    given = sorted(faces)
+    for pos, i in enumerate(given):
+        for j in given[pos + 1 :]:
+            if face(K, n - 1, i, faces[j]) != face(K, n - 1, j - 1, faces[i]):
+                return False, (i, j)
+    return True, None
+
+
 def degeneracy_by_composition(K: EMSpace, k: int, j: int, x: EMSimplex) -> EMSimplex:
     """The j-th degeneracy computed directly from generator composites.
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -44,6 +45,8 @@ from emhorn.monoid import (
 from support import (
     commutative_tables,
     equations_by_composition,
+    face_by_composition,
+    pairwise_validation,
     random_compatible_horns,
     reverse_simplex,
 )
@@ -136,6 +139,78 @@ class TestValidateHorn:
         broken[0] = K.add(broken[0], K.simplex(3, (1, 0, 0)))
         ok, violation = validate_horn(HornProblem(K, 4, 2, broken))
         assert not ok and violation[0] == 0
+
+
+def _agrees_with_pairwise_validation(problem, face=face_by_composition):
+    """``validate_horn`` and ``build_constraints`` give the reference's
+    verdict and pair on ``problem``; returns whether it is compatible."""
+    want = pairwise_validation(problem, face)
+    assert validate_horn(problem) == want, problem
+    if want[0]:
+        build_constraints(problem.target, problem)
+    else:
+        with pytest.raises(ValueError) as raised:
+            build_constraints(problem.target, problem)
+        assert str(raised.value) == f"incompatible horn data at face pair {want[1]}"
+    return want[0]
+
+
+class TestCompiledValidation:
+    """The compatibility check compiled per shape against the pairwise
+    loop over the defining formula (``support.pairwise_validation``)."""
+
+    @pytest.mark.parametrize("make", [lambda: cyclic(2), boolean], ids=["Z/2", "bool"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_every_datum_of_every_shape_up_to_dimension_4(self, make, degree):
+        # covers n = 1 and the shapes whose level n - 2 is empty, where
+        # every datum passes: n = 2, n = 3 in degree 2 or 3, n = 4 in degree 3
+        K = EMSpace(make(), degree, 4)
+        face = functools.lru_cache(maxsize=None)(face_by_composition)
+        for n in range(1, 5):
+            level = K.enumerate_level(n - 1)
+            for k in range(n + 1):
+                given = [i for i in range(n + 1) if i != k]
+                verdicts = Counter(
+                    _agrees_with_pairwise_validation(
+                        HornProblem(K, n, k, dict(zip(given, data))), face
+                    )
+                    for data in itertools.product(level, repeat=n)
+                )
+                assert sum(verdicts.values()) == len(level) ** n
+                if n <= 2 or K.rank(n - 2) == 0:
+                    assert not verdicts[False]
+
+    @pytest.mark.parametrize(
+        "make",
+        [nat, int_group] + [lambda t=t: _table_monoid(t) for t in commutative_tables(3)],
+        ids=["N", "Z"] + [f"table{t}" for t in range(9)],
+    )
+    def test_perturbed_compatible_horns_at_dimensions_5_and_6(self, make):
+        M = make()
+        rng = random.Random(19)
+        verdicts = Counter()
+        for degree in (2, 3):
+            K = EMSpace(M, degree, 6)
+            for n in (5, 6):
+                for p in random_compatible_horns(K, n, rng.randrange(n + 1), rng, 6, hint=3):
+                    faces = dict(p.faces)
+                    for _ in range(rng.randrange(3)):  # 0, 1 or 2 perturbed coordinates
+                        i = rng.choice(sorted(faces))
+                        coords = list(faces[i].coords)
+                        pos = rng.randrange(len(coords))
+                        coords[pos] = M.sample(rng, 3)
+                        faces[i] = K.simplex(n - 1, coords)
+                    verdicts[_agrees_with_pairwise_validation(HornProblem(K, n, p.k, faces))] += 1
+        assert verdicts[True] and verdicts[False]
+
+    def test_the_check_is_built_once_per_shape_on_first_validation(self):
+        K = EMSpace(int_group(), 2, 4)
+        assert sweep_quasicategory(K, 4, bound=1).passed and not K._horn_checks
+        (p,) = random_compatible_horns(K, 4, 2, random.Random(4), 1)
+        build_constraints(K, p)
+        check = K._horn_checks[4, 2]
+        validate_horn(p)
+        assert list(K._horn_checks) == [(4, 2)] and K._horn_checks[4, 2] is check
 
 
 class TestBuildConstraints:
@@ -981,6 +1056,23 @@ class TestSweepRules:
         assert hash(result) == hash(solve_em(build_constraints(*nat_horn(2, 5, 1))))
         with pytest.raises(AttributeError):
             result.note = "changed"
+
+    def test_cert_steps_are_named_tuples_with_defaults(self):
+        assert CertStep._fields == (
+            "kind", "variable", "equation", "value", "known", "rhs", "face"
+        )
+        step = CertStep("exhausted", None, "search exhausted", None)
+        assert (step.known, step.rhs, step.face) == (None, None, None)
+        assert step == ("exhausted", None, "search exhausted", None, None, None, None)
+        assert CertStep(kind="assign", variable="012", equation="x(012) = 1", value=1,
+                        face=2) == ("assign", "012", "x(012) = 1", 1, None, None, 2)
+        assert repr(CertStep("assign", "0012", "x(0012) = 2", 2, known=0, rhs=2, face=0)) == (
+            "CertStep(kind='assign', variable='0012', equation='x(0012) = 2', value=2, "
+            "known=0, rhs=2, face=0)"
+        )
+        for name in CertStep._fields:
+            with pytest.raises(AttributeError):
+                setattr(step, name, "changed")
 
 
 class TestHornShapes:

@@ -16,7 +16,7 @@ from emhorn.monoid import (
     solve_value_all,
     trivial,
 )
-from support import check_laws
+from support import check_laws, commutative_tables
 
 nats = st.integers(min_value=0, max_value=10**9)
 ints = st.integers(min_value=-(10**9), max_value=10**9)
@@ -90,8 +90,8 @@ class TestFreeNaturalStructure:
 
     def test_partial_subtraction(self):
         N = nat()
-        assert solve_value_all(N, 2, 5) == [3]
-        assert solve_value_all(N, 5, 2) == []
+        assert solve_value_all(N, 2, 5) == (3,)
+        assert solve_value_all(N, 5, 2) == ()
         assert N.op(solve_value_all(N, 2, 5)[0], 2) == 5
 
     def test_free_natural_means_non_negative_integers(self):
@@ -192,20 +192,20 @@ class TestTableMonoids:
 
 class TestSolveValueAll:
     def test_nat_unsolvable_when_target_smaller(self):
-        assert solve_value_all(nat(), 3, 1) == []
+        assert solve_value_all(nat(), 3, 1) == ()
 
     def test_nat_subtraction(self):
-        assert solve_value_all(nat(), 3, 7) == [4]
+        assert solve_value_all(nat(), 3, 7) == (4,)
 
     def test_int_uses_inverse(self):
-        assert solve_value_all(int_group(), 3, 1) == [-2]
+        assert solve_value_all(int_group(), 3, 1) == (-2,)
 
     def test_finite_scan_in_order(self):
         B = boolean()
         # 1 + x = 1 has solutions {0, 1}, listed in canonical order
-        assert solve_value_all(B, 1, 1) == [0, 1]
-        assert solve_value_all(B, 1, 0) == []
-        assert solve_value_all(B, 0, 1) == [1]
+        assert solve_value_all(B, 1, 1) == (0, 1)
+        assert solve_value_all(B, 1, 0) == ()
+        assert solve_value_all(B, 0, 1) == (1,)
 
     def test_returned_solutions_reevaluate(self):
         rng = random.Random(3)
@@ -219,14 +219,37 @@ class TestSolveValueAll:
         N = nat()
         for a in range(12):
             for b in range(12):
-                assert (solve_value_all(N, a, b) == []) == (b < a)
+                assert (solve_value_all(N, a, b) == ()) == (b < a)
 
     def test_finite_solutions_are_exactly_the_scan(self):
         for M in (cyclic(2), cyclic(6), boolean(), trivial()):
             for a in M.elements:
                 for b in M.elements:
-                    want = [y for y in M.elements if M.op(a, y) == b]
+                    want = tuple(y for y in M.elements if M.op(a, y) == b)
                     assert solve_value_all(M, a, b) == want
+
+    def test_every_branch_returns_a_tuple(self):
+        for M, a, b in [(nat(), 1, 3), (nat(), 3, 1), (int_group(), 3, 1),
+                        (cyclic(3), 1, 2), (boolean(), 1, 1), (boolean(), 1, 0)]:
+            assert type(solve_value_all(M, a, b)) is tuple
+
+    def test_memo_matches_the_plain_scan_on_every_order_3_table(self):
+        # the scan runs once per (a, b), on the table itself, not M.op
+        for table in commutative_tables(3):
+            calls = []
+            M = from_table("012", [[str(c) for c in row] for row in table])
+            op = M.op
+            M.op = lambda a, b: calls.append((a, b)) or op(a, b)
+            for _ in range(2):
+                for a in M.elements:
+                    for b in M.elements:
+                        scan = tuple(x for x in M.elements if table[a][x] == b)
+                        assert solve_value_all(M, a, b) == scan, (table, a, b)
+            if M.is_group:
+                assert not M._solutions
+            else:
+                assert len(calls) == 3 * 9 and len(M._solutions) == 9
+                assert all(type(v) is tuple for v in M._solutions.values())
 
     def test_group_has_exactly_one_solution(self):
         rng = random.Random(5)
