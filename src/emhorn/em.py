@@ -89,10 +89,9 @@ class EMSpace:
         self._face_plans: dict[tuple[int, int], tuple] = {}
         self._degeneracy_plans: dict[tuple[int, int], tuple] = {}
         self._gen_names: dict[int, tuple[str, ...]] = {}
-        # filled by emhorn.horn: per horn shape (n, k), its equations and,
-        # on its first validation, its compiled compatibility check
-        self._horn_shapes: dict[tuple[int, int], tuple] = {}
-        self._horn_checks: dict[tuple[int, int], tuple] = {}
+        # filled by emhorn.horn: per horn shape (n, k), its given faces,
+        # equations and, from its first validation, its compatibility check
+        self._horn_shapes: dict[tuple[int, int], object] = {}
 
     @property
     def name(self) -> str:

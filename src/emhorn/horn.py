@@ -27,11 +27,13 @@ coordinate, trying the elements in order, and propagates again, so
 ``_propagate`` is the one code that evaluates a row.  Every filler is
 re-verified against the given faces before being reported.
 
-Validation is compiled per shape as well.  The face compatibilities
-d_i x_j = d_{j-1} x_i of the given faces, one row per pair i < j and
-level-(n-2) generator, become two face plans over the faces'
-concatenated coordinates, built on the shape's first validation; a horn
-is compatible when both plans give the same tuple.
+Validation is compiled per shape as well.  One ``_HornShape`` per shape,
+cached on the space, refuses a shape with no horns and holds the given
+face indices, the rows and the layout of the faces' concatenated
+coordinates, which are the right-hand sides.  The face compatibilities
+d_i x_j = d_{j-1} x_i, one row per given pair i < j and level-(n-2)
+generator, become two face plans over the same coordinates, built on the
+shape's first validation; a horn is compatible when both give one tuple.
 
 Every horn maps into an ``EMSpace``; the exhaustive scan over its level
 sets (``iter_fillers``, ``brute_force_filler``) is kept as an oracle for
@@ -69,7 +71,7 @@ class HornProblem:
 
 def horn_from_simplex(K: EMSpace, n: int, k: int, y: EMSimplex) -> HornProblem:
     """The horn data obtained by forgetting the k-th face of a simplex."""
-    faces = {i: K.face(n, i, y) for i in range(n + 1) if i != k}
+    faces = {i: K.face(n, i, y) for i in _horn_shape(K, n, k).given}
     return HornProblem(K, n, k, faces)
 
 
@@ -81,58 +83,17 @@ def validate_horn(problem: HornProblem) -> tuple[bool, Optional[tuple[int, int]]
     Returns (True, None) when all pairwise face compatibilities
     d_i x_j = d_{j-1} x_i hold, else (False, (i, j)) with the first
     violating pair i < j.  They are checked at once, by the check compiled
-    for the shape (``_compatibility_check``).
+    for the shape (``_HornShape.violation``).
     """
-    target, n, k = problem.target, problem.n, problem.k
-    _check_shape(target, n, k)
-    expected = {i for i in range(n + 1) if i != k}
-    if set(problem.faces) != expected:
-        raise ValueError(
-            f"horn needs faces {sorted(expected)}, got {sorted(problem.faces)}"
-        )
-    for i, x in problem.faces.items():
+    target, n, faces = problem.target, problem.n, problem.faces
+    shape = _horn_shape(target, n, problem.k)
+    if set(faces) != set(shape.given):
+        raise ValueError(f"horn needs faces {list(shape.given)}, got {sorted(faces)}")
+    for i, x in faces.items():
         if not target.contains(n - 1, x):
             raise ValueError(f"face {i} is not a level-{n - 1} simplex of {target.name}")
-    faces = problem.faces
-    left, right, owners = _compatibility_check(target, n, k)
-    coords = [c for i in sorted(faces) for c in faces[i].coords]  # as _compile's rhs
-    lhs, rhs = left(coords), right(coords)
-    if lhs == rhs:
-        return True, None
-    return False, next(owners[row] for row, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-
-
-def _compatibility_check(K: EMSpace, n: int, k: int):
-    """The compatibility check of the horns Lambda^k[n] -> K, built on the
-    shape's first validation: per given pair i < j, in order, and level-(n-2)
-    generator, the left plan sums a fiber of face i over x_j and the right
-    one a fiber of face j-1 over x_i; ``owners`` holds each row's pair."""
-    check = K._horn_checks.get((n, k))
-    if check is None:
-        given = [i for i in range(n + 1) if i != k]
-        width = K.rank(n - 1)
-        slot = {i: pos * width for pos, i in enumerate(given)}
-        left, right, owners = [], [], []
-        for pos, i in enumerate(given):
-            for j in given[pos + 1 :]:
-                fibers = zip(K.face_fibers(n - 1, i), K.face_fibers(n - 1, j - 1))
-                for lf, rf in fibers:
-                    left.append(tuple(slot[j] + s for s in lf))
-                    right.append(tuple(slot[i] + s for s in rf))
-                    owners.append((i, j))
-        plans = _face_plan(left, K.monoid), _face_plan(right, K.monoid)
-        check = K._horn_checks[n, k] = (*plans, owners)
-    return check
-
-
-def _check_shape(target: EMSpace, n: int, k: int) -> None:
-    """Refuse a horn shape Lambda^k[n] that has no horns in ``target``."""
-    if n < 1:
-        raise ValueError(f"horns exist in dimension >= 1, got n={n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"horn index {k} out of range for [{n}]")
-    if n > target.dim_bound:
-        raise ValueError(f"dimension {n} exceeds truncation {target.dim_bound}")
+    pair = shape.violation(target, faces)
+    return pair is None, pair
 
 
 def _require_target(target: EMSpace, problem: HornProblem) -> None:
@@ -160,23 +121,64 @@ class Equation:
     rhs: Element
 
 
-class _HornShape(NamedTuple):
-    """What the equations of a horn owe to its shape (space, n, k) alone."""
+class _HornShape:
+    """What the horns Lambda^k[n] -> K owe to their shape (K, n, k) alone,
+    built once by ``_horn_shape`` and kept with the space's operator tables.
+    Construction refuses a shape that has no horns in K."""
 
-    given: tuple[int, ...]  # the given face indices, in order
-    rows: tuple[tuple[int, int, tuple[int, ...]], ...]  # (face, gen_pos, vars)
+    def __init__(self, K: EMSpace, n: int, k: int):
+        if n < 1:
+            raise ValueError(f"horns exist in dimension >= 1, got n={n}")
+        if not 0 <= k <= n:
+            raise ValueError(f"horn index {k} out of range for [{n}]")
+        if n > K.dim_bound:
+            raise ValueError(f"dimension {n} exceeds truncation {K.dim_bound}")
+        self.given = tuple(i for i in range(n + 1) if i != k)  # the given face indices, in order
+        # (face, gen_pos, vars): one equation per given face and level-(n-1) generator
+        self.rows = tuple(
+            (i, gen_pos, vs) for i in self.given for gen_pos, vs in enumerate(K.face_fibers(n, i))
+        )
+        self.check = None  # (left, right, owners), built on the shape's first validation
+
+    def coords(self, faces: dict) -> list:
+        """The given faces' coordinates, concatenated in face order: the
+        right-hand sides of ``rows``, and what ``check`` reads."""
+        return [c for i in self.given for c in faces[i].coords]
+
+    def violation(self, K: EMSpace, faces: dict) -> Optional[tuple[int, int]]:
+        """The first given pair i < j with d_i x_j != d_{j-1} x_i, else None.
+
+        The first call builds ``check``: per given pair i < j, in order, and
+        level-(n-2) generator, the left plan sums a fiber of face i over x_j
+        and the right one a fiber of face j-1 over x_i; ``owners`` holds
+        each row's pair."""
+        if self.check is None:
+            given = self.given
+            n = len(given)  # every index of [n] but k
+            width = K.rank(n - 1)
+            slot = {i: pos * width for pos, i in enumerate(given)}
+            left, right, owners = [], [], []
+            for pos, i in enumerate(given):
+                for j in given[pos + 1 :]:
+                    for lf, rf in zip(K.face_fibers(n - 1, i), K.face_fibers(n - 1, j - 1)):
+                        left.append(tuple(slot[j] + s for s in lf))
+                        right.append(tuple(slot[i] + s for s in rf))
+                        owners.append((i, j))
+            self.check = _face_plan(left, K.monoid), _face_plan(right, K.monoid), owners
+        left, right, owners = self.check
+        coords = self.coords(faces)
+        lhs, rhs = left(coords), right(coords)
+        if lhs == rhs:
+            return None
+        return next(owners[row] for row, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
 
 
 def _horn_shape(K: EMSpace, n: int, k: int) -> _HornShape:
-    """The shape of the horns Lambda^k[n] -> K, built once and kept with
-    the space's operator tables."""
+    """The shape of the horns Lambda^k[n] -> K, from the space's cache; a
+    refused shape is never cached, so it is refused on every call."""
     shape = K._horn_shapes.get((n, k))
     if shape is None:
-        given = tuple(i for i in range(n + 1) if i != k)
-        rows = tuple(
-            (i, gen_pos, vs) for i in given for gen_pos, vs in enumerate(K.face_fibers(n, i))
-        )
-        shape = K._horn_shapes[n, k] = _HornShape(given, rows)
+        shape = K._horn_shapes[n, k] = _HornShape(K, n, k)
     return shape
 
 
@@ -217,9 +219,7 @@ def _compile(problem: HornProblem) -> ConstraintSystem:
     shape, and the faces' coordinates as right-hand sides.  Each given face
     has one row per level-(n-1) generator, so its coordinates line up."""
     shape = _horn_shape(problem.target, problem.n, problem.k)
-    faces = problem.faces
-    rhs = [c for i in shape.given for c in faces[i].coords]
-    return ConstraintSystem(problem, shape, rhs)
+    return ConstraintSystem(problem, shape, shape.coords(problem.faces))
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +664,7 @@ def iter_compatible_horn_data(
     coefficient monoids the candidate coordinates are capped at ``bound``.
     A shape with no horns in ``target`` raises as ``validate_horn`` does.
     """
-    _check_shape(target, n, k)
-    given = [i for i in range(n + 1) if i != k]
+    given = _horn_shape(target, n, k).given
     candidates = target.enumerate_level(n - 1, bound=bound)
 
     if n == 1:

@@ -16,9 +16,10 @@ Elements are plain Python values: arbitrary-precision integers for the
 naturals and the integers, residues for the cyclic monoids, and indices
 into the element list for monoids given by a Cayley table.  So every
 finite monoid's elements are ``int``s, and membership refuses any other
-value before comparing: ``2.0`` or ``Fraction(1)`` equals an element but
-is not one.  There is no overflow anywhere; a wrapped sum would fabricate
-solutions.
+value before comparing: ``2.0``, ``Fraction(1)`` or ``True`` equals an
+element but is not one (``bool`` subclasses ``int``, so membership checks
+the exact type).  There is no overflow anywhere; a wrapped sum would
+fabricate solutions.
 """
 
 from __future__ import annotations
@@ -58,15 +59,15 @@ class CommutativeMonoid:
         # True only when elements are plain integers under +.
         self.integer_addition = integer_addition
         # membership, fixed with the flags: an int among the elements when
-        # finite (a non-int is refused before any comparison), a non-negative
-        # int over N, an int over the integers; any other infinite monoid
-        # has no membership test and takes every value
+        # finite (a non-int, bool included, is refused before any comparison),
+        # a non-negative int over N, an int over the integers; any other
+        # infinite monoid has no membership test and takes every value
         if elements is not None:
-            self.is_element = lambda a: isinstance(a, int) and a in elements
+            self.is_element = lambda a: type(a) is int and a in elements
         elif free_natural:
-            self.is_element = lambda a: isinstance(a, int) and a >= 0
+            self.is_element = lambda a: type(a) is int and a >= 0
         elif integer_addition:
-            self.is_element = lambda a: isinstance(a, int)
+            self.is_element = lambda a: type(a) is int
         else:
             self.is_element = lambda a: True
         self._render = render

@@ -17,11 +17,8 @@ from .em import _Levels
 
 BASEPOINT = "*"
 
-SimplexId = Union[MonotoneMap, str]
-
-
-def render_id(x: SimplexId) -> str:
-    return x if isinstance(x, str) else str(x)
+# a cell's name is its str(); the acceptance gate renders cells through this name
+render_id = str
 
 
 class TruncatedSphere:
@@ -29,7 +26,7 @@ class TruncatedSphere:
         self.dim_bound = dim_bound
         self._cells = _Levels(n, dim_bound)  # K(N,n)'s generators
 
-    def level(self, k: int) -> tuple[SimplexId, ...]:
+    def level(self, k: int) -> tuple[Union[MonotoneMap, str], ...]:
         return (BASEPOINT, *self._cells[k])
 
 

@@ -100,13 +100,18 @@ class TestValidateHorn:
             (lambda: cyclic(2), 5), (boolean, 7), (nat, -2),
             (lambda: cyclic(3), 2.0), (lambda: cyclic(3), Fraction(1)),
             (boolean, 2.0), (boolean, Fraction(1)),
+            (lambda: cyclic(2), True), (boolean, False),
         ],
-        ids=["Z/2", "bool", "N", "Z/3 2.0", "Z/3 Fraction", "bool 2.0", "bool Fraction"],
+        ids=[
+            "Z/2", "bool", "N", "Z/3 2.0", "Z/3 Fraction", "bool 2.0", "bool Fraction",
+            "Z/2 True", "bool False",
+        ],
     )
     def test_coordinates_outside_the_monoid_rejected(self, make, outside):
         # the solver, the constructive filler and the certificate would
         # otherwise each take the value as given; a non-int equal to an
-        # element is not one either
+        # element is not one either, nor is a bool, which the certificate
+        # schema would refuse
         K = EMSpace(make(), 2, 3)
         p = HornProblem(K, 3, 1, {0: K.simplex(2, (outside,)), 2: K.zero(2), 3: K.zero(2)})
         message = f"face 0 is not a level-2 simplex of K\\({K.monoid.name},2\\)"
@@ -117,6 +122,34 @@ class TestValidateHorn:
         if K.monoid.is_group:
             with pytest.raises(ValueError, match=message):
                 moore_filler(K, p)
+
+    @pytest.mark.parametrize(
+        "n, k, message",
+        [
+            (0, 0, "horns exist in dimension >= 1, got n=0"),
+            (3, 4, "horn index 4 out of range for \\[3\\]"),
+            (3, 7, "horn index 7 out of range for \\[3\\]"),
+            (4, 1, "dimension 4 exceeds truncation 3"),
+        ],
+        ids=["n=0", "k=n+1", "k=7", "n=D+1"],
+    )
+    def test_every_entry_point_refuses_a_shape_with_no_horns(self, n, k, message):
+        # a refused shape is never cached, so a second call is refused again
+        K = EMSpace(int_group(), 2, 3)
+        p = HornProblem(K, n, k, {})
+        calls = {
+            "validate_horn": lambda: validate_horn(p),
+            "build_constraints": lambda: build_constraints(K, p),
+            "iter_compatible_horn_data": lambda: next(iter_compatible_horn_data(K, n, k, bound=1)),
+            "horn_from_simplex": lambda: horn_from_simplex(K, n, k, K.zero(3)),
+            "moore_filler": lambda: moore_filler(K, p),
+            "brute_force_filler": lambda: brute_force_filler(K, p, 1),
+        }
+        for name, call in calls.items():
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    call()
+            assert K._horn_shapes == {}, name
 
     def test_enumerator_refuses_shapes_outside_the_truncation(self):
         K = EMSpace(cyclic(2), 2, 3)
@@ -205,12 +238,17 @@ class TestCompiledValidation:
 
     def test_the_check_is_built_once_per_shape_on_first_validation(self):
         K = EMSpace(int_group(), 2, 4)
-        assert sweep_quasicategory(K, 4, bound=1).passed and not K._horn_checks
+
+        def checked():
+            return [key for key, shape in K._horn_shapes.items() if shape.check is not None]
+
+        assert sweep_quasicategory(K, 4, bound=1).passed and checked() == []
         (p,) = random_compatible_horns(K, 4, 2, random.Random(4), 1)
         build_constraints(K, p)
-        check = K._horn_checks[4, 2]
+        shape = K._horn_shapes[4, 2]
+        check = shape.check
         validate_horn(p)
-        assert list(K._horn_checks) == [(4, 2)] and K._horn_checks[4, 2] is check
+        assert checked() == [(4, 2)] and K._horn_shapes[4, 2] is shape and shape.check is check
 
 
 class TestBuildConstraints:

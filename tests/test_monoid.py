@@ -315,6 +315,15 @@ class TestValues:
         assert not cyclic(10**6).is_element(Probe())
         assert Probe.compared <= 1
 
+    @pytest.mark.parametrize(
+        "make", [nat, int_group, lambda: cyclic(2), boolean], ids=["N", "Z", "Z/2", "bool"]
+    )
+    def test_membership_refuses_bools(self, make):
+        # bool subclasses int, and True == 1 and False == 0 are elements here
+        M = make()
+        assert M.is_element(0) and M.is_element(1)
+        assert not M.is_element(True) and not M.is_element(False)
+
     def test_membership(self):
         N, Z, B = nat(), int_group(), boolean()
         assert N.is_element(3) and not N.is_element(-2) and not N.is_element("3")

@@ -5,12 +5,12 @@ import pytest
 from emhorn.delta import MonotoneMap, codegeneracy, compose, coface
 from emhorn.em import EMSimplex, EMSpace
 from emhorn.monoid import nat
-from emhorn.sset import BASEPOINT, render_id, sphere
+from emhorn.sset import BASEPOINT, sphere
 from support import brute_monotone_tuples
 
 
 def names(level):
-    return [render_id(x) for x in level]
+    return [str(x) for x in level]
 
 
 class TestSphere:
