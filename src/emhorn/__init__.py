@@ -7,19 +7,9 @@ underlying simplicial set there is not a quasi-category even though every
 simplicial group is a Kan complex.
 """
 
-from .delta import (
-    MonotoneMap,
-    coface,
-    codegeneracy,
-    compose,
-    enumerate_surjections,
-    identity,
-)
 from .em import EMSimplex, EMSpace, NerveView
 from .horn import (
     CERTIFICATE_SCHEMA,
-    ConstraintSystem,
-    FillerResult,
     HornProblem,
     brute_force_filler,
     build_constraints,
@@ -27,7 +17,6 @@ from .horn import (
     count_fillers,
     horn_from_simplex,
     iter_compatible_horn_data,
-    iter_fillers,
     moore_filler,
     quasicategory_counterexample,
     solve_em,
@@ -44,7 +33,6 @@ from .monoid import (
     int_group,
     load_table,
     nat,
-    solve_value_all,
     trivial,
 )
 from .sset import sphere

@@ -50,19 +50,6 @@ class MonotoneMap:
     def dom(self) -> int:
         return len(self.values) - 1
 
-    @classmethod
-    def from_string(cls, text: str, cod: int) -> MonotoneMap:
-        """Parse the display form back into a map.
-
-        >>> MonotoneMap.from_string("0012", 2).values
-        (0, 0, 1, 2)
-        """
-        if "," in text:
-            vals = tuple(int(part) for part in text.split(","))
-        else:
-            vals = tuple(int(ch) for ch in text)
-        return cls(vals, cod)
-
     def __str__(self) -> str:
         if self.cod <= 9:
             return "".join(str(v) for v in self.values)
@@ -71,23 +58,12 @@ class MonotoneMap:
     def __repr__(self) -> str:
         return f"MonotoneMap({self.values!r}, cod={self.cod})"
 
-    def is_surjective(self) -> bool:
-        return len(set(self.values)) == self.cod + 1
-
-    def is_injective(self) -> bool:
-        return all(a < b for a, b in zip(self.values, self.values[1:]))
-
-
-def identity(n: int) -> MonotoneMap:
-    """The identity of [n]."""
-    return MonotoneMap(tuple(range(n + 1)), n)
-
 
 def compose(f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
     """Apply f: [m] -> [n] first, then g: [n] -> [p].
 
-    >>> str(compose(coface(2, 1), identity(2)))
-    '02'
+    >>> str(compose(coface(2, 1), codegeneracy(1, 0)))
+    '01'
     """
     if f.cod != g.dom:
         raise ValueError(f"cannot compose: codomain [{f.cod}] != domain [{g.dom}]")

@@ -293,9 +293,6 @@ class NerveView:
     def from_chain(self, chain: Sequence[Element]) -> EMSimplex:
         return self.space.simplex(len(chain), tuple(reversed(chain)))
 
-    def to_chain(self, x: EMSimplex) -> tuple[Element, ...]:
-        return tuple(reversed(x.coords))
-
     def chain_face(self, i: int, chain: Sequence[Element]) -> tuple[Element, ...]:
         k = len(chain)
         if not 0 <= i <= k:

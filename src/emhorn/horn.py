@@ -192,10 +192,6 @@ class ConstraintSystem:
     rhs: list = field(repr=False)
 
     @property
-    def variables(self) -> list:
-        return list(self.problem.target.gens[self.problem.n])
-
-    @property
     def equations(self) -> list[Equation]:
         """The rows and right-hand sides as ``Equation`` objects, built on each read."""
         return [Equation(i, g, vs, r) for (i, g, vs), r in zip(self.shape.rows, self.rhs)]
@@ -559,7 +555,7 @@ def quasicategory_counterexample(f0: int = 0) -> CounterexampleReport:
     middle coordinate would have to solve x + 3 = 1 in the naturals, which
     certifies that no filler exists.
     """
-    if f0 < 0:
+    if type(f0) is not int or f0 < 0:
         raise ValueError("the free face value must be a natural number")
     K = EMSpace(nat(), 2, 3)
     problem = HornProblem(

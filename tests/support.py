@@ -10,8 +10,16 @@ from __future__ import annotations
 import itertools
 import random
 
-from emhorn.delta import codegeneracy, coface, compose
+from emhorn.delta import MonotoneMap, codegeneracy, coface, compose
 from emhorn.em import EMSimplex, EMSpace
+
+
+def surjective(f: MonotoneMap) -> bool:
+    return len(set(f.values)) == f.cod + 1
+
+
+def injective(f: MonotoneMap) -> bool:
+    return len(set(f.values)) == len(f.values)
 
 
 def brute_monotone_tuples(m: int, n: int) -> list[tuple[int, ...]]:
@@ -46,7 +54,7 @@ def face_by_composition(K: EMSpace, k: int, i: int, x: EMSimplex) -> EMSimplex:
     delta = coface(k, i)
     for h, value in zip(K.gens[k], x.coords):
         composite = compose(delta, h)
-        if composite.is_surjective():
+        if surjective(composite):
             out[composite] = M.op(out[composite], value)
     return EMSimplex(k - 1, tuple(out[g] for g in K.gens[k - 1]))
 

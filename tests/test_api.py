@@ -1,41 +1,38 @@
+import ast
+from pathlib import Path
+
 import emhorn
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # What the command line, the acceptance gate and the paper's claim use.  A
 # name that only tests call does not belong here; adding one means editing
-# this list.
+# this list.  The benchmark harness's top-level reads (``validate_horn``,
+# ``count_fillers``, ``from_table``) count as users until a benchmark-only
+# change moves them to the submodules that define them.
 PUBLIC_NAMES = [
     "CERTIFICATE_SCHEMA",
     "CommutativeMonoid",
-    "ConstraintSystem",
     "EMSimplex",
     "EMSpace",
-    "FillerResult",
     "HornProblem",
-    "MonotoneMap",
     "NerveView",
     "UndecidableError",
     "boolean",
     "brute_force_filler",
     "build_constraints",
     "certificate_json",
-    "codegeneracy",
-    "coface",
-    "compose",
     "count_fillers",
     "cyclic",
-    "enumerate_surjections",
     "from_table",
     "horn_from_simplex",
-    "identity",
     "int_group",
     "iter_compatible_horn_data",
-    "iter_fillers",
     "load_table",
     "moore_filler",
     "nat",
     "quasicategory_counterexample",
     "solve_em",
-    "solve_value_all",
     "sphere",
     "sweep_kan",
     "sweep_quasicategory",
@@ -51,3 +48,22 @@ def test_public_surface_is_pinned():
         if not name.startswith("_") and not isinstance(value, type(emhorn))
     )
     assert public == PUBLIC_NAMES
+
+
+def test_every_public_name_has_a_user():
+    """Each public name is imported or read as an attribute by the command
+    line, the acceptance gate or the benchmark harness.
+
+    This is a necessary condition only: names are matched as bare words, so
+    ``M.identity`` would count as a use of a top-level ``identity``.
+    """
+    sources = [ROOT / "src/emhorn/cli.py", ROOT / "tests/test_acceptance.py"]
+    sources += sorted((ROOT / "perfbench").glob("*.py"))
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert [name for name in PUBLIC_NAMES if name not in used] == []

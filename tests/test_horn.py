@@ -255,7 +255,7 @@ class TestBuildConstraints:
     def test_inner_horn_missing_one(self):
         K, p = nat_horn(7, 1, 3)
         sys_ = build_constraints(K, p)
-        assert [str(v) for v in sys_.variables] == ["0012", "0112", "0122"]
+        assert K.gen_names(3) == ["0012", "0112", "0122"]
         got = [(eq.face, eq.vars, eq.rhs) for eq in sys_.equations]
         assert got == [(0, (0,), 7), (2, (1, 2), 1), (3, (2,), 3)]
 
@@ -691,6 +691,11 @@ class TestCounterexampleReport:
         text = "\n".join(rep.lines())
         assert "x(0112) + 3 = 1" in text
         assert "no filler exists" in text
+
+    @pytest.mark.parametrize("f0", [2.5, True, "3", -1])
+    def test_free_face_must_be_a_natural_number(self, f0):
+        with pytest.raises(ValueError, match="the free face value must be a natural number"):
+            quasicategory_counterexample(f0)
 
     def test_contrast_run_over_the_integers(self):
         K = EMSpace(int_group(), 2, 3)
