@@ -247,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("faces", help="show face fibers, or evaluate faces of a simplex")
     common(p)
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--simplex", default=None, help="simplex literal 'level:k [v1,v2,...]'")
+    what = p.add_mutually_exclusive_group()  # a simplex literal names its own level
+    what.add_argument("--level", type=int, default=None)
+    what.add_argument("--simplex", default=None, help="simplex literal 'level:k [v1,v2,...]'")
     p.set_defaults(func=cmd_faces)
 
     p = sub.add_parser("check-horn", help="decide one horn-filling problem")

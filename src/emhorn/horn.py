@@ -38,12 +38,15 @@ shape's first validation; a horn is compatible when both give one tuple.
 Every horn maps into an ``EMSpace``; the exhaustive scan over its level
 sets (``iter_fillers``, ``brute_force_filler``) is kept as an oracle for
 the solver.  Results are frozen values, their certificate steps named
-tuples rendered when they are built.  A sweep builds a result only for
-the horn it reports as a witness, and validates only that horn: a
-verified filler y proves the data compatible, d_i x_j = d_i d_j y =
-d_{j-1} d_i y = d_{j-1} x_i, so validation could only pass on the
-others.  A ``check_unique`` sweep solves each horn once, for up to two
-fillers.
+tuples rendered when they are built.  A sweep enumerates the compatible
+horns by choosing faces in given-index order, each looked up by its faces
+at the earlier indices, which must equal d_{j-1} of the earlier choices,
+so the horns come in the lexicographic order of the product.  It builds
+a result only for the horn it reports as a witness, and validates only
+that horn: a verified filler y proves the data compatible, d_i x_j =
+d_i d_j y = d_{j-1} d_i y = d_{j-1} x_i, so validation could only pass
+on the others.  A ``check_unique`` sweep solves each horn once, for up
+to two fillers.
 """
 
 from __future__ import annotations
@@ -652,49 +655,34 @@ def certificate_json(problem: HornProblem, result: FillerResult) -> dict:
 def iter_compatible_horn_data(
     target: EMSpace, n: int, k: int, bound: Optional[int] = None
 ) -> Iterator[HornProblem]:
-    """Every compatible horn assignment, in canonical order.
+    """Every compatible horn assignment, in the lexicographic order of the
+    product of the level-(n-1) candidates over the given indices.
 
-    Candidate faces are enumerated per given index and extended one at a
-    time; a projection onto the faces shared with earlier choices prunes the
-    search, so only compatible tuples are ever completed.  For infinite
-    coefficient monoids the candidate coordinates are capped at ``bound``.
-    A shape with no horns in ``target`` raises as ``validate_horn`` does.
+    Faces are chosen in given-index order: the choice for face j is looked
+    up by its faces d_i at the earlier given indices i, which must equal
+    d_{j-1} of the earlier choices, so only compatible tuples are built.
+    Infinite coefficients are capped at ``bound``.  A shape with no horns
+    in ``target`` raises on the first ``next``, as ``validate_horn`` does.
     """
     given = _horn_shape(target, n, k).given
-    candidates = target.enumerate_level(n - 1, bound=bound)
+    read = set(given[:-1]) | {j - 1 for j in given[1:]}  # the faces lookups read; none at n = 1
+    # per position: the candidates, in order, by their faces at the earlier given indices
+    tables: list[dict] = [{} for _ in given]
+    for x in target.enumerate_level(n - 1, bound=bound):
+        faces = {i: target.face(n - 1, i, x) for i in read}
+        for pos, table in enumerate(tables):
+            table.setdefault(tuple(faces[i] for i in given[:pos]), []).append((x, faces))
 
-    if n == 1:
-        for x in candidates:
-            yield HornProblem(target, n, k, {given[0]: x})
-        return
-
-    projections = []
-    cand_faces = [
-        {i: target.face(n - 1, i, x) for i in range(n)} for x in candidates
-    ]
-    for pos in range(len(given)):
-        earlier = given[:pos]
-        table: dict = {}
-        for idx, x in enumerate(candidates):
-            key = tuple(cand_faces[idx][a] for a in earlier)
-            table.setdefault(key, []).append(idx)
-        projections.append(table)
-
-    chosen: list[int] = []
-
-    def extend(pos: int) -> Iterator[HornProblem]:
+    def extend(chosen: tuple) -> Iterator[HornProblem]:
+        pos = len(chosen)
         if pos == len(given):
-            faces = {given[q]: candidates[chosen[q]] for q in range(len(given))}
-            yield HornProblem(target, n, k, faces)
+            yield HornProblem(target, n, k, {i: x for i, (x, _) in zip(given, chosen)})
             return
-        b = given[pos]
-        required = tuple(cand_faces[chosen[q]][b - 1] for q in range(pos))
-        for idx in projections[pos].get(required, []):
-            chosen.append(idx)
-            yield from extend(pos + 1)
-            chosen.pop()
+        required = tuple(faces[given[pos] - 1] for _, faces in chosen)
+        for pair in tables[pos].get(required, ()):
+            yield from extend(chosen + (pair,))
 
-    yield from extend(0)
+    yield from extend(())
 
 
 @dataclass

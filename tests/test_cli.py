@@ -168,6 +168,15 @@ class TestFaces:
         assert code == 2 and out == ""
         assert err == "error: faces need a level in 1..80, got 81\n"
 
+    def test_level_with_a_simplex_is_a_usage_error(self, capsys):
+        # the literal names its own level, so a second level is refused, not ignored
+        code, out, err = run(
+            capsys, "faces", "--simplex", "level:3 [5,1,3]", "--level", "2",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("usage: emhorn faces")
+        assert "argument --level: not allowed with argument --simplex" in err
+
     def test_level_zero_exits_two(self, capsys):
         for argv in (["--level", "0"], ["--simplex", "level:0 []"]):
             code, out, err = run(capsys, "faces", *argv)

@@ -650,33 +650,31 @@ class TestOracleAgreement:
                 slow = brute_force_filler(K, p).found
                 assert fast == slow
 
-    def test_enumerator_matches_product_filter(self):
-        K = EMSpace(cyclic(2), 2, 3)
-        got = {
-            tuple(sorted((i, x.coords) for i, x in p.faces.items()))
-            for p in iter_compatible_horn_data(K, 3, 1)
-        }
-        expected = set()
-        for vals in itertools.product((0, 1), repeat=3):
-            faces = {i: K.simplex(2, (v,)) for i, v in zip((0, 2, 3), vals)}
-            p = HornProblem(K, 3, 1, faces)
-            if validate_horn(p)[0]:
-                expected.add(tuple(sorted((i, x.coords) for i, x in p.faces.items())))
-        assert got == expected
-
-    def test_enumerator_matches_filter_with_real_compatibility(self):
-        # dimension 4 over the nerve: pair conditions actually bite
-        N = EMSpace(cyclic(2), 1, 4)
-        got = [p for p in iter_compatible_horn_data(N, 4, 1)]
-        for p in got:
-            assert validate_horn(p) == (True, None)
-        candidates = N.enumerate_level(3)
-        count = 0
-        for choice in itertools.product(range(len(candidates)), repeat=4):
-            faces = dict(zip((0, 2, 3, 4), (candidates[c] for c in choice)))
-            if validate_horn(HornProblem(N, 4, 1, faces))[0]:
-                count += 1
-        assert len(got) == count
+    @pytest.mark.parametrize(
+        "make, bound, max_n",
+        [(lambda: cyclic(2), None, 4), (boolean, None, 4), (nat, 1, 4)]
+        + [(lambda t=t: _table_monoid(t), None, 3) for t in commutative_tables(3)],
+        ids=["Z/2", "bool", "N"] + [f"table{t}" for t in range(9)],
+    )
+    def test_enumerator_is_the_ordered_product_filter(self, make, bound, max_n):
+        """Sweep witnesses and the golden files read the enumeration order:
+        every shape yields exactly the horns of the product of the level-(n-1)
+        candidates over the given indices, in that product's order, that
+        ``validate_horn`` accepts."""
+        M = make()
+        for degree in range(4):
+            K = EMSpace(M, degree, max_n)
+            for n in range(1, max_n + 1):
+                candidates = K.enumerate_level(n - 1, bound=bound)
+                for k in range(n + 1):
+                    given = [i for i in range(n + 1) if i != k]
+                    expected = [
+                        list(zip(given, choice))
+                        for choice in itertools.product(candidates, repeat=len(given))
+                        if validate_horn(HornProblem(K, n, k, dict(zip(given, choice))))[0]
+                    ]
+                    got = [list(p.faces.items()) for p in iter_compatible_horn_data(K, n, k, bound)]
+                    assert got == expected, (degree, n, k)
 
 
 class TestCounterexampleReport:
