@@ -32,8 +32,9 @@ def parse_monoid(spec: str) -> CommutativeMonoid:
         return monoid.int_group()
     if spec == "trivial":
         return monoid.trivial()
-    if spec.startswith("cyclic:"):
-        return monoid.cyclic(int(spec.split(":", 1)[1]))
+    cyclic = re.fullmatch(r"cyclic:([0-9]+)", spec)
+    if cyclic:
+        return monoid.cyclic(int(cyclic.group(1)))
     if spec.startswith("table:"):
         return monoid.load_table(spec.split(":", 1)[1])
     raise ValueError(
@@ -192,12 +193,7 @@ def cmd_check_horn(args) -> int:
             print(f"verified: d{i} -> [{','.join(M.render(c) for c in got.coords)}] matches face {i}")
         return 0
     for step in result.steps:
-        if step.kind == "assign":
-            print(f"forced: x({step.variable}) = {M.render(step.value)}   [face {step.face}]")
-        elif step.kind == "contradiction":
-            print(f"required: {step.equation}: no solution in {M.name}")
-        else:
-            print(step.equation)
+        print(horn.step_line(step, M))
     print("no filler exists")
     return 1
 

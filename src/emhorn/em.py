@@ -314,7 +314,7 @@ class NerveView:
             for i in range(k + 1):
                 via_chain = self.from_chain(self.chain_face(i, chain))
                 via_space = self.space.face(k, i, x)
-                assert via_chain == via_space, (
-                    f"nerve face mismatch at d{i} of {chain}: "
-                    f"{via_chain} != {via_space}"
-                )
+                if via_chain != via_space:
+                    raise AssertionError(
+                        f"nerve face mismatch at d{i} of {chain}: {via_chain} != {via_space}"
+                    )

@@ -25,7 +25,7 @@ leaves it.  So propagation alone decides, and search runs only over
 finite monoids that are not groups: it branches on the lowest open
 coordinate, trying the elements in order, and propagates again, so
 ``_propagate`` is the one code that evaluates a row.  Every filler is
-re-verified against the given faces before being reported.
+re-verified against the given faces before it is reported or counted.
 
 Validation is compiled per shape as well.  One ``_HornShape`` per shape,
 cached on the space, refuses a shape with no horns and holds the given
@@ -274,6 +274,15 @@ def _render_steps(
     return tuple(steps)
 
 
+def step_line(step: CertStep, M: CommutativeMonoid) -> str:
+    """A certificate step as ``check-horn`` prints it."""
+    if step.kind == "assign":
+        return f"forced: x({step.variable}) = {M.render(step.value)}   [face {step.face}]"
+    if step.kind == "contradiction":
+        return f"required: {step.equation}: no solution in {M.name}"
+    return step.equation
+
+
 def _fills(problem: HornProblem, y) -> bool:
     n, face = problem.n, problem.target.face
     for i, x in problem.faces.items():
@@ -408,9 +417,8 @@ def _solve(system: ConstraintSystem, limit: int):
         count = len(M.elements[:limit]) if M.is_finite else limit
         return [[M.identity]], steps, count, None
     unset = len(assignment) - len(steps)  # each step assigns one coordinate
-    assert not (cancellative and unset), (
-        "propagation left a cancellative horn open; this is a bug"
-    )
+    if cancellative and unset:
+        raise AssertionError("propagation left a cancellative horn open; this is a bug")
     # a propagated system skips the search generator, which would cost
     # about a sixth of the solve of a typical fillable horn
     solutions = [assignment]
@@ -426,7 +434,8 @@ def _solve(system: ConstraintSystem, limit: int):
 def _filler(system: ConstraintSystem, solution) -> EMSimplex:
     """A solution as a simplex, re-verified against the given faces."""
     y = tuple.__new__(EMSimplex, (system.problem.n, tuple(solution)))
-    assert _fills(system.problem, y), "solver produced a non-filler; this is a bug"
+    if not _fills(system.problem, y):
+        raise AssertionError("solver produced a non-filler; this is a bug")
     return y
 
 
@@ -454,7 +463,10 @@ def count_fillers(system: ConstraintSystem, limit: int = 2) -> int:
     """How many fillers exist, counted up to ``limit``, which must be at least 1."""
     if limit < 1:
         raise ValueError(f"filler count limit {limit} is below 1")
-    return _solve(system, limit)[2]
+    solutions, _, count, _ = _solve(system, limit)
+    for solution in solutions:  # the count rests on every one
+        _filler(system, solution)
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +494,8 @@ def moore_filler(K: EMSpace, problem: HornProblem) -> FillerResult:
     for r in range(n, k, -1):
         error = K.sub(problem.faces[r], K.face(n, r, y))
         y = K.add(y, K.degeneracy(n - 1, r - 1, error))
-    assert _fills(problem, y), "constructive filler missed a face; this is a bug"
+    if not _fills(problem, y):
+        raise AssertionError("constructive filler missed a face; this is a bug")
     return FillerResult(y, (), "constructive group filler")
 
 
@@ -538,11 +551,9 @@ class CounterexampleReport:
         out = [
             f"horn {self.problem.describe()} with faces {face_desc}",
         ]
-        for step in self.result.steps:
-            if step.kind == "assign":
-                out.append(f"forced: x({step.variable}) = {M.render(step.value)}   [face {step.face}]")
-            else:  # the chain ends in its contradiction
-                out.append(f"required: {step.equation}: no solution in {M.name}   [face {step.face}]")
+        for step in self.result.steps:  # forced values, then the contradiction
+            line = step_line(step, M)
+            out.append(line if step.kind == "assign" else f"{line}   [face {step.face}]")
         out.append("no filler exists")
         return out
 
@@ -736,20 +747,6 @@ class SweepReport:
         return data
 
 
-def _decide(problem: HornProblem, check_unique: bool):
-    """One horn's fillers counted up to 2 if ``check_unique``, else 1, and
-    the verdict when there is none, from one solver run that validates the
-    horn only when no filler vouches for it.  A filler is re-verified but no
-    result is built for it."""
-    system = _compile(problem)
-    solutions, steps, count, note = _solve(system, 2 if check_unique else 1)
-    if not solutions:
-        _require_compatible(problem)
-        return _result(system, solutions, steps, note), 0
-    _filler(system, solutions[0])
-    return None, count
-
-
 def _sweep(
     target: EMSpace,
     max_dim: int,
@@ -760,13 +757,16 @@ def _sweep(
     """Decide the shapes ``(n, k)`` with ``2k <= n``; a shape with ``2k > n``
     adds the instance count of its mirror ``(n, n-k)`` and is not solved.
 
-    Reversing ``[n]`` is an isomorphism ``K(M,d) ~ K(M,d)^op``: the
-    coordinate at a generator ``s`` moves to ``p -> d - s(n-p)`` and face
-    ``i`` to face ``n-i``, so the mirrored shape has as many compatible
-    horns, within any coordinate bound, with as many fillers each.  Both
-    sweep kinds visit ``k`` in increasing order, so the mirror was decided
-    earlier, and the first failure and the first horn with two fillers
-    always lie in a decided shape.
+    Each horn is solved once, for up to two fillers if ``check_unique``,
+    and validated only when no filler vouches for it; every filler is
+    re-verified, but no result is built for it.  Reversing ``[n]`` is an
+    isomorphism ``K(M,d) ~ K(M,d)^op``: the coordinate at a generator ``s``
+    moves to ``p -> d - s(n-p)`` and face ``i`` to face ``n-i``, so the
+    mirrored shape has as many compatible horns, within any coordinate
+    bound, with as many fillers each.  Both sweep kinds visit ``k`` in
+    increasing order, so the mirror was decided earlier, and the first
+    failure and the first horn with two fillers always lie in a decided
+    shape.
     """
     if bound is not None and bound < 0:
         raise ValueError(f"coordinate bound {bound} is negative")
@@ -775,35 +775,31 @@ def _sweep(
     if target.monoid.is_finite:
         bound = None  # every element is enumerated, so no bound applies
     mode = "quasicategory" if inner_only else "kan"
-    name = target.name
-    instances = 0
-    unique: Optional[bool] = True if check_unique else None
-    nonunique: Optional[HornProblem] = None
+    unique = True if check_unique else None
+    report = SweepReport(target.name, mode, max_dim, bound, 0, True, unique=unique)
     for n in range(1, max_dim + 1):
         ks = range(1, n) if inner_only else range(n + 1)
         counts: dict[int, int] = {}
         for k in ks:
             if 2 * k > n:
-                instances += counts[n - k]
+                report.instances += counts[n - k]
                 continue
-            before = instances
+            before = report.instances
             for problem in iter_compatible_horn_data(target, n, k, bound=bound):
-                instances += 1
-                failure, count = _decide(problem, check_unique)
-                if failure is not None:
-                    return SweepReport(
-                        name, mode, max_dim, bound, instances, False,
-                        witness=problem, witness_result=failure,
-                        unique=unique, nonunique_witness=nonunique,
-                    )
-                if count > 1 and nonunique is None:
-                    unique = False
-                    nonunique = problem
-            counts[k] = instances - before
-    return SweepReport(
-        name, mode, max_dim, bound, instances, True,
-        unique=unique, nonunique_witness=nonunique,
-    )
+                report.instances += 1
+                system = _compile(problem)
+                solutions, steps, count, note = _solve(system, 2 if check_unique else 1)
+                if not solutions:
+                    _require_compatible(problem)
+                    report.passed, report.witness = False, problem
+                    report.witness_result = _result(system, solutions, steps, note)
+                    return report
+                for solution in solutions:
+                    _filler(system, solution)
+                if count > 1 and report.unique:
+                    report.unique, report.nonunique_witness = False, problem
+            counts[k] = report.instances - before
+    return report
 
 
 def sweep_quasicategory(

@@ -532,6 +532,16 @@ class TestUsageErrors:
         assert code == 2
         assert "unknown monoid spec" in err
 
+    def test_malformed_cyclic_spec_names_the_spec(self, capsys):
+        code, _, err = run(
+            capsys, "check-horn", "--monoid", "cyclic:abc", "--horn", "3,1", "--faces", "0:[1]"
+        )
+        assert code == 2
+        assert err == (
+            "error: unknown monoid spec 'cyclic:abc'; "
+            "use nat, int, cyclic:m, trivial or table:<file>\n"
+        )
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -1,9 +1,13 @@
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -1114,6 +1118,88 @@ class TestSweepRules:
         for name in CertStep._fields:
             with pytest.raises(AttributeError):
                 setattr(step, name, "changed")
+
+
+# Each case breaks one check from inside and calls what it guards; the
+# error must reach the caller with ``assert`` statements stripped.
+_BROKEN_CHECKS = {
+    "solver": (
+        "h._fills = lambda problem, y: False\n"
+        "K = EMSpace(nat(), 2, 3)\n"
+        "solve_em(build_constraints(K, horn_from_simplex(K, 3, 1, K.simplex(3, (1, 1, 0)))))",
+        "solver produced a non-filler; this is a bug",
+    ),
+    "moore": (
+        "h._fills = lambda problem, y: False\n"
+        "K = EMSpace(int_group(), 2, 3)\n"
+        "moore_filler(K, horn_from_simplex(K, 3, 1, K.simplex(3, (1, 1, 0))))",
+        "constructive filler missed a face; this is a bug",
+    ),
+    "propagation": (
+        "h._propagate = lambda rows, rhs, assignment, M: (assignment, [], None)\n"
+        "K = EMSpace(nat(), 2, 3)\n"
+        "solve_em(build_constraints(K, horn_from_simplex(K, 3, 1, K.simplex(3, (1, 1, 0)))))",
+        "propagation left a cancellative horn open; this is a bug",
+    ),
+    "nerve": (
+        "view = NerveView(nat(), 2)\n"
+        "view.chain_face = lambda i, chain: tuple(chain[1:])\n"
+        "view.check_face_coincidence([(1, 2)])",
+        "nerve face mismatch at d1 of (1, 2): ",
+    ),
+}
+
+
+class TestReverification:
+    """Every filler that a verdict or a count rests on is checked against the
+    given faces, and the internal checks raise under ``python -O`` too."""
+
+    @pytest.mark.parametrize("case", sorted(_BROKEN_CHECKS))
+    def test_checks_survive_python_O(self, case):
+        call, message = _BROKEN_CHECKS[case]
+        script = (
+            "import sys\n"
+            "import emhorn.horn as h\n"
+            "from emhorn import *\n"
+            "try:\n"
+            + "".join(f"    {line}\n" for line in call.splitlines())
+            + "except AssertionError as exc:\n"
+            "    print(sys.flags.optimize, exc)\n"
+        )
+        src = str(Path(horn_module.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert run.stdout.startswith(f"1 {message}"), run.stdout
+
+    def test_count_rests_on_every_filler(self, monkeypatch):
+        K = EMSpace(boolean(), 2, 3)
+        faces = {0: K.simplex(2, (0,)), 2: K.simplex(2, (1,)), 3: K.simplex(2, (1,))}
+        p = HornProblem(K, 3, 1, faces)
+        first, second = iter_fillers(K, p)
+        system = build_constraints(K, p)
+        assert count_fillers(system) == 2
+        fills = horn_module._fills
+        monkeypatch.setattr(
+            horn_module, "_fills", lambda problem, y: y != second and fills(problem, y)
+        )
+        assert solve_em(system).filler == first
+        with pytest.raises(AssertionError, match="solver produced a non-filler"):
+            count_fillers(system)
+
+    def test_unique_sweep_rests_on_every_filler(self, monkeypatch):
+        solve = horn_module._solve
+
+        def with_wrong_second(system, limit):
+            solutions, steps, _, note = solve(system, limit)
+            wrong = [c + 1 for c in solutions[0]]  # every face moves
+            return solutions + [wrong], steps, 2, note
+
+        monkeypatch.setattr(horn_module, "_solve", with_wrong_second)
+        with pytest.raises(AssertionError, match="solver produced a non-filler"):
+            sweep_quasicategory(EMSpace(nat(), 1, 3), 3, check_unique=True)
 
 
 class TestHornShapes:
