@@ -1,8 +1,8 @@
 """Order-preserving maps between the finite ordinals [n] = {0, 1, ..., n}.
 
-These are the morphisms of the simplex category; every face and degeneracy
-operator in the rest of the package is precomposition with one of the maps
-built here.
+These are the morphisms of the simplex category.  Precomposition with the
+maps built here defines every face and degeneracy operator; ``emhorn.em``'s
+value rule for its operator tables is tested against that definition.
 
 Conventions:
 

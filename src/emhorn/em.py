@@ -34,7 +34,7 @@ from collections import namedtuple
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .delta import MonotoneMap, coface, codegeneracy, compose, enumerate_surjections
+from .delta import MonotoneMap, enumerate_surjections
 from .monoid import CommutativeMonoid, Element
 
 
@@ -82,7 +82,7 @@ class EMSpace:
         self.degree = degree
         self.dim_bound = dim_bound
         self.gens = _Levels(degree, dim_bound)
-        self._gen_index: dict[int, dict[MonotoneMap, int]] = {}  # filled per level on first use
+        self._gen_index: dict[int, dict[tuple[int, ...], int]] = {}  # filled per level on first use
         self._degeneracy_targets: dict[tuple[int, int], list[int]] = {}
         self._face_fibers: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         # per (level, operator index): the operator and the width it takes
@@ -111,21 +111,21 @@ class EMSpace:
 
     def simplex(self, k: int, coords: Sequence[Element]) -> EMSimplex:
         if len(coords) != self.rank(k):
-            raise ValueError(
-                f"level {k} of {self.name} has {self.rank(k)} coordinates, got {len(coords)}"
-            )
+            raise self._width_error(EMSimplex(k, coords))
         return tuple.__new__(EMSimplex, (k, tuple(coords)))
 
     def face_fibers(self, k: int, i: int) -> list[tuple[int, ...]]:
-        """For each level-(k-1) generator, the level-k generators whose i-th
-        face it is; the others fall onto the basepoint."""
+        """Per level-(k-1) generator g, the level-k generators whose value tuple
+        with value i dropped is g's; the others fall onto the basepoint."""
         key = (k, i)
         if key not in self._face_fibers:
             if not (1 <= k <= self.dim_bound and 0 <= i <= k):
                 raise ValueError(f"face ({k}, {i}) out of range")
-            fibers: list[list[int]] = [[] for _ in self.gens[k - 1]]
-            for src, tgt in enumerate(self._precompose(coface(k, i), k)):
-                if tgt >= 0:
+            index = self._index(k - 1)
+            fibers: list[list[int]] = [[] for _ in index]
+            for src, h in enumerate(self.gens[k]):
+                tgt = index.get(h.values[:i] + h.values[i + 1 :])
+                if tgt is not None:
                     fibers[tgt].append(src)
             self._face_fibers[key] = [tuple(f) for f in fibers]
         return self._face_fibers[key]
@@ -135,21 +135,22 @@ class EMSpace:
     _fibers = face_fibers
 
     def degeneracy_targets(self, k: int, j: int) -> list[int]:
-        """For each level-k generator, the index of its j-th degeneracy, which
-        is one-to-one and never falls onto the basepoint."""
+        """Per level-k generator, the index of its value tuple with value j
+        repeated: its j-th degeneracy, one-to-one and never the basepoint."""
         key = (k, j)
         if key not in self._degeneracy_targets:
             if not (0 <= k < self.dim_bound and 0 <= j <= k):
                 raise ValueError(f"degeneracy ({k}, {j}) out of range")
-            self._degeneracy_targets[key] = self._precompose(codegeneracy(k, j), k)
+            index = self._index(k + 1)
+            targets = [index[h.values[: j + 1] + h.values[j:]] for h in self.gens[k]]
+            self._degeneracy_targets[key] = targets
         return self._degeneracy_targets[key]
 
-    def _precompose(self, theta: MonotoneMap, k: int) -> list[int]:
-        """Per level-k generator h, the index of h after theta, or -1 on the basepoint."""
-        if theta.dom not in self._gen_index:
-            self._gen_index[theta.dom] = {g: i for i, g in enumerate(self.gens[theta.dom])}
-        index = self._gen_index[theta.dom]
-        return [index.get(compose(theta, h), -1) for h in self.gens[k]]
+    def _index(self, k: int) -> dict[tuple[int, ...], int]:
+        """Level k's generators by value tuple; a tuple that is no key is not surjective."""
+        if k not in self._gen_index:
+            self._gen_index[k] = {g.values: pos for pos, g in enumerate(self.gens[k])}
+        return self._gen_index[k]
 
     def face(self, k: int, i: int, x: EMSimplex) -> EMSimplex:
         level, coords = x
@@ -288,7 +289,6 @@ class NerveView:
     def __init__(self, monoid: CommutativeMonoid, dim_bound: int):
         self.space = EMSpace(monoid, 1, dim_bound)
         self.monoid = monoid
-        self.dim_bound = dim_bound
 
     def from_chain(self, chain: Sequence[Element]) -> EMSimplex:
         return self.space.simplex(len(chain), tuple(reversed(chain)))

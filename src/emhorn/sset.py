@@ -23,7 +23,6 @@ render_id = str
 
 class TruncatedSphere:
     def __init__(self, n: int, dim_bound: int):
-        self.dim_bound = dim_bound
         self._cells = _Levels(n, dim_bound)  # K(N,n)'s generators
 
     def level(self, k: int) -> tuple[Union[MonotoneMap, str], ...]:

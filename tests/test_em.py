@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from emhorn.delta import MonotoneMap, coface
 from emhorn.em import EMSimplex, EMSpace, NerveView
 from emhorn.horn import build_constraints, horn_from_simplex, solve_em
 from emhorn.monoid import boolean, cyclic, int_group, nat, trivial
@@ -77,13 +78,44 @@ class TestFaces:
             assert K_nat2.face(3, 2, x).coords == (b + c,)
             assert K_nat2.face(3, 3, x).coords == (c,)
 
-    def test_level_four_unit_vectors_against_composition_oracle(self, K_nat2):
-        for pos in range(K_nat2.rank(4)):
-            coords = [0] * K_nat2.rank(4)
-            coords[pos] = 1
-            x = K_nat2.simplex(4, tuple(coords))
-            for i in range(5):
-                assert K_nat2.face(4, i, x) == face_by_composition(K_nat2, 4, i, x)
+    @pytest.mark.parametrize("degree", range(5))
+    @pytest.mark.parametrize(
+        "operator, oracle, levels",
+        [("face", face_by_composition, range(1, 7)),
+         ("degeneracy", degeneracy_by_composition, range(6))],
+        ids=["face", "degeneracy"],
+    )
+    def test_unit_vectors_against_composition_oracle(self, operator, oracle, levels, degree):
+        # entry by entry: each unit vector is one generator, so this compares
+        # every entry of every table up to level 6 with the defining composite
+        K = EMSpace(nat(), degree, 6)
+        apply = getattr(K, operator)
+        for x in unit_vectors(K):
+            if x.level in levels:
+                for i in range(x.level + 1):
+                    assert apply(x.level, i, x) == oracle(K, x.level, i, x), (x, i)
+
+    def test_filling_tables_builds_no_map(self, monkeypatch):
+        K = EMSpace(nat(), 3, 8)
+        for k in range(9):
+            K.gens[k]
+        built = []
+        post_init = MonotoneMap.__post_init__
+
+        def counting(f):
+            built.append(f)
+            post_init(f)
+
+        monkeypatch.setattr(MonotoneMap, "__post_init__", counting)
+        for k in range(1, 9):
+            for i in range(k + 1):
+                K.face_fibers(k, i)
+        for k in range(8):
+            for j in range(k + 1):
+                K.degeneracy_targets(k, j)
+        assert built == []
+        coface(2, 1)  # the patch does count the maps that are built
+        assert len(built) == 1
 
     def test_random_faces_against_composition_oracle(self):
         rng = random.Random(9)
