@@ -90,7 +90,8 @@ class EMSpace:
         self._degeneracy_plans: dict[tuple[int, int], tuple] = {}
         self._gen_names: dict[int, tuple[str, ...]] = {}
         # filled by emhorn.horn: per horn shape (n, k), its given faces,
-        # equations and, from its first validation, its compatibility check
+        # equations, filler check and, from its first validation, its
+        # compatibility check
         self._horn_shapes: dict[tuple[int, int], object] = {}
 
     @property
@@ -130,8 +131,9 @@ class EMSpace:
             self._face_fibers[key] = [tuple(f) for f in fibers]
         return self._face_fibers[key]
 
-    # face builds its plan from this alias, so an override of face_fibers sees
-    # only the horn shapes' reads and a patched module name is never looked up
+    # face and a horn shape's filler check build their plans from this alias,
+    # so an override of face_fibers sees only the reads of the shapes' rows
+    # and a patched module name is never looked up
     _fibers = face_fibers
 
     def degeneracy_targets(self, k: int, j: int) -> list[int]:
@@ -205,8 +207,8 @@ class EMSpace:
         return self.add(x, self.neg(y))
 
     def random_simplex(self, k: int, rng, hint: int = 10) -> EMSimplex:
-        coords = tuple(self.monoid.sample(rng, hint) for _ in range(self.rank(k)))
-        return tuple.__new__(EMSimplex, (k, coords))
+        """A level-k simplex, one ``monoid.sample`` draw per coordinate."""
+        return tuple.__new__(EMSimplex, (k, self.monoid.samples(rng, hint, self.rank(k))))
 
     def enumerate_level(self, k: int, bound: Optional[int] = None) -> list[EMSimplex]:
         """All level-k simplices, each coordinate in ``monoid.values(bound)``."""

@@ -25,12 +25,15 @@ leaves it.  So propagation alone decides, and search runs only over
 finite monoids that are not groups: it branches on the lowest open
 coordinate, trying the elements in order, and propagates again, so
 ``_propagate`` is the one code that evaluates a row.  Every filler is
-re-verified against the given faces before it is reported or counted.
+checked against the given faces once, before it is reported or counted.
 
-Validation is compiled per shape as well.  One ``_HornShape`` per shape,
-cached on the space, refuses a shape with no horns and holds the given
-face indices, the rows and the layout of the faces' concatenated
-coordinates, which are the right-hand sides.  The face compatibilities
+Validation and that check are compiled per shape as well.  One
+``_HornShape`` per shape, cached on the space, refuses a shape with no
+horns and holds the given face indices, the rows and the layout of the
+faces' concatenated coordinates, which are the right-hand sides.  Its
+``faces_of`` gives all given faces of a level-n simplex, concatenated in
+the same layout, in one call, so a filler is checked by one comparison
+with the right-hand sides.  The face compatibilities
 d_i x_j = d_{j-1} x_i, one row per given pair i < j and level-(n-2)
 generator, become two face plans over the same coordinates, built on the
 shape's first validation; a horn is compatible when both give one tuple.
@@ -39,14 +42,16 @@ Every horn maps into an ``EMSpace``; the exhaustive scan over its level
 sets (``iter_fillers``, ``brute_force_filler``) is kept as an oracle for
 the solver.  Results are frozen values, their certificate steps named
 tuples rendered when they are built.  A sweep enumerates the compatible
-horns by choosing faces in given-index order, each looked up by its faces
-at the earlier indices, which must equal d_{j-1} of the earlier choices,
-so the horns come in the lexicographic order of the product.  It builds
-a result only for the horn it reports as a witness, and validates only
-that horn: a verified filler y proves the data compatible, d_i x_j =
-d_i d_j y = d_{j-1} d_i y = d_{j-1} x_i, so validation could only pass
-on the others.  A ``check_unique`` sweep solves each horn once, for up
-to two fillers.
+horns as tuples of given faces, choosing faces in given-index order, each
+looked up by its faces at the earlier indices, which must equal d_{j-1}
+of the earlier choices, so the horns come in the lexicographic order of
+the product.  It decides each tuple from its concatenated coordinates and
+builds a ``HornProblem`` and a result only for the horns it reports as
+witnesses.  It validates only a failing horn: a checked filler y proves
+the data compatible, d_i x_j = d_i d_j y = d_{j-1} d_i y = d_{j-1} x_i,
+so validation could only pass on the others.  A ``check_unique`` sweep
+solves each horn once, for up to two fillers, and every filler a sweep
+finds is checked once, in one call.
 """
 
 from __future__ import annotations
@@ -90,6 +95,9 @@ def validate_horn(problem: HornProblem) -> tuple[bool, Optional[tuple[int, int]]
     """
     target, n, faces = problem.target, problem.n, problem.faces
     shape = _horn_shape(target, n, problem.k)
+    for i in faces:
+        if type(i) is not int:
+            raise ValueError(f"face index {i!r} is not an int")
     if set(faces) != set(shape.given):
         raise ValueError(f"horn needs faces {list(shape.given)}, got {sorted(faces)}")
     for i, x in faces.items():
@@ -141,12 +149,18 @@ class _HornShape:
         self.rows = tuple(
             (i, gen_pos, vs) for i in self.given for gen_pos, vs in enumerate(K.face_fibers(n, i))
         )
+        # a level-n simplex's given faces, their coordinates concatenated in
+        # face order, as one plan; built from the fibers ``face`` reads, so
+        # the check that a filler has the given faces never reads ``rows``
+        fibers = [fiber for i in self.given for fiber in K._fibers(n, i)]
+        self.faces_of = _face_plan(fibers, K.monoid)
         self.check = None  # (left, right, owners), built on the shape's first validation
 
-    def coords(self, faces: dict) -> list:
+    def coords(self, faces: dict) -> tuple:
         """The given faces' coordinates, concatenated in face order: the
-        right-hand sides of ``rows``, and what ``check`` reads."""
-        return [c for i in self.given for c in faces[i].coords]
+        right-hand sides of ``rows``, what ``faces_of`` gives a filler and
+        what ``check`` reads."""
+        return sum([faces[i].coords for i in self.given], ())
 
     def violation(self, K: EMSpace, faces: dict) -> Optional[tuple[int, int]]:
         """The first given pair i < j with d_i x_j != d_{j-1} x_i, else None.
@@ -178,7 +192,10 @@ class _HornShape:
 
 def _horn_shape(K: EMSpace, n: int, k: int) -> _HornShape:
     """The shape of the horns Lambda^k[n] -> K, from the space's cache; a
-    refused shape is never cached, so it is refused on every call."""
+    refused shape is never cached, so it is refused on every call.  Indices
+    must be ints: ``(2, False)`` would find the shape cached for ``(2, 0)``."""
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"horn indices must be ints, got n={n!r}, k={k!r}")
     shape = K._horn_shapes.get((n, k))
     if shape is None:
         shape = K._horn_shapes[n, k] = _HornShape(K, n, k)
@@ -192,7 +209,7 @@ class ConstraintSystem:
 
     problem: HornProblem
     shape: _HornShape = field(repr=False)
-    rhs: list = field(repr=False)
+    rhs: tuple = field(repr=False)
 
     @property
     def equations(self) -> list[Equation]:
@@ -210,14 +227,8 @@ def build_constraints(K: EMSpace, problem: HornProblem) -> ConstraintSystem:
     """
     _require_target(K, problem)
     _require_compatible(problem)
-    return _compile(problem)
-
-
-def _compile(problem: HornProblem) -> ConstraintSystem:
-    """``build_constraints`` without validating the horn data: the shared
-    shape, and the faces' coordinates as right-hand sides.  Each given face
-    has one row per level-(n-1) generator, so its coordinates line up."""
-    shape = _horn_shape(problem.target, problem.n, problem.k)
+    # each given face has one row per level-(n-1) generator, so its coordinates line up
+    shape = _horn_shape(K, problem.n, problem.k)
     return ConstraintSystem(problem, shape, shape.coords(problem.faces))
 
 
@@ -283,19 +294,25 @@ def step_line(step: CertStep, M: CommutativeMonoid) -> str:
     return step.equation
 
 
-def _fills(problem: HornProblem, y) -> bool:
-    n, face = problem.n, problem.target.face
-    for i, x in problem.faces.items():
-        if face(n, i, y) != x:
-            return False
-    return True
+def _fills(shape: _HornShape, rhs: tuple, coords) -> bool:
+    """Whether the level-n coordinates ``coords`` have the given faces,
+    whose concatenated coordinates are ``rhs``: one call of the shape's
+    ``faces_of``, which reads every given face."""
+    return shape.faces_of(coords) == rhs
+
+
+def _check_fillers(shape: _HornShape, rhs: tuple, solutions: list) -> None:
+    """Raise unless each solution has the given faces; each is checked once."""
+    for solution in solutions:
+        if not _fills(shape, rhs, solution):
+            raise AssertionError("solver produced a non-filler; this is a bug")
 
 
 # ---------------------------------------------------------------------------
 # Propagation and search
 
 
-def _propagate(rows: tuple, rhs: list, assignment: list, M: CommutativeMonoid):
+def _propagate(rows: tuple, rhs: tuple, assignment: list, M: CommutativeMonoid):
     """Substitute forced values from single-unknown equations to a fixpoint.
 
     The equations are ``rows`` (face, gen_pos, vars) with right-hand sides
@@ -350,11 +367,11 @@ def _propagate(rows: tuple, rhs: list, assignment: list, M: CommutativeMonoid):
     return assignment, steps, None
 
 
-def _branch(rows: tuple, rhs: list, M: CommutativeMonoid, partial: list, unset: int):
+def _branch(rows: tuple, rhs: tuple, M: CommutativeMonoid, partial: list, unset: int):
     """Every completion of a propagated assignment with ``unset`` open
     coordinates: the lowest open one takes each element in order."""
     if not unset:
-        yield partial
+        yield tuple(partial)
         return
     v = partial.index(None)
     for value in M.elements:
@@ -365,16 +382,18 @@ def _branch(rows: tuple, rhs: list, M: CommutativeMonoid, partial: list, unset: 
             yield from _branch(rows, rhs, M, trial, unset - 1 - len(forced))
 
 
-def _solve(system: ConstraintSystem, limit: int):
-    """Propagate, then finish a finite monoid that is not a group by search:
+def _solve(K: EMSpace, n: int, shape: _HornShape, rhs: tuple, limit: int):
+    """Decide the horn of ``shape`` in ``K`` whose given faces have the
+    concatenated coordinates ``rhs``, which is all it reads of the horn.
+    Propagate, then finish a finite monoid that is not a group by search:
     branch on the lowest open coordinate over the elements in order and
     propagate again.
 
     Returns (solutions, steps, count, note): at most ``limit`` complete
-    assignments; the raw propagation steps, ending in the contradiction
-    when there is one; the number of fillers counted up to ``limit``,
-    which exceeds the solutions returned at n = d; and the note of a
-    residual system found to have no solution, else None.  Propagation
+    assignments, as coordinate tuples; the raw propagation steps, ending
+    in the contradiction when there is one; the number of fillers counted
+    up to ``limit``, which exceeds the solutions returned at n = d; and the
+    note of a residual system found to have no solution, else None.  Propagation
     sets only coordinates that earlier choices determine, so solutions
     come out in the scan's order over the open coordinates.
 
@@ -404,24 +423,23 @@ def _solve(system: ConstraintSystem, limit: int):
     them missing, so at n > d search, too, sets only coordinates that
     some row constrains.
     """
-    K, n = system.problem.target, system.problem.n
     M = K.monoid
     cancellative = M.is_group or M.is_free_natural
     if not (cancellative or M.is_finite):
         raise UndecidableError(f"no solver capability for {M.name}; undecidable here")
-    rows, rhs = system.shape.rows, system.rhs
+    rows = shape.rows
     assignment, steps, failed = _propagate(rows, rhs, [None] * len(K.gens[n]), M)
     if failed is not None:
         return [], steps + [failed], 0, None
     if assignment == [None]:  # n = d
         count = len(M.elements[:limit]) if M.is_finite else limit
-        return [[M.identity]], steps, count, None
+        return [(M.identity,)], steps, count, None
     unset = len(assignment) - len(steps)  # each step assigns one coordinate
     if cancellative and unset:
         raise AssertionError("propagation left a cancellative horn open; this is a bug")
     # a propagated system skips the search generator, which would cost
     # about a sixth of the solve of a typical fillable horn
-    solutions = [assignment]
+    solutions = [tuple(assignment)]
     if unset:
         solutions = list(islice(_branch(rows, rhs, M, assignment, unset), limit))
     if solutions:
@@ -431,18 +449,12 @@ def _solve(system: ConstraintSystem, limit: int):
     return [], steps, 0, f"search exhausted; {sizes}"
 
 
-def _filler(system: ConstraintSystem, solution) -> EMSimplex:
-    """A solution as a simplex, re-verified against the given faces."""
-    y = tuple.__new__(EMSimplex, (system.problem.n, tuple(solution)))
-    if not _fills(system.problem, y):
-        raise AssertionError("solver produced a non-filler; this is a bug")
-    return y
-
-
-def _result(system: ConstraintSystem, solutions: list, steps: list, note: Optional[str]) -> FillerResult:
-    """The first solution as a re-verified filler, else no filler."""
-    filler = _filler(system, solutions[0]) if solutions else None
-    return FillerResult(filler, _render_steps(system, steps, note), note)
+def _solve_checked(system: ConstraintSystem, limit: int):
+    """``_solve`` on the system's horn, each solution checked once."""
+    problem, shape, rhs = system.problem, system.shape, system.rhs
+    solved = _solve(problem.target, problem.n, shape, rhs, limit)
+    _check_fillers(shape, rhs, solved[0])
+    return solved
 
 
 def solve_em(system: ConstraintSystem) -> FillerResult:
@@ -455,18 +467,16 @@ def solve_em(system: ConstraintSystem) -> FillerResult:
     capability; over a cancellative monoid propagation always decides
     (see ``_solve``).
     """
-    solutions, steps, _, note = _solve(system, 1)
-    return _result(system, solutions, steps, note)
+    solutions, steps, _, note = _solve_checked(system, 1)
+    filler = tuple.__new__(EMSimplex, (system.problem.n, solutions[0])) if solutions else None
+    return FillerResult(filler, _render_steps(system, steps, note), note)
 
 
 def count_fillers(system: ConstraintSystem, limit: int = 2) -> int:
     """How many fillers exist, counted up to ``limit``, which must be at least 1."""
     if limit < 1:
         raise ValueError(f"filler count limit {limit} is below 1")
-    solutions, _, count, _ = _solve(system, limit)
-    for solution in solutions:  # the count rests on every one
-        _filler(system, solution)
-    return count
+    return _solve_checked(system, limit)[2]  # the count rests on every solution, each checked
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +504,8 @@ def moore_filler(K: EMSpace, problem: HornProblem) -> FillerResult:
     for r in range(n, k, -1):
         error = K.sub(problem.faces[r], K.face(n, r, y))
         y = K.add(y, K.degeneracy(n - 1, r - 1, error))
-    if not _fills(problem, y):
+    shape = _horn_shape(K, n, k)
+    if not _fills(shape, shape.coords(problem.faces), y.coords):
         raise AssertionError("constructive filler missed a face; this is a bug")
     return FillerResult(y, (), "constructive group filler")
 
@@ -506,8 +517,10 @@ def moore_filler(K: EMSpace, problem: HornProblem) -> FillerResult:
 def _scan(problem: HornProblem, value_bound: Optional[int]):
     """Check the horn data, then list level n: (candidates, lazy fillers)."""
     _require_compatible(problem)
+    shape = _horn_shape(problem.target, problem.n, problem.k)
+    rhs = shape.coords(problem.faces)
     candidates = problem.target.enumerate_level(problem.n, bound=value_bound)
-    return candidates, (y for y in candidates if _fills(problem, y))
+    return candidates, (y for y in candidates if _fills(shape, rhs, y.coords))
 
 
 def iter_fillers(
@@ -669,31 +682,50 @@ def iter_compatible_horn_data(
     """Every compatible horn assignment, in the lexicographic order of the
     product of the level-(n-1) candidates over the given indices.
 
-    Faces are chosen in given-index order: the choice for face j is looked
-    up by its faces d_i at the earlier given indices i, which must equal
-    d_{j-1} of the earlier choices, so only compatible tuples are built.
     Infinite coefficients are capped at ``bound``.  A shape with no horns
     in ``target`` raises on the first ``next``, as ``validate_horn`` does.
     """
     given = _horn_shape(target, n, k).given
+    for faces in _compatible_faces(target, n, k, bound):
+        yield HornProblem(target, n, k, dict(zip(given, faces)))
+
+
+def _compatible_faces(target: EMSpace, n: int, k: int, bound: Optional[int]) -> Iterator[tuple]:
+    """The given faces of every compatible horn, as tuples in given-index
+    order, in the order of ``iter_compatible_horn_data``.
+
+    Faces are chosen in given-index order: the choice for face j is looked
+    up by its faces d_i at the earlier given indices i, which must equal
+    d_{j-1} of the earlier choices, so only compatible tuples are built.
+    A level-(n-2) face is keyed by a number, the order it was first seen in.
+    """
+    given = _horn_shape(target, n, k).given
     read = set(given[:-1]) | {j - 1 for j in given[1:]}  # the faces lookups read; none at n = 1
-    # per position: the candidates, in order, by their faces at the earlier given indices
+    ids: dict = {}
+    last = len(given) - 1
+    # per position: the candidates, in order, by their faces at the earlier
+    # given indices; at the last position each as a 1-tuple to append
     tables: list[dict] = [{} for _ in given]
     for x in target.enumerate_level(n - 1, bound=bound):
-        faces = {i: target.face(n - 1, i, x) for i in read}
+        faces = tuple(
+            ids.setdefault(target.face(n - 1, i, x), len(ids)) if i in read else None
+            for i in range(n)
+        )
         for pos, table in enumerate(tables):
-            table.setdefault(tuple(faces[i] for i in given[:pos]), []).append((x, faces))
+            entry = (x,) if pos == last else (x, faces)
+            table.setdefault(tuple(faces[i] for i in given[:pos]), []).append(entry)
 
-    def extend(chosen: tuple) -> Iterator[HornProblem]:
+    def extend(chosen: tuple, faces: tuple) -> Iterator[tuple]:
         pos = len(chosen)
-        if pos == len(given):
-            yield HornProblem(target, n, k, {i: x for i, (x, _) in zip(given, chosen)})
+        lower = given[pos] - 1
+        matches = tables[pos].get(tuple([f[lower] for f in faces]), ())
+        if pos == last:
+            yield from map(chosen.__add__, matches)
             return
-        required = tuple(faces[given[pos] - 1] for _, faces in chosen)
-        for pair in tables[pos].get(required, ()):
-            yield from extend(chosen + (pair,))
+        for x, f in matches:
+            yield from extend(chosen + (x,), faces + (f,))
 
-    yield from extend(())
+    yield from extend((), ())
 
 
 @dataclass
@@ -757,9 +789,10 @@ def _sweep(
     """Decide the shapes ``(n, k)`` with ``2k <= n``; a shape with ``2k > n``
     adds the instance count of its mirror ``(n, n-k)`` and is not solved.
 
-    Each horn is solved once, for up to two fillers if ``check_unique``,
-    and validated only when no filler vouches for it; every filler is
-    re-verified, but no result is built for it.  Reversing ``[n]`` is an
+    Each horn is solved once, from its given faces' concatenated
+    coordinates, for up to two fillers if ``check_unique``, and validated
+    only when no filler vouches for it; every filler is checked once, but
+    no ``HornProblem`` or result is built for it.  Reversing ``[n]`` is an
     isomorphism ``K(M,d) ~ K(M,d)^op``: the coordinate at a generator ``s``
     moves to ``p -> d - s(n-p)`` and face ``i`` to face ``n-i``, so the
     mirrored shape has as many compatible horns, within any coordinate
@@ -777,6 +810,7 @@ def _sweep(
     mode = "quasicategory" if inner_only else "kan"
     unique = True if check_unique else None
     report = SweepReport(target.name, mode, max_dim, bound, 0, True, unique=unique)
+    limit = 2 if check_unique else 1
     for n in range(1, max_dim + 1):
         ks = range(1, n) if inner_only else range(n + 1)
         counts: dict[int, int] = {}
@@ -785,19 +819,23 @@ def _sweep(
                 report.instances += counts[n - k]
                 continue
             before = report.instances
-            for problem in iter_compatible_horn_data(target, n, k, bound=bound):
+            shape = _horn_shape(target, n, k)
+            given = shape.given
+            for faces in _compatible_faces(target, n, k, bound):
                 report.instances += 1
-                system = _compile(problem)
-                solutions, steps, count, note = _solve(system, 2 if check_unique else 1)
+                rhs = sum([x.coords for x in faces], ())  # as ``shape.coords`` lays them out
+                solutions, steps, count, note = _solve(target, n, shape, rhs, limit)
                 if not solutions:
+                    problem = HornProblem(target, n, k, dict(zip(given, faces)))
                     _require_compatible(problem)
                     report.passed, report.witness = False, problem
-                    report.witness_result = _result(system, solutions, steps, note)
+                    steps = _render_steps(ConstraintSystem(problem, shape, rhs), steps, note)
+                    report.witness_result = FillerResult(None, steps, note)
                     return report
-                for solution in solutions:
-                    _filler(system, solution)
+                _check_fillers(shape, rhs, solutions)
                 if count > 1 and report.unique:
-                    report.unique, report.nonunique_witness = False, problem
+                    report.unique = False
+                    report.nonunique_witness = HornProblem(target, n, k, dict(zip(given, faces)))
             counts[k] = report.instances - before
     return report
 

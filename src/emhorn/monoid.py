@@ -96,11 +96,16 @@ class CommutativeMonoid:
         raise UndecidableError(f"cannot enumerate {self.name}; undecidable here")
 
     def sample(self, rng, hint: int = 10) -> Element:
-        """The element ``rng.choice`` would draw from ``values(hint)``,
+        """The element ``rng.choice`` would draw from ``values(hint)``."""
+        return self.samples(rng, hint, 1)[0]
+
+    def samples(self, rng, hint: int, count: int) -> tuple:
+        """``count`` draws of ``sample`` in one loop over one ``values(hint)``,
         without taking ``len()`` of a range too long for it."""
         values = self.values(hint)
         size = values.stop - values.start if isinstance(values, range) else len(values)
-        return values[rng.randrange(size)]
+        draw = rng.randrange
+        return tuple([values[draw(size)] for _ in range(count)])
 
     def render(self, a: Element) -> str:
         return self._render(a) if self._render else str(a)

@@ -68,6 +68,12 @@ class TestConstruction:
 
 
 class TestFaces:
+    def test_index_above_the_level_is_refused(self, K_nat2):
+        # level 3 is in the truncation; only i > k is out of range, and a
+        # table built for it would send every coordinate to the basepoint
+        with pytest.raises(ValueError, match=r"face \(3, 4\) out of range"):
+            K_nat2.face_fibers(3, 4)
+
     def test_level_three_face_formulas(self, K_nat2):
         rng = random.Random(0)
         for _ in range(100):
@@ -179,6 +185,16 @@ class TestDegeneracies:
         assert dict(zip(K_nat2.gen_names(3), s1.coords)) == {
             "0012": 0, "0112": 7, "0122": 0,
         }
+
+    def test_index_above_the_level_is_refused(self, K_nat2):
+        # level 2 is in the truncation; only j > k is out of range
+        with pytest.raises(ValueError, match=r"degeneracy \(2, 3\) out of range"):
+            K_nat2.degeneracy_targets(2, 3)
+
+    def test_the_top_level_has_no_degeneracy(self, K_nat2):
+        # s_0 of level 4 would land in level 5, outside the truncation 0..4
+        with pytest.raises(ValueError, match=r"degeneracy \(4, 0\) out of range"):
+            K_nat2.degeneracy_targets(4, 0)
 
     def test_identity_simplex_is_preserved(self, K_nat2):
         for k in range(4):

@@ -92,6 +92,34 @@ class TestValidateHorn:
             with pytest.raises(ValueError, match=message):
                 validate_horn(HornProblem(K, n, k, faces))
 
+    @pytest.mark.parametrize(
+        "n, k, keys, message",
+        [
+            (2, False, (1, 2), "horn indices must be ints, got n=2, k=False"),
+            (2, 0, (True, 2), "face index True is not an int"),
+            (2, 0, (1.0, 2), "face index 1.0 is not an int"),
+            (2.0, 0, (1, 2), "horn indices must be ints, got n=2.0, k=0"),
+        ],
+        ids=["k=False", "face True", "face 1.0", "n=2.0"],
+    )
+    def test_indices_that_are_not_ints_rejected(self, n, k, keys, message):
+        # each equals an int index, and (2, False) hashes like (2, 0), so
+        # the shape cached for (2, 0) would take the horn, and its
+        # certificate would carry "k": false or a face key "True" or "1.0"
+        N = EMSpace(nat(), 1, 3)
+        good = HornProblem(N, 2, 0, {1: N.simplex(1, (4,)), 2: N.simplex(1, (9,))})
+        assert validate_horn(good) == (True, None)
+        p = HornProblem(N, n, k, dict(zip(keys, good.faces.values())))
+        with pytest.raises(ValueError, match=message):
+            validate_horn(p)
+        with pytest.raises(ValueError, match=message):
+            solve_em(build_constraints(N, p))
+        if all(type(i) is int for i in keys):  # the shape itself is refused
+            with pytest.raises(ValueError, match=message):
+                next(iter_compatible_horn_data(N, n, k, bound=1))
+            with pytest.raises(ValueError, match=message):
+                horn_from_simplex(N, n, k, N.zero(2))
+
     def test_wrong_level_rejected(self):
         K = EMSpace(nat(), 2, 3)
         faces = {0: K.simplex(3, (1, 1, 1)), 2: K.simplex(2, (1,)), 3: K.simplex(2, (1,))}
@@ -771,7 +799,7 @@ class TestSweeps:
         def refuse(*args, **kwargs):
             raise AssertionError("a horn was enumerated")
 
-        monkeypatch.setattr(horn_module, "iter_compatible_horn_data", refuse)
+        monkeypatch.setattr(horn_module, "_compatible_faces", refuse)
         for max_dim in (9, 3, -1):
             message = f"sweep dimension {max_dim} outside truncation 0..2"
             with pytest.raises(ValueError, match=message):
@@ -780,6 +808,14 @@ class TestSweeps:
                 sweep_quasicategory(EMSpace(nat(), 2, 2), max_dim, bound=1)
         report = sweep_kan(EMSpace(cyclic(2), 2, 2), 0)
         assert report.passed and report.instances == 0
+
+    @pytest.mark.parametrize("sweep, shapes", [(sweep_kan, 9), (sweep_quasicategory, 3)])
+    def test_bound_zero_is_a_bound(self, sweep, shapes):
+        # every coordinate is 0, so each shape up to 3 has the one zero
+        # horn, which the zero simplex fills
+        report = sweep(EMSpace(nat(), 2, 3), 3, bound=0)
+        assert report.passed and report.bound == 0
+        assert report.instances == shapes
 
     def test_degenerate_dimensions_pass_trivially(self):
         K = EMSpace(trivial(), 2, 4)
@@ -1052,8 +1088,10 @@ class TestSweepRules:
         good = horn_from_simplex(K, 3, 1, K.simplex(3, (1, 0, 1)))
         bad = HornProblem(K, 3, 1, dict(good.faces))
         bad.faces[0] = K.add(bad.faces[0], K.simplex(2, (1, 0)))
+        faces = tuple(bad.faces[i] for i in (0, 2, 3))
         monkeypatch.setattr(
-            horn_module, "iter_compatible_horn_data", lambda target, n, k, bound=None: iter([bad])
+            horn_module, "_compatible_faces",
+            lambda target, n, k, bound: iter([faces] if (n, k) == (3, 1) else []),
         )
         with pytest.raises(ValueError, match="incompatible horn data at face pair"):
             sweep_kan(K, 3)
@@ -1081,6 +1119,69 @@ class TestSweepRules:
         # count their mirror's horns and run none
         mirrored = _mirrored_horns(K, report, max_dim, bound, inner_only=True)
         assert len(runs) == report.instances - mirrored
+
+    def test_passing_sweep_builds_problems_only_for_its_witnesses(self, monkeypatch):
+        built = []
+        real = horn_module.HornProblem
+        monkeypatch.setattr(
+            horn_module, "HornProblem", lambda *args: built.append(args) or real(*args)
+        )
+        report = sweep_kan(EMSpace(cyclic(2), 2, 3), 3)
+        assert report.passed and report.instances > 0
+        assert built == []
+        report = sweep_quasicategory(EMSpace(cyclic(2), 2, 3), 3, check_unique=True)
+        assert report.passed and report.unique is False
+        assert [real(*args) for args in built] == [report.nonunique_witness]
+        built.clear()
+        report = sweep_quasicategory(EMSpace(nat(), 2, 3), 3, bound=2)
+        assert not report.passed
+        assert [real(*args) for args in built] == [report.witness]
+
+    def _record_checks(self, monkeypatch):
+        """Every solution ``_solve`` returns, and every ``_fills`` call, as
+        (shape, right-hand sides, coordinates)."""
+        solved, checked = [], []
+        solve, fills = horn_module._solve, horn_module._fills
+
+        def solving(K, n, shape, rhs, limit):
+            out = solve(K, n, shape, rhs, limit)
+            solved.extend((id(shape), rhs, tuple(s)) for s in out[0])
+            return out
+
+        def checking(shape, rhs, coords):
+            checked.append((id(shape), rhs, tuple(coords)))
+            return fills(shape, rhs, coords)
+
+        monkeypatch.setattr(horn_module, "_solve", solving)
+        monkeypatch.setattr(horn_module, "_fills", checking)
+        return solved, checked
+
+    @pytest.mark.parametrize(
+        "make, degree, bound, check_unique",
+        [(lambda: cyclic(2), 2, None, False), (lambda: cyclic(2), 2, None, True),
+         (boolean, 1, None, True), (nat, 1, 3, True)],
+        ids=["Z/2 kan", "Z/2 unique", "bool unique", "N unique"],
+    )
+    def test_sweep_checks_each_filler_once(self, monkeypatch, make, degree, bound, check_unique):
+        solved, checked = self._record_checks(monkeypatch)
+        K = EMSpace(make(), degree, 3)
+        if check_unique:
+            report = sweep_quasicategory(K, 3, bound=bound, check_unique=True)
+        else:
+            report = sweep_kan(K, 3, bound=bound)
+        assert report.passed and solved
+        assert Counter(checked) == Counter(solved)
+        assert set(Counter(checked).values()) == {1}
+
+    def test_public_calls_check_each_filler_once(self, monkeypatch):
+        solved, checked = self._record_checks(monkeypatch)
+        K = EMSpace(boolean(), 2, 3)
+        faces = {0: K.simplex(2, (0,)), 2: K.simplex(2, (1,)), 3: K.simplex(2, (1,))}
+        system = build_constraints(K, HornProblem(K, 3, 1, faces))
+        assert solve_em(system).found
+        assert len(solved) == len(checked) == 1
+        assert count_fillers(system) == 2
+        assert len(solved) == len(checked) == 3 and checked[1:] == solved[1:]
 
     def test_results_compare_by_value(self):
         K, p = nat_horn(2, 5, 1)
@@ -1124,13 +1225,13 @@ class TestSweepRules:
 # error must reach the caller with ``assert`` statements stripped.
 _BROKEN_CHECKS = {
     "solver": (
-        "h._fills = lambda problem, y: False\n"
+        "h._fills = lambda shape, rhs, coords: False\n"
         "K = EMSpace(nat(), 2, 3)\n"
         "solve_em(build_constraints(K, horn_from_simplex(K, 3, 1, K.simplex(3, (1, 1, 0)))))",
         "solver produced a non-filler; this is a bug",
     ),
     "moore": (
-        "h._fills = lambda problem, y: False\n"
+        "h._fills = lambda shape, rhs, coords: False\n"
         "K = EMSpace(int_group(), 2, 3)\n"
         "moore_filler(K, horn_from_simplex(K, 3, 1, K.simplex(3, (1, 1, 0))))",
         "constructive filler missed a face; this is a bug",
@@ -1183,7 +1284,8 @@ class TestReverification:
         assert count_fillers(system) == 2
         fills = horn_module._fills
         monkeypatch.setattr(
-            horn_module, "_fills", lambda problem, y: y != second and fills(problem, y)
+            horn_module, "_fills",
+            lambda shape, rhs, coords: coords != second.coords and fills(shape, rhs, coords),
         )
         assert solve_em(system).filler == first
         with pytest.raises(AssertionError, match="solver produced a non-filler"):
@@ -1192,8 +1294,8 @@ class TestReverification:
     def test_unique_sweep_rests_on_every_filler(self, monkeypatch):
         solve = horn_module._solve
 
-        def with_wrong_second(system, limit):
-            solutions, steps, _, note = solve(system, limit)
+        def with_wrong_second(K, n, shape, rhs, limit):
+            solutions, steps, _, note = solve(K, n, shape, rhs, limit)
             wrong = [c + 1 for c in solutions[0]]  # every face moves
             return solutions + [wrong], steps, 2, note
 
@@ -1225,6 +1327,20 @@ class TestHornShapes:
         for (n, i), calls in Counter(fiber_calls).items():
             assert calls <= n, (n, i, calls)
         assert built == []
+
+    def test_filler_check_gives_every_given_face(self):
+        # the one plan per shape that checks a filler, against faces taken
+        # from generator composites, concatenated in given order
+        rng = random.Random(7)
+        for M, degree in ((nat(), 2), (int_group(), 3), (cyclic(3), 1), (boolean(), 0)):
+            K = EMSpace(M, degree, 5)
+            for n in range(1, 6):
+                for k in range(n + 1):
+                    shape = horn_module._horn_shape(K, n, k)
+                    for _ in range(3):
+                        y = K.random_simplex(n, rng, 4)
+                        faces = [face_by_composition(K, n, i, y).coords for i in shape.given]
+                        assert shape.faces_of(y.coords) == sum(faces, ()), (K, n, k, y)
 
     def _horn(self, K, f0, f2, f3):
         faces = {0: K.simplex(2, (f0,)), 2: K.simplex(2, (f2,)), 3: K.simplex(2, (f3,))}

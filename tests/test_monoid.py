@@ -120,6 +120,21 @@ class TestTableMonoids:
         )
         assert Z3.is_group
 
+    @pytest.mark.parametrize(
+        "text, parsed",
+        [("0", 0), ("2", "element index 2 out of range for Z2"),
+         ("-1", "element index -1 out of range for Z2")],
+        ids=["first index", "index = size", "negative index"],
+    )
+    def test_numeric_parse_takes_exactly_the_indices(self, text, parsed):
+        # the names are not digits, so each text is read as an index
+        Z2 = from_table(["e", "a"], [["e", "a"], ["a", "e"]], name="Z2")
+        if isinstance(parsed, int):
+            assert Z2.parse_element(text) == parsed
+        else:
+            with pytest.raises(ValueError, match=parsed):
+                Z2.parse_element(text)
+
     def test_rejects_non_associative_with_triple(self):
         with pytest.raises(ValueError, match="associative at triple"):
             from_table(
