@@ -90,8 +90,8 @@ class EMSpace:
         self._degeneracy_plans: dict[tuple[int, int], tuple] = {}
         self._gen_names: dict[int, tuple[str, ...]] = {}
         # filled by emhorn.horn: per horn shape (n, k), its given faces,
-        # equations, filler check and, from its first validation, its
-        # compatibility check
+        # equations, filler check, from its first validation its compatibility
+        # check, and from a sweep's first filled horn its filler map
         self._horn_shapes: dict[tuple[int, int], object] = {}
 
     @property

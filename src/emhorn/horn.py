@@ -45,22 +45,23 @@ tuples rendered when they are built.  A sweep enumerates the compatible
 horns as tuples of given faces, choosing faces in given-index order, each
 looked up by its faces at the earlier indices, which must equal d_{j-1}
 of the earlier choices, so the horns come in the lexicographic order of
-the product.  It decides each tuple from its concatenated coordinates and
-builds a ``HornProblem`` and a result only for the horns it reports as
-witnesses.  It validates only a failing horn: a checked filler y proves
-the data compatible, d_i x_j = d_i d_j y = d_{j-1} d_i y = d_{j-1} x_i,
-so validation could only pass on the others.  A ``check_unique`` sweep
-solves each horn once, for up to two fillers, and every filler a sweep
-finds is checked once, in one call.
+the product.  It decides each once, for up to two fillers if asked, from
+its concatenated coordinates: over a cancellative monoid at n > d by the
+shape's filler map (its unique filler as one function of them, composed
+from the propagation steps of its first filled horn), else, and where the
+map finds no filler, by the solver.  It builds a ``HornProblem`` and a
+result only for its witnesses, and validates only a failing one: a checked
+filler y proves its data compatible, d_i x_j = d_i d_j y = d_{j-1} d_i y = d_{j-1} x_i.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
-from .em import EMSimplex, EMSpace, _face_plan
+from .em import EMSimplex, EMSpace, _face_plan, _gather
 from .monoid import CommutativeMonoid, Element, UndecidableError, nat, solve_value_all
 
 
@@ -155,6 +156,8 @@ class _HornShape:
         fibers = [fiber for i in self.given for fiber in K._fibers(n, i)]
         self.faces_of = _face_plan(fibers, K.monoid)
         self.check = None  # (left, right, owners), built on the shape's first validation
+        self.cancellative = K.monoid.is_group or K.monoid.is_free_natural  # a + x = b has <= 1 x
+        self.fill = None  # the filler map, built by ``_sweep`` on the shape's first filled horn
 
     def coords(self, faces: dict) -> tuple:
         """The given faces' coordinates, concatenated in face order: the
@@ -382,6 +385,39 @@ def _branch(rows: tuple, rhs: tuple, M: CommutativeMonoid, partial: list, unset:
             yield from _branch(rows, rhs, M, trial, unset - 1 - len(forced))
 
 
+def _filler_map(shape: _HornShape, steps: list, M: CommutativeMonoid):
+    """A cancellative shape's filler at n > d as one function of the right-hand
+    sides, from the ``steps`` that fill one horn: x_var = rhs[e] less row e's
+    other unknowns.  A unit vector fills its faces, so each coordinate has a plus
+    term, and another only with a minus one: then it solves minus + x = plus, and
+    the map gives None where that has no solution."""
+    terms: dict = {}
+    for _, var, e, _, _ in steps:  # the other unknowns of row e are set by earlier steps
+        terms[var] = Counter({e: 1})
+        for u in set(shape.rows[e][2]) - {var}:
+            terms[var].subtract(terms[u])
+    signed = [(list((+t).elements()), list((-t).elements())) for _, t in sorted(terms.items())]
+    pick = _gather([plus[0] for plus, _ in signed])
+    rest = [(v, plus[1:], minus[0], minus[1:]) for v, (plus, minus) in enumerate(signed) if minus]
+    op = M.op
+
+    def fill(rhs):
+        out = list(pick(rhs))
+        for v, more, first, less in rest:
+            total, low = out[v], rhs[first]
+            for e in more:
+                total = op(total, rhs[e])
+            for e in less:
+                low = op(low, rhs[e])
+            solved = solve_value_all(M, low, total)
+            if not solved:
+                return None
+            out[v] = solved[0]
+        return tuple(out)
+
+    return fill
+
+
 def _solve(K: EMSpace, n: int, shape: _HornShape, rhs: tuple, limit: int):
     """Decide the horn of ``shape`` in ``K`` whose given faces have the
     concatenated coordinates ``rhs``, which is all it reads of the horn.
@@ -424,7 +460,7 @@ def _solve(K: EMSpace, n: int, shape: _HornShape, rhs: tuple, limit: int):
     some row constrains.
     """
     M = K.monoid
-    cancellative = M.is_group or M.is_free_natural
+    cancellative = shape.cancellative
     if not (cancellative or M.is_finite):
         raise UndecidableError(f"no solver capability for {M.name}; undecidable here")
     rows = shape.rows
@@ -789,17 +825,21 @@ def _sweep(
     """Decide the shapes ``(n, k)`` with ``2k <= n``; a shape with ``2k > n``
     adds the instance count of its mirror ``(n, n-k)`` and is not solved.
 
-    Each horn is solved once, from its given faces' concatenated
+    Each horn is decided once, from its given faces' concatenated
     coordinates, for up to two fillers if ``check_unique``, and validated
     only when no filler vouches for it; every filler is checked once, but
-    no ``HornProblem`` or result is built for it.  Reversing ``[n]`` is an
-    isomorphism ``K(M,d) ~ K(M,d)^op``: the coordinate at a generator ``s``
-    moves to ``p -> d - s(n-p)`` and face ``i`` to face ``n-i``, so the
-    mirrored shape has as many compatible horns, within any coordinate
-    bound, with as many fillers each.  Both sweep kinds visit ``k`` in
-    increasing order, so the mirror was decided earlier, and the first
-    failure and the first horn with two fillers always lie in a decided
-    shape.
+    no ``HornProblem`` or result is built for it.  Over a cancellative monoid
+    at n > d a horn has the one filler its shape's map gives, if checked; the
+    map composes ``_solve``'s steps on the shape's first filled horn, which
+    ``_propagate`` takes on every horn that fills, as each row it solves has
+    one solution or ends the chain.  Other horns go to ``_solve``.  Reversing
+    ``[n]`` is an isomorphism ``K(M,d) ~ K(M,d)^op``: the coordinate at a
+    generator ``s`` moves to ``p -> d - s(n-p)`` and face ``i`` to face
+    ``n-i``, so the mirrored shape has as many compatible horns, within any
+    coordinate bound, with as many fillers each.  Both sweep kinds visit
+    ``k`` in increasing order, so the mirror was decided earlier, and the
+    first failure and the first horn with two fillers always lie in a
+    decided shape.
     """
     if bound is not None and bound < 0:
         raise ValueError(f"coordinate bound {bound} is negative")
@@ -824,6 +864,9 @@ def _sweep(
             for faces in _compatible_faces(target, n, k, bound):
                 report.instances += 1
                 rhs = sum([x.coords for x in faces], ())  # as ``shape.coords`` lays them out
+                coords = shape.fill and shape.fill(rhs)  # None where the map finds no filler
+                if coords and _fills(shape, rhs, coords):
+                    continue  # the one filler, as ``_solve`` proves
                 solutions, steps, count, note = _solve(target, n, shape, rhs, limit)
                 if not solutions:
                     problem = HornProblem(target, n, k, dict(zip(given, faces)))
@@ -833,6 +876,8 @@ def _sweep(
                     report.witness_result = FillerResult(None, steps, note)
                     return report
                 _check_fillers(shape, rhs, solutions)
+                if shape.fill is None and shape.cancellative and n > target.degree:
+                    shape.fill = _filler_map(shape, steps, target.monoid)
                 if count > 1 and report.unique:
                     report.unique = False
                     report.nonunique_witness = HornProblem(target, n, k, dict(zip(given, faces)))

@@ -1045,9 +1045,28 @@ class TestMirroredShapes:
         assert (failed, nonunique) == (27, 11)
 
 
+def _record_filler_maps(monkeypatch, record):
+    """Make every evaluation of a filler map that a sweep builds call
+    ``record(shape, rhs, coords)`` with its shape, its argument and its
+    result."""
+    build = horn_module._filler_map
+
+    def building(shape, steps, M):
+        fill = build(shape, steps, M)
+
+        def recording(rhs):
+            coords = fill(rhs)
+            record(shape, rhs, coords)
+            return coords
+
+        return recording
+
+    monkeypatch.setattr(horn_module, "_filler_map", building)
+
+
 class TestSweepRules:
     """A sweep validates only its witness, and a check_unique sweep
-    solves each horn once; neither may change what the sweep reports."""
+    decides each horn once; neither may change what the sweep reports."""
 
     def _count_validations(self, monkeypatch):
         calls = []
@@ -1084,17 +1103,20 @@ class TestSweepRules:
         )
 
     def test_incompatible_horn_still_raises(self, monkeypatch):
+        # the bad horn follows a good one of its shape, so the shape's filler
+        # map is built by then, and its output fails the filler check
         K = EMSpace(cyclic(2), 1, 3)
         good = horn_from_simplex(K, 3, 1, K.simplex(3, (1, 0, 1)))
         bad = HornProblem(K, 3, 1, dict(good.faces))
         bad.faces[0] = K.add(bad.faces[0], K.simplex(2, (1, 0)))
-        faces = tuple(bad.faces[i] for i in (0, 2, 3))
+        horns = [tuple(p.faces[i] for i in (0, 2, 3)) for p in (good, bad)]
         monkeypatch.setattr(
             horn_module, "_compatible_faces",
-            lambda target, n, k, bound: iter([faces] if (n, k) == (3, 1) else []),
+            lambda target, n, k, bound: iter(horns if (n, k) == (3, 1) else []),
         )
         with pytest.raises(ValueError, match="incompatible horn data at face pair"):
             sweep_kan(K, 3)
+        assert K._horn_shapes[3, 1].fill is not None
 
     @pytest.mark.parametrize(
         "make, degree, max_dim, bound",
@@ -1113,12 +1135,34 @@ class TestSweepRules:
         monkeypatch.setattr(
             horn_module, "_solve", lambda *args: runs.append(args) or solve(*args)
         )
+        # a map that finds no filler (a negative coordinate over N) hands
+        # its horn to the solver, which decides it
+        _record_filler_maps(
+            monkeypatch, lambda shape, rhs, coords: coords is None or runs.append(rhs)
+        )
         report = sweep_quasicategory(K, max_dim, bound=bound, check_unique=True)
         assert _report_fields(report) == expected
-        # one solver run per horn of a solved shape; the shapes with 2k > n
-        # count their mirror's horns and run none
+        # one decision per horn of a solved shape, a solver run or a filler
+        # from the shape's filler map; the shapes with 2k > n count their
+        # mirror's horns and decide none
         mirrored = _mirrored_horns(K, report, max_dim, bound, inner_only=True)
         assert len(runs) == report.instances - mirrored
+
+    def test_filler_map_decides_after_one_solve_per_shape(self, monkeypatch):
+        # above the degree a cancellative shape runs the solver on its first
+        # horn only; a map that fell back on every horn would run it on all
+        runs = []
+        solve = horn_module._solve
+        monkeypatch.setattr(
+            horn_module, "_solve",
+            lambda K, n, shape, rhs, limit: runs.append((n, id(shape)))
+            or solve(K, n, shape, rhs, limit),
+        )
+        report = sweep_kan(EMSpace(cyclic(2), 2, 4), 4)
+        assert report.passed and report.instances > len(runs)
+        above = Counter(run for run in runs if run[0] > 2)
+        assert sorted(n for n, _ in above) == [3, 3, 4, 4, 4]  # the shapes with 2k <= n
+        assert set(above.values()) == {1}
 
     def test_passing_sweep_builds_problems_only_for_its_witnesses(self, monkeypatch):
         built = []
@@ -1138,8 +1182,9 @@ class TestSweepRules:
         assert [real(*args) for args in built] == [report.witness]
 
     def _record_checks(self, monkeypatch):
-        """Every solution ``_solve`` returns, and every ``_fills`` call, as
-        (shape, right-hand sides, coordinates)."""
+        """Every solution ``_solve`` returns, every filler a shape's filler
+        map gives, and every ``_fills`` call, as (shape, right-hand sides,
+        coordinates)."""
         solved, checked = [], []
         solve, fills = horn_module._solve, horn_module._fills
 
@@ -1148,12 +1193,17 @@ class TestSweepRules:
             solved.extend((id(shape), rhs, tuple(s)) for s in out[0])
             return out
 
+        def mapping(shape, rhs, coords):
+            if coords is not None:
+                solved.append((id(shape), rhs, coords))
+
         def checking(shape, rhs, coords):
             checked.append((id(shape), rhs, tuple(coords)))
             return fills(shape, rhs, coords)
 
         monkeypatch.setattr(horn_module, "_solve", solving)
         monkeypatch.setattr(horn_module, "_fills", checking)
+        _record_filler_maps(monkeypatch, mapping)
         return solved, checked
 
     @pytest.mark.parametrize(
@@ -1163,6 +1213,7 @@ class TestSweepRules:
         ids=["Z/2 kan", "Z/2 unique", "bool unique", "N unique"],
     )
     def test_sweep_checks_each_filler_once(self, monkeypatch, make, degree, bound, check_unique):
+        # whichever gave a filler, the solver or a shape's filler map
         solved, checked = self._record_checks(monkeypatch)
         K = EMSpace(make(), degree, 3)
         if check_unique:
@@ -1241,6 +1292,11 @@ _BROKEN_CHECKS = {
         "K = EMSpace(nat(), 2, 3)\n"
         "solve_em(build_constraints(K, horn_from_simplex(K, 3, 1, K.simplex(3, (1, 1, 0)))))",
         "propagation left a cancellative horn open; this is a bug",
+    ),
+    "sweep": (
+        "h._fills = lambda shape, rhs, coords: False\n"
+        "sweep_kan(EMSpace(cyclic(2), 2, 4), 4)",
+        "solver produced a non-filler; this is a bug",
     ),
     "nerve": (
         "view = NerveView(nat(), 2)\n"
@@ -1372,3 +1428,97 @@ class TestHornShapes:
                 for k in range(n + 1):
                     for p in iter_compatible_horn_data(K, n, k, bound=bound):
                         assert build_constraints(K, p).equations == equations_by_composition(K, p)
+
+
+def _filler_map_cases():
+    """The cancellative monoids of the filler-map test, each with its coordinate bound."""
+    tables = [_table_monoid(t) for t in commutative_tables(3)]
+    return ([(nat(), 2), (int_group(), 1)] + [(cyclic(m), None) for m in (2, 3, 4)]
+            + [(M, None) for M in tables if M.is_group])
+
+
+class TestFillerMap:
+    """Above the degree, a sweep decides each horn of a cancellative shape by
+    the shape's filler map, compiled from the propagation steps of one filled
+    horn; a horn the map gives no filler falls back to ``_solve``.  Checked on
+    every shape with d <= 3, d < n <= 2d+2 and k <= n/2."""
+
+    CANDIDATES, HORNS, RANDOM = 729, 1000, 20
+
+    def _data(self, K, Z, n, k, bound, rng):
+        """Right-hand sides of compatible horns of shape (n, k) in K: the
+        first HORNS in sweep order when level n-1 has at most CANDIDATES
+        candidates, and the faces of RANDOM random simplices.  Over N, also
+        the faces of each all-ones simplex over Z with one coordinate -1 whose
+        faces are natural numbers: as the filler over Z is unique, these are
+        horns over N that do not fill."""
+        shape = horn_module._horn_shape(K, n, k)
+        data = []
+        if len(K.monoid.values(bound)) ** K.rank(n - 1) <= self.CANDIDATES:
+            horns = horn_module._compatible_faces(K, n, k, bound)
+            data = [sum([x.coords for x in faces], ())
+                    for faces in itertools.islice(horns, self.HORNS)]
+        for _ in range(self.RANDOM):
+            data.append(shape.faces_of(K.random_simplex(n, rng, bound or 1).coords))
+        if K.monoid.is_free_natural:
+            faces_of, rank = horn_module._horn_shape(Z, n, k).faces_of, K.rank(n)
+            for s in range(rank):
+                rhs = faces_of(tuple(-1 if t == s else 1 for t in range(rank)))
+                if min(rhs, default=0) >= 0:
+                    data.append(rhs)
+        return data
+
+    def _sweep_with(self, monkeypatch, K, n, k, horns):
+        """``sweep_kan(K, n)`` with ``horns`` (right-hand sides) as the only
+        compatible horns of shape (n, k) and none of any other shape."""
+        width = K.rank(n - 1)
+        faces = [tuple(K.simplex(n - 1, rhs[p:p + width]) for p in range(0, len(rhs), width))
+                 for rhs in horns]
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                horn_module, "_compatible_faces",
+                lambda target, m, j, bound: iter(faces if (m, j) == (n, k) else []),
+            )
+            return sweep_kan(K, n)
+
+    def test_only_cancellative_shapes_above_the_degree_get_a_map(self):
+        # over bool a row with one unknown may have two solutions, so the
+        # steps of one horn need not serve the next, nor a count of 1 hold
+        for M, mapped in ((boolean(), []), (cyclic(2), [(3, 0), (3, 1), (4, 0), (4, 1), (4, 2)])):
+            K = EMSpace(M, 2, 4)
+            sweep_kan(K, 4)
+            assert sorted(key for key, shape in K._horn_shapes.items() if shape.fill) == mapped
+
+    @pytest.mark.parametrize(
+        "M, bound", _filler_map_cases(), ids=lambda value: getattr(value, "name", str(value))
+    )
+    def test_map_gives_the_solvers_filler(self, monkeypatch, M, bound):
+        rng = random.Random(11)
+        shapes = refuted = 0
+        for d in range(4):
+            K, Z = EMSpace(M, d, 2 * d + 2), EMSpace(int_group(), d, 2 * d + 2)
+            for n in range(d + 1, 2 * d + 3):
+                for k in range(n // 2 + 1):
+                    shape, fill = horn_module._horn_shape(K, n, k), None
+                    shapes += 1
+                    for rhs in self._data(K, Z, n, k, bound, rng):
+                        solutions, steps, count, _ = horn_module._solve(K, n, shape, rhs, 2)
+                        if fill is None:  # as a sweep builds it, from its first filled horn
+                            assert solutions, (K, n, k, rhs)
+                            fill, good = horn_module._filler_map(shape, steps, M), rhs
+                        coords = fill(rhs)
+                        assert solutions == ([] if coords is None else [coords]), (K, n, k, rhs)
+                        assert count == len(solutions)
+                        if coords is None:
+                            # a negative coordinate: the sweep falls back to the
+                            # solver, whose certificate it reports
+                            assert M.is_free_natural
+                            refuted += 1
+                            report = self._sweep_with(monkeypatch, K, n, k, [good, rhs])
+                            assert shape.fill is not None and report.instances == 2
+                            assert shape.coords(report.witness.faces) == rhs
+                            system = build_constraints(K, report.witness)
+                            assert report.witness_result == solve_em(system)
+                            assert report.witness_result.steps[-1].kind == "contradiction"
+        assert shapes == 41
+        assert (refuted > 0) == M.is_free_natural
