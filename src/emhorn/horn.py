@@ -16,12 +16,12 @@ when a system's ``equations`` are read.
 The solver first propagates: any equation with a single unknown is solved
 outright and substituted.  Either this chain ends in an unsolvable
 single-unknown equation, which is a human-readable certificate that no
-filler exists, or some coordinates are left unset.  Over a cancellative
-monoid (a group or the naturals) an equation with one unknown has at most
-one solution, and ``_solve`` proves that propagation then refutes the horn
-or sets every coordinate, save at n = d, where the one coordinate lies in
-no equation and is set to the identity, as the constructive group filler
-leaves it.  So propagation alone decides, and search runs only over
+filler exists, or some coordinates are left unset.  Over a monoid with
+``is_cancellative`` set, ``M.solve`` gives an equation with one unknown at
+most one solution, and ``_solve`` proves that propagation then refutes the
+horn or sets every coordinate, save at n = d, where the one coordinate lies
+in no equation and is set to the identity, as the constructive group
+filler leaves it.  So propagation alone decides, and search runs only over
 finite monoids that are not groups: it branches on the lowest open
 coordinate, trying the elements in order, and propagates again, so
 ``_propagate`` is the one code that evaluates a row.  Every filler is
@@ -62,7 +62,7 @@ from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
 from .em import EMSimplex, EMSpace, _face_plan, _gather
-from .monoid import CommutativeMonoid, Element, UndecidableError, nat, solve_value_all
+from .monoid import CommutativeMonoid, Element, UndecidableError, nat
 
 
 @dataclass
@@ -156,7 +156,6 @@ class _HornShape:
         fibers = [fiber for i in self.given for fiber in K._fibers(n, i)]
         self.faces_of = _face_plan(fibers, K.monoid)
         self.check = None  # (left, right, owners), built on the shape's first validation
-        self.cancellative = K.monoid.is_group or K.monoid.is_free_natural  # a + x = b has <= 1 x
         self.fill = None  # the filler map, built by ``_sweep`` on the shape's first filled horn
 
     def coords(self, faces: dict) -> tuple:
@@ -321,11 +320,11 @@ def _propagate(rows: tuple, rhs: tuple, assignment: list, M: CommutativeMonoid):
     The equations are ``rows`` (face, gen_pos, vars) with right-hand sides
     ``rhs``; ``assignment``, a value or None per variable, is extended in
     place.  This is the one code that evaluates a row.  A single-unknown
-    equation with one solution determines its variable, and one with none,
-    like a fully assigned equation that fails, ends the chain in a
-    contradiction certificate.  In a non-cancellative finite monoid such an
-    equation may have several solutions; committing to one would lose
-    fillers, so it waits for search, which branches on the lowest open
+    equation with one solution in ``M.solve`` determines its variable, and
+    one with none, like a fully assigned equation that fails, ends the chain
+    in a contradiction certificate.  In a non-cancellative finite monoid
+    such an equation may have several solutions; committing to one would
+    lose fillers, so it waits for search, which branches on the lowest open
     coordinate and propagates again.
 
     Returns (assignment, steps, failed_step), the steps as raw
@@ -333,7 +332,7 @@ def _propagate(rows: tuple, rhs: tuple, assignment: list, M: CommutativeMonoid):
     ``_render_steps``.  When failed_step is not None the chain ended in a
     contradiction and the assignment is meaningless.
     """
-    op, identity = M.op, M.identity
+    op, identity, solve = M.op, M.identity, M.solve
     steps: list = []
     pending = range(len(rows))
     progress = True
@@ -357,7 +356,7 @@ def _propagate(rows: tuple, rhs: tuple, assignment: list, M: CommutativeMonoid):
                     if known != rhs[e]:
                         return assignment, steps, ("contradiction", None, e, known, None)
                     continue
-                solutions = solve_value_all(M, known, rhs[e])
+                solutions = solve(known, rhs[e])
                 if not solutions:
                     return assignment, steps, ("contradiction", var, e, known, None)
                 if len(solutions) > 1:
@@ -386,11 +385,12 @@ def _branch(rows: tuple, rhs: tuple, M: CommutativeMonoid, partial: list, unset:
 
 
 def _filler_map(shape: _HornShape, steps: list, M: CommutativeMonoid):
-    """A cancellative shape's filler at n > d as one function of the right-hand
-    sides, from the ``steps`` that fill one horn: x_var = rhs[e] less row e's
-    other unknowns.  A unit vector fills its faces, so each coordinate has a plus
-    term, and another only with a minus one: then it solves minus + x = plus, and
-    the map gives None where that has no solution."""
+    """A shape's filler over a cancellative ``M`` at n > d as one function of
+    the right-hand sides, from the ``steps`` that fill one horn: x_var = rhs[e]
+    less row e's other unknowns.  A unit vector fills its faces, so each
+    coordinate has a plus term, and another only with a minus one: then
+    ``M.solve`` solves minus + x = plus, and the map gives None where that has
+    no solution."""
     terms: dict = {}
     for _, var, e, _, _ in steps:  # the other unknowns of row e are set by earlier steps
         terms[var] = Counter({e: 1})
@@ -399,7 +399,7 @@ def _filler_map(shape: _HornShape, steps: list, M: CommutativeMonoid):
     signed = [(list((+t).elements()), list((-t).elements())) for _, t in sorted(terms.items())]
     pick = _gather([plus[0] for plus, _ in signed])
     rest = [(v, plus[1:], minus[0], minus[1:]) for v, (plus, minus) in enumerate(signed) if minus]
-    op = M.op
+    op, solve = M.op, M.solve
 
     def fill(rhs):
         out = list(pick(rhs))
@@ -409,7 +409,7 @@ def _filler_map(shape: _HornShape, steps: list, M: CommutativeMonoid):
                 total = op(total, rhs[e])
             for e in less:
                 low = op(low, rhs[e])
-            solved = solve_value_all(M, low, total)
+            solved = solve(low, total)
             if not solved:
                 return None
             out[v] = solved[0]
@@ -433,11 +433,12 @@ def _solve(K: EMSpace, n: int, shape: _HornShape, rhs: tuple, limit: int):
     sets only coordinates that earlier choices determine, so solutions
     come out in the scan's order over the open coordinates.
 
-    Over a cancellative monoid (a group or the naturals) propagation
-    decides.  Write a level-n generator, a surjection s: [n] -> [d], as
-    its repeat set R = {p in 1..n : s(p) = s(p-1)}, which holds n - d
-    tokens.  Face i drops position i, so s occurs in face i's rows when
-    s(i) is repeated, and then:
+    Over a monoid with ``M.is_cancellative``, where ``M.solve`` gives a row
+    with one unknown at most one solution, propagation decides.  Write a
+    level-n generator, a surjection s: [n] -> [d], as its repeat set
+    R = {p in 1..n : s(p) = s(p-1)}, which holds n - d tokens.  Face i
+    drops position i, so s occurs in face i's rows when s(i) is repeated,
+    and then:
 
     - s is the sole source of its row exactly when i = 0 and 1 is in R,
       or i = n and n is in R, or i and i+1 are both in R;
@@ -460,8 +461,7 @@ def _solve(K: EMSpace, n: int, shape: _HornShape, rhs: tuple, limit: int):
     some row constrains.
     """
     M = K.monoid
-    cancellative = shape.cancellative
-    if not (cancellative or M.is_finite):
+    if not (M.is_cancellative or M.is_finite):
         raise UndecidableError(f"no solver capability for {M.name}; undecidable here")
     rows = shape.rows
     assignment, steps, failed = _propagate(rows, rhs, [None] * len(K.gens[n]), M)
@@ -471,7 +471,7 @@ def _solve(K: EMSpace, n: int, shape: _HornShape, rhs: tuple, limit: int):
         count = len(M.elements[:limit]) if M.is_finite else limit
         return [(M.identity,)], steps, count, None
     unset = len(assignment) - len(steps)  # each step assigns one coordinate
-    if cancellative and unset:
+    if M.is_cancellative and unset:
         raise AssertionError("propagation left a cancellative horn open; this is a bug")
     # a propagated system skips the search generator, which would cost
     # about a sixth of the solve of a typical fillable horn
@@ -876,7 +876,7 @@ def _sweep(
                     report.witness_result = FillerResult(None, steps, note)
                     return report
                 _check_fillers(shape, rhs, solutions)
-                if shape.fill is None and shape.cancellative and n > target.degree:
+                if shape.fill is None and target.monoid.is_cancellative and n > target.degree:
                     shape.fill = _filler_map(shape, steps, target.monoid)
                 if count > 1 and report.unique:
                     report.unique = False

@@ -1,16 +1,19 @@
-"""Commutative monoids with the capability flags the solvers dispatch on.
+"""Commutative monoids, each fixing at construction how it solves ``a + x = b``.
 
 A monoid instance bundles its identity, its binary operation ``op`` (the
-given callable, called directly) and capability flags, plain attributes
-fixed at construction:
+given callable, called directly) and plain attributes that the constructor
+fixes from its arguments:
 
-- ``is_finite``: the elements are available as a sequence, so laws can be
-  checked exhaustively and equations solved by scanning.
-- ``is_group``: an inverse operation is available.
-- ``is_free_natural``: the elements are non-negative Python integers under
-  ``+``, so the solvers may compare and subtract them directly.  That is
-  what makes unsolvable equations like ``x + 3 = 1`` detectable without
-  search.
+- ``is_finite``, ``is_group``: the elements are a sequence; an inverse exists.
+- ``is_free_natural``, ``integer_addition``: the elements are the naturals,
+  or the integers, under ``+``; only this module reads them.
+- ``solve(a, b)``: every x with a + x = b, as a tuple.  A group gives
+  ``inverse(a) + b``, the naturals b - a when a <= b and otherwise none (so
+  ``x + 3 = 1`` is refuted without search), and another finite monoid the
+  scan of its elements in order, run once per pair (a, b) and kept; any
+  other monoid raises ``UndecidableError``.
+- ``is_cancellative``: true for a group or the naturals, where ``solve``
+  never gives two solutions.
 
 Elements are plain Python values: arbitrary-precision integers for the
 naturals and the integers, residues for the cyclic monoids, and indices
@@ -56,12 +59,10 @@ class CommutativeMonoid:
         self.is_finite = elements is not None
         self.is_group = inverse is not None
         self.is_free_natural = free_natural
-        # True only when elements are plain integers under +.
         self.integer_addition = integer_addition
-        # membership, fixed with the flags: an int among the elements when
-        # finite (a non-int, bool included, is refused before any comparison),
-        # a non-negative int over N, an int over the integers; any other
-        # infinite monoid has no membership test and takes every value
+        # membership: an int among the elements when finite (a non-int, bool
+        # included, is refused before any comparison), a non-negative int over
+        # N, an int over Z; any other infinite monoid takes every value
         if elements is not None:
             self.is_element = lambda a: type(a) is int and a in elements
         elif free_natural:
@@ -72,8 +73,27 @@ class CommutativeMonoid:
             self.is_element = lambda a: True
         self._render = render
         self._parse = parse
-        # solve_value_all's scans over a finite monoid, per (a, b)
-        self._solutions: dict[tuple[Element, Element], tuple[Element, ...]] = {}
+        # solve calls the given op and inverse; the finite scan runs on first
+        # use, and its solutions are kept per (a, b)
+        memo: dict[tuple[Element, Element], tuple[Element, ...]] = {}
+
+        def scan(a: Element, b: Element) -> tuple[Element, ...]:
+            found = memo.get((a, b))
+            if found is None:
+                found = memo[a, b] = tuple(x for x in elements if op(a, x) == b)
+            return found
+
+        def undecidable(a: Element, b: Element) -> tuple[Element, ...]:
+            raise UndecidableError(f"cannot solve equations over {name}; undecidable here")
+
+        self._solutions = memo
+        self.is_cancellative = inverse is not None or free_natural
+        if inverse is not None:
+            self.solve = lambda a, b: (op(inverse(a), b),)
+        elif free_natural:
+            self.solve = lambda a, b: (b - a,) if a <= b else ()
+        else:
+            self.solve = scan if elements is not None else undecidable
 
     def inverse(self, a: Element) -> Element:
         if self._inverse is None:
@@ -266,23 +286,3 @@ def load_table(path: str) -> CommutativeMonoid:
         raise ValueError(f"{path}: 'name' must be a string, 'elements' a list, 'table' a list of lists")
     return from_table(elements, table, name=name)
 
-
-def solve_value_all(M: CommutativeMonoid, a: Element, b: Element) -> tuple[Element, ...]:
-    """Every x with a + x = b, as a tuple.
-
-    Groups have the one solution inverse(a) + b.  The naturals are
-    cancellative too: b - a when a <= b, and none otherwise, which the order
-    certifies.  Other finite monoids may have several solutions, found by
-    scanning the elements in canonical order; each pair (a, b) is scanned
-    once and its solutions kept on the monoid.
-    """
-    if M.is_group:
-        return (M.op(M.inverse(a), b),)
-    if M.is_free_natural:
-        return (b - a,) if a <= b else ()
-    if M.is_finite:
-        solutions = M._solutions.get((a, b))
-        if solutions is None:
-            solutions = M._solutions[a, b] = tuple(x for x in M.elements if M.op(a, x) == b)
-        return solutions
-    raise UndecidableError(f"cannot solve equations over {M.name}; undecidable here")

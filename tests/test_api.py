@@ -67,3 +67,26 @@ def test_every_public_name_has_a_user():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert [name for name in PUBLIC_NAMES if name not in used] == []
+
+
+def test_only_the_monoid_module_reads_the_number_flags():
+    """``is_free_natural`` and ``integer_addition`` say how a monoid was
+    built; every other module of the package asks the monoid instead, through
+    ``solve``, ``is_cancellative``, ``is_element`` and ``values``.  An
+    attribute read or a string naming a flag (as ``getattr`` would take it)
+    counts."""
+    flags = {"is_free_natural", "integer_addition"}
+    readers = []
+    for path in sorted((ROOT / "src/emhorn").glob("*.py")):
+        if path.name == "monoid.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            else:
+                continue
+            if name in flags:
+                readers.append(f"{path.name}:{node.lineno} {name}")
+    assert readers == []

@@ -13,7 +13,6 @@ from emhorn.monoid import (
     int_group,
     load_table,
     nat,
-    solve_value_all,
     trivial,
 )
 from support import check_laws, commutative_tables
@@ -27,6 +26,7 @@ class TestInstances:
         N = nat()
         assert N.op(1, 3) == 4
         assert N.is_free_natural and not N.is_group and not N.is_finite
+        assert N.is_cancellative
 
     def test_cyclic_arithmetic(self):
         Z4 = cyclic(4)
@@ -37,6 +37,7 @@ class TestInstances:
     def test_int_group_capabilities(self):
         Z = int_group()
         assert Z.is_group and not Z.is_finite and not Z.is_free_natural
+        assert Z.is_cancellative
         assert Z.op(3, Z.inverse(3)) == 0
 
     def test_trivial_is_a_point(self):
@@ -90,9 +91,9 @@ class TestFreeNaturalStructure:
 
     def test_partial_subtraction(self):
         N = nat()
-        assert solve_value_all(N, 2, 5) == (3,)
-        assert solve_value_all(N, 5, 2) == ()
-        assert N.op(solve_value_all(N, 2, 5)[0], 2) == 5
+        assert N.solve(2, 5) == (3,)
+        assert N.solve(5, 2) == ()
+        assert N.op(N.solve(2, 5)[0], 2) == 5
 
     def test_free_natural_means_non_negative_integers(self):
         rng = random.Random(11)
@@ -109,7 +110,7 @@ class TestFreeNaturalStructure:
 class TestTableMonoids:
     def test_boolean_accepted_not_a_group(self):
         B = boolean()
-        assert B.is_finite and not B.is_group
+        assert B.is_finite and not B.is_group and not B.is_cancellative
         assert B.op(1, 1) == 1
         assert B.render(1) == "1"
 
@@ -205,61 +206,102 @@ class TestTableMonoids:
             load_table(str(path))
 
 
+def _table_monoid(table):
+    return from_table("012", [[str(c) for c in row] for row in table])
+
+
+def _counting_copy(M, calls):
+    """A copy of ``M`` built as the benchmark's ``counting_monoid`` builds one
+    (``perfbench/harness.py``): the same identity, elements and flags, the
+    inverse through ``M.inverse``, and an op that records each call."""
+    op = M.op
+
+    def counted(a, b):
+        calls.append((a, b))
+        return op(a, b)
+
+    return CommutativeMonoid(
+        M.name,
+        M.identity,
+        counted,
+        elements=M.elements,
+        inverse=M.inverse if M.is_group else None,
+        free_natural=M.is_free_natural,
+        integer_addition=M.integer_addition,
+        render=M.render,
+        parse=M.parse_element,
+    )
+
+
 class TestSolveValueAll:
+    """``M.solve(a, b)``, which each monoid fixes when it is built: all the
+    values x with a + x = b."""
+
     def test_nat_unsolvable_when_target_smaller(self):
-        assert solve_value_all(nat(), 3, 1) == ()
+        assert nat().solve(3, 1) == ()
 
     def test_nat_subtraction(self):
-        assert solve_value_all(nat(), 3, 7) == (4,)
+        assert nat().solve(3, 7) == (4,)
 
     def test_int_uses_inverse(self):
-        assert solve_value_all(int_group(), 3, 1) == (-2,)
+        assert int_group().solve(3, 1) == (-2,)
 
     def test_finite_scan_in_order(self):
         B = boolean()
         # 1 + x = 1 has solutions {0, 1}, listed in canonical order
-        assert solve_value_all(B, 1, 1) == (0, 1)
-        assert solve_value_all(B, 1, 0) == ()
-        assert solve_value_all(B, 0, 1) == (1,)
+        assert B.solve(1, 1) == (0, 1)
+        assert B.solve(1, 0) == ()
+        assert B.solve(0, 1) == (1,)
 
     def test_returned_solutions_reevaluate(self):
+        # a cancellative monoid never gives two solutions; the copies built
+        # as the benchmark builds them solve through their counted op
         rng = random.Random(3)
-        for M in (nat(), int_group(), cyclic(6), boolean()):
-            for _ in range(200):
-                a, b = M.sample(rng, 20), M.sample(rng, 20)
-                for x in solve_value_all(M, a, b):
-                    assert M.op(a, x) == b
+        tables = [_table_monoid(t) for t in commutative_tables(3)]
+        for M in (nat(), int_group(), cyclic(6), boolean(), *tables):
+            for C in (M, _counting_copy(M, [])):
+                for _ in range(200):
+                    a, b = C.sample(rng, 20), C.sample(rng, 20)
+                    solutions = C.solve(a, b)
+                    assert len(solutions) <= 1 or not C.is_cancellative
+                    for x in solutions:
+                        assert C.op(a, x) == b
 
     def test_nat_empty_exactly_when_target_below(self):
         N = nat()
         for a in range(12):
             for b in range(12):
-                assert (solve_value_all(N, a, b) == ()) == (b < a)
+                assert (N.solve(a, b) == ()) == (b < a)
 
     def test_finite_solutions_are_exactly_the_scan(self):
         for M in (cyclic(2), cyclic(6), boolean(), trivial()):
             for a in M.elements:
                 for b in M.elements:
                     want = tuple(y for y in M.elements if M.op(a, y) == b)
-                    assert solve_value_all(M, a, b) == want
+                    assert M.solve(a, b) == want
 
     def test_every_branch_returns_a_tuple(self):
-        for M, a, b in [(nat(), 1, 3), (nat(), 3, 1), (int_group(), 3, 1),
-                        (cyclic(3), 1, 2), (boolean(), 1, 1), (boolean(), 1, 0)]:
-            assert type(solve_value_all(M, a, b)) is tuple
+        # a copy built as the benchmark builds one solves through the op it
+        # was given, which counts each call: one for a group, none for N
+        for M, a, b, ops in [(nat(), 1, 3, 0), (nat(), 3, 1, 0), (int_group(), 3, 1, 1),
+                             (cyclic(3), 1, 2, 1), (boolean(), 1, 1, 2), (boolean(), 1, 0, 2)]:
+            assert type(M.solve(a, b)) is tuple
+            calls = []
+            solutions = _counting_copy(M, calls).solve(a, b)
+            assert type(solutions) is tuple and solutions == M.solve(a, b)
+            assert len(calls) == ops, M
 
     def test_memo_matches_the_plain_scan_on_every_order_3_table(self):
-        # the scan runs once per (a, b), on the table itself, not M.op
+        # the scan runs once per (a, b), through the op the monoid was built with
         for table in commutative_tables(3):
             calls = []
-            M = from_table("012", [[str(c) for c in row] for row in table])
-            op = M.op
-            M.op = lambda a, b: calls.append((a, b)) or op(a, b)
+            M = _counting_copy(_table_monoid(table), calls)
+            assert M.is_cancellative == M.is_group
             for _ in range(2):
                 for a in M.elements:
                     for b in M.elements:
                         scan = tuple(x for x in M.elements if table[a][x] == b)
-                        assert solve_value_all(M, a, b) == scan, (table, a, b)
+                        assert M.solve(a, b) == scan, (table, a, b)
             if M.is_group:
                 assert not M._solutions
             else:
@@ -270,13 +312,13 @@ class TestSolveValueAll:
         rng = random.Random(5)
         for M in (int_group(), cyclic(7), trivial()):
             for _ in range(100):
-                assert len(solve_value_all(M, M.sample(rng, 30), M.sample(rng, 30))) == 1
+                assert len(M.solve(M.sample(rng, 30), M.sample(rng, 30))) == 1
 
     def test_unsupported_capability_raises(self):
-        free_no_caps = nat()
-        free_no_caps.is_free_natural = False
+        bare = CommutativeMonoid("bare", 0, lambda a, b: a + b)
+        assert not bare.is_cancellative
         with pytest.raises(UndecidableError, match="undecidable here"):
-            solve_value_all(free_no_caps, 1, 2)
+            bare.solve(1, 2)
 
 
 class TestValues:
