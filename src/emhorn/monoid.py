@@ -73,8 +73,7 @@ class CommutativeMonoid:
             self.is_element = lambda a: True
         self._render = render
         self._parse = parse
-        # solve calls the given op and inverse; the finite scan runs on first
-        # use, and its solutions are kept per (a, b)
+        # solve calls the given op and inverse; a finite scan runs once per (a, b)
         memo: dict[tuple[Element, Element], tuple[Element, ...]] = {}
 
         def scan(a: Element, b: Element) -> tuple[Element, ...]:
@@ -86,14 +85,15 @@ class CommutativeMonoid:
         def undecidable(a: Element, b: Element) -> tuple[Element, ...]:
             raise UndecidableError(f"cannot solve equations over {name}; undecidable here")
 
-        self._solutions = memo
-        self.is_cancellative = inverse is not None or free_natural
         if inverse is not None:
             self.solve = lambda a, b: (op(inverse(a), b),)
+            self.is_cancellative = True
         elif free_natural:
             self.solve = lambda a, b: (b - a,) if a <= b else ()
+            self.is_cancellative = True
         else:
             self.solve = scan if elements is not None else undecidable
+            self.is_cancellative = False
 
     def inverse(self, a: Element) -> Element:
         if self._inverse is None:

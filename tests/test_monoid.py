@@ -292,7 +292,9 @@ class TestSolveValueAll:
             assert len(calls) == ops, M
 
     def test_memo_matches_the_plain_scan_on_every_order_3_table(self):
-        # the scan runs once per (a, b), through the op the monoid was built with
+        # the scan runs once per (a, b), through the op the monoid was built
+        # with: two rounds over the 9 pairs cost 3 calls per pair once, where
+        # a group pays its one call per solve
         for table in commutative_tables(3):
             calls = []
             M = _counting_copy(_table_monoid(table), calls)
@@ -302,11 +304,7 @@ class TestSolveValueAll:
                     for b in M.elements:
                         scan = tuple(x for x in M.elements if table[a][x] == b)
                         assert M.solve(a, b) == scan, (table, a, b)
-            if M.is_group:
-                assert not M._solutions
-            else:
-                assert len(calls) == 3 * 9 and len(M._solutions) == 9
-                assert all(type(v) is tuple for v in M._solutions.values())
+            assert len(calls) == (2 * 9 if M.is_group else 3 * 9), table
 
     def test_group_has_exactly_one_solution(self):
         rng = random.Random(5)

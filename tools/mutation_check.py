@@ -19,9 +19,10 @@ mutant must be killed.  Before any mutant, the unparsed (comment-free)
 modules must pass the same tests.
 
 Run it from the root of a checkout; it needs pytest and the test
-dependencies, and copies the checkout to a temporary directory per worker:
+dependencies, and copies the checkout to a temporary directory for each of
+its two workers:
 
-    python tools/mutation_check.py [--workers 2] [--list]
+    python tools/mutation_check.py
 
 It prints each surviving mutant and the counts, and exits 1 if a mutant
 survives or an entry of ``EQUIVALENT`` matches no mutant.
@@ -29,7 +30,6 @@ survives or an entry of ``EQUIVALENT`` matches no mutant.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import concurrent.futures
 import os
@@ -44,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "emhorn"
 MEMORY_CAP = 2 << 30  # bytes of address space per test run
+WORKERS = 2
 
 # The solver, validation, enumeration, sweep, operator tables, face plans
 # and table parsing, per module.
@@ -189,43 +190,30 @@ def _copy() -> Path:
     return where / "repo"
 
 
-def _cap_memory() -> None:
-    # a mutant that enumerates a huge level fails at the cap instead of
-    # taking the host's memory; the tests themselves stay far below it
-    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
-
-
 def run_tests(tree: Path, files: list[str], timeout: float) -> str:
     """'pass', 'fail' or 'timeout' for the test files on the copy ``tree``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1",
            "OPENBLAS_NUM_THREADS": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files]
     try:
-        done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=timeout,
-                              preexec_fn=_cap_memory)
+        done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "pass" if done.returncode == 0 else "fail"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--list", action="store_true", help="print the mutants and exit")
-    args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
+def main() -> int:
+    # every test run inherits the cap, set here before any worker thread
+    # starts: a mutant that enumerates a huge level fails at the cap instead
+    # of taking the host's memory, and the tests themselves stay far below it
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
     todo = list(mutants())
     labels = {label for _, label, _ in todo}
-    if args.list:
-        for module, label, _ in todo:
-            print(f"{module}.py {label}{'   [equivalent]' if label in EQUIVALENT else ''}")
-        return 0
     stale = [label for label in EQUIVALENT if label not in labels]
     for label in stale:
         print(f"EQUIVALENT entry matches no mutant: {label}")
     files = {module: test_files(module) for module in TARGETS}
-    trees = [_copy() for _ in range(args.workers)]
+    trees = [_copy() for _ in range(WORKERS)]
     try:
         # the unmutated modules, unparsed as every mutant is, must pass first
         timeouts = {}
@@ -256,7 +244,7 @@ def main(argv=None) -> int:
                 free.append(tree)
 
         outcomes = {}
-        with concurrent.futures.ThreadPoolExecutor(args.workers) as pool:
+        with concurrent.futures.ThreadPoolExecutor(WORKERS) as pool:
             for label, outcome in pool.map(judge, run):
                 outcomes[label] = outcome
                 if outcome == "pass":
