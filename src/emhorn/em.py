@@ -91,7 +91,7 @@ class EMSpace:
         self._gen_names: dict[int, tuple[str, ...]] = {}
         # filled by emhorn.horn: per horn shape (n, k), its given faces,
         # equations, filler check, from its first validation its compatibility
-        # check, and from a sweep's first filled horn its filler map
+        # check, and from the first filled horn it decides its filler map
         self._horn_shapes: dict[tuple[int, int], object] = {}
 
     @property

@@ -24,8 +24,16 @@ in no equation and is set to the identity, as the constructive group
 filler leaves it.  So propagation alone decides, and search runs only over
 finite monoids that are not groups: it branches on the lowest open
 coordinate, trying the elements in order, and propagates again, so
-``_propagate`` is the one code that evaluates a row.  Every filler is
-checked against the given faces once, before it is reported or counted.
+``_propagate`` is the one code that evaluates a row.  Propagation records
+which row set which coordinate; a certificate step's values are read off
+the filler, or off the partial assignment where the horn is refuted.
+
+``_solve`` is the one decision, made once per horn by a sweep, ``solve_em``
+and ``count_fillers``.  Over a cancellative monoid at n > d it first reads
+the shape's filler map, the unique filler as one function of the
+right-hand sides, composed from the steps of the shape's first filled
+horn, and propagates only where the map gives no filler.  It checks every
+solution it returns against the given faces once.
 
 Validation and that check are compiled per shape as well.  One
 ``_HornShape`` per shape, cached on the space, refuses a shape with no
@@ -39,19 +47,16 @@ generator, become two face plans over the same coordinates, built on the
 shape's first validation; a horn is compatible when both give one tuple.
 
 Every horn maps into an ``EMSpace``; the exhaustive scan over its level
-sets (``iter_fillers``, ``brute_force_filler``) is kept as an oracle for
-the solver.  Results are frozen values, their certificate steps named
-tuples rendered when they are built.  A sweep enumerates the compatible
-horns as tuples of given faces, choosing faces in given-index order, each
-looked up by its faces at the earlier indices, which must equal d_{j-1}
-of the earlier choices, so the horns come in the lexicographic order of
-the product.  It decides each once, for up to two fillers if asked, from
-its concatenated coordinates: over a cancellative monoid at n > d by the
-shape's filler map (its unique filler as one function of them, composed
-from the propagation steps of its first filled horn), else, and where the
-map finds no filler, by the solver.  It builds a ``HornProblem`` and a
-result only for its witnesses, and validates only a failing one: a checked
-filler y proves its data compatible, d_i x_j = d_i d_j y = d_{j-1} d_i y = d_{j-1} x_i.
+set (``brute_force_filler``) is kept as an oracle for the solver.  Results
+are frozen values, their certificate steps named tuples rendered when they
+are built.  A sweep enumerates the compatible horns as tuples of given
+faces, choosing faces in given-index order, each looked up by its faces at
+the earlier indices, which must equal d_{j-1} of the earlier choices, so
+the horns come in the lexicographic order of the product.  It decides each
+from its concatenated coordinates, for up to two fillers if asked.  It
+builds a ``HornProblem`` and a result only for its witnesses, and
+validates only a failing one: a checked filler y proves its data
+compatible, d_i x_j = d_i d_j y = d_{j-1} d_i y = d_{j-1} x_i.
 """
 
 from __future__ import annotations
@@ -156,7 +161,7 @@ class _HornShape:
         fibers = [fiber for i in self.given for fiber in K._fibers(n, i)]
         self.faces_of = _face_plan(fibers, K.monoid)
         self.check = None  # (left, right, owners), built on the shape's first validation
-        self.fill = None  # the filler map, built by ``_sweep`` on the shape's first filled horn
+        self.fill = None  # (filler map, steps), built by ``_solve`` on its first filled horn
 
     def coords(self, faces: dict) -> tuple:
         """The given faces' coordinates, concatenated in face order: the
@@ -266,21 +271,30 @@ class FillerResult:
 
 
 def _render_steps(
-    system: ConstraintSystem, raw: list, note: Optional[str]
+    system: ConstraintSystem, raw: list, values, note: Optional[str]
 ) -> tuple[CertStep, ...]:
-    """Raw (kind, var, e, known, value) steps on equation ``e`` of the
-    system as ``CertStep``s, with the equation as ``x(g) + known = rhs``,
-    then the exhaustion note if any."""
+    """The (var, e) steps on equation ``e`` of the system as ``CertStep``s,
+    read off ``values``, a value or None per coordinate: the filler, else
+    the partial assignment at the contradiction or at exhaustion.  A step's
+    ``known`` folds row e's other coordinates in row order and its ``value``
+    is x_var; a step whose variable ``values`` leaves open, or that has
+    none, is the contradiction that ends the chain.  The equation reads
+    ``x(g) + known = rhs``; the exhaustion note, if any, comes last."""
     K, rows, rhs = system.problem.target, system.shape.rows, system.rhs
     M = K.monoid
-    names = K.gen_names(system.problem.n)
+    op, names = M.op, K.gen_names(system.problem.n)
     steps = []
-    for kind, var, e, known, value in raw:
-        name = None if var is None else names[var]
+    for var, e in raw:
+        known = M.identity
+        for v in rows[e][2]:
+            if v != var:
+                known = op(known, values[v])
+        value, name = (None, None) if var is None else (values[var], names[var])
         terms = [] if name is None else [f"x({name})"]
         if known != M.identity or not terms:
             terms.append(M.render(known))
         text = " + ".join(terms) + f" = {M.render(rhs[e])}"
+        kind = "contradiction" if value is None else "assign"
         steps.append(CertStep(kind, name, text, value, known=known, rhs=rhs[e], face=rows[e][0]))
     if note is not None:
         steps.append(CertStep("exhausted", None, note, None))
@@ -303,13 +317,6 @@ def _fills(shape: _HornShape, rhs: tuple, coords) -> bool:
     return shape.faces_of(coords) == rhs
 
 
-def _check_fillers(shape: _HornShape, rhs: tuple, solutions: list) -> None:
-    """Raise unless each solution has the given faces; each is checked once."""
-    for solution in solutions:
-        if not _fills(shape, rhs, solution):
-            raise AssertionError("solver produced a non-filler; this is a bug")
-
-
 # ---------------------------------------------------------------------------
 # Propagation and search
 
@@ -327,10 +334,10 @@ def _propagate(rows: tuple, rhs: tuple, assignment: list, M: CommutativeMonoid):
     lose fillers, so it waits for search, which branches on the lowest open
     coordinate and propagates again.
 
-    Returns (assignment, steps, failed_step), the steps as raw
-    (kind, var, e, known, value) records on equation index ``e`` for
-    ``_render_steps``.  When failed_step is not None the chain ended in a
-    contradiction and the assignment is meaningless.
+    Returns (steps, failed): the (var, e) of each assignment, in order, on
+    equation index ``e``, and the (var, e) of the row that refutes the
+    horn, var None when the row has no unknown, else None.  ``_render_steps``
+    reads the rest of each step off an assignment.
     """
     op, identity, solve = M.op, M.identity, M.solve
     steps: list = []
@@ -354,19 +361,19 @@ def _propagate(rows: tuple, rhs: tuple, assignment: list, M: CommutativeMonoid):
             else:
                 if var is None:
                     if known != rhs[e]:
-                        return assignment, steps, ("contradiction", None, e, known, None)
+                        return steps, (None, e)
                     continue
                 solutions = solve(known, rhs[e])
                 if not solutions:
-                    return assignment, steps, ("contradiction", var, e, known, None)
+                    return steps, (var, e)
                 if len(solutions) > 1:
                     remaining.append(e)
                     continue
                 assignment[var] = solutions[0]
-                steps.append(("assign", var, e, known, solutions[0]))
+                steps.append((var, e))
                 progress = True
         pending = remaining
-    return assignment, steps, None
+    return steps, None
 
 
 def _branch(rows: tuple, rhs: tuple, M: CommutativeMonoid, partial: list, unset: int):
@@ -379,7 +386,7 @@ def _branch(rows: tuple, rhs: tuple, M: CommutativeMonoid, partial: list, unset:
     for value in M.elements:
         trial = list(partial)
         trial[v] = value
-        _, forced, failed = _propagate(rows, rhs, trial, M)
+        forced, failed = _propagate(rows, rhs, trial, M)
         if failed is None:
             yield from _branch(rows, rhs, M, trial, unset - 1 - len(forced))
 
@@ -392,7 +399,7 @@ def _filler_map(shape: _HornShape, steps: list, M: CommutativeMonoid):
     ``M.solve`` solves minus + x = plus, and the map gives None where that has
     no solution."""
     terms: dict = {}
-    for _, var, e, _, _ in steps:  # the other unknowns of row e are set by earlier steps
+    for var, e in steps:  # the other unknowns of row e are set by earlier steps
         terms[var] = Counter({e: 1})
         for u in set(shape.rows[e][2]) - {var}:
             terms[var].subtract(terms[u])
@@ -421,17 +428,24 @@ def _filler_map(shape: _HornShape, steps: list, M: CommutativeMonoid):
 def _solve(K: EMSpace, n: int, shape: _HornShape, rhs: tuple, limit: int):
     """Decide the horn of ``shape`` in ``K`` whose given faces have the
     concatenated coordinates ``rhs``, which is all it reads of the horn.
-    Propagate, then finish a finite monoid that is not a group by search:
+    Try the shape's filler map, if built; where it gives no filler,
+    propagate, then finish a finite monoid that is not a group by search:
     branch on the lowest open coordinate over the elements in order and
-    propagate again.
+    propagate again.  Each solution returned is checked once, by ``_fills``.
+    Over a cancellative monoid at n > d the first filled horn builds the map
+    from its steps: each row propagation solves has one solution or ends
+    the chain, so it takes the same steps on every horn that fills, and a
+    map hit returns them, one list per shape.
 
-    Returns (solutions, steps, count, note): at most ``limit`` complete
-    assignments, as coordinate tuples; the raw propagation steps, ending
-    in the contradiction when there is one; the number of fillers counted
-    up to ``limit``, which exceeds the solutions returned at n = d; and the
-    note of a residual system found to have no solution, else None.  Propagation
-    sets only coordinates that earlier choices determine, so solutions
-    come out in the scan's order over the open coordinates.
+    Returns (solutions, count, steps, values, note): at most ``limit``
+    complete assignments, as coordinate tuples; the number of fillers
+    counted up to ``limit``, which exceeds the solutions returned at n = d;
+    the (var, e) propagation steps, ending in the refuting row when there
+    is one; what ``_render_steps`` reads them off, the first solution, else
+    the partial assignment; and the note of a residual system found to have
+    no solution, else None.  Propagation sets only coordinates that earlier
+    choices determine, so solutions come out in the scan's order over the
+    open coordinates.
 
     Over a monoid with ``M.is_cancellative``, where ``M.solve`` gives a row
     with one unknown at most one solution, propagation decides.  Write a
@@ -460,37 +474,42 @@ def _solve(K: EMSpace, n: int, shape: _HornShape, rhs: tuple, limit: int):
     them missing, so at n > d search, too, sets only coordinates that
     some row constrains.
     """
+    if shape.fill is not None:
+        fill, steps = shape.fill
+        coords = fill(rhs)  # None where the map finds no filler
+        if coords is not None and _fills(shape, rhs, coords):
+            return [coords], 1, steps, coords, None
     M = K.monoid
     if not (M.is_cancellative or M.is_finite):
         raise UndecidableError(f"no solver capability for {M.name}; undecidable here")
     rows = shape.rows
-    assignment, steps, failed = _propagate(rows, rhs, [None] * len(K.gens[n]), M)
+    assignment = [None] * len(K.gens[n])
+    steps, failed = _propagate(rows, rhs, assignment, M)
     if failed is not None:
-        return [], steps + [failed], 0, None
+        return [], 0, steps + [failed], assignment, None
     if assignment == [None]:  # n = d
+        solutions = [(M.identity,)]
         count = len(M.elements[:limit]) if M.is_finite else limit
-        return [(M.identity,)], steps, count, None
-    unset = len(assignment) - len(steps)  # each step assigns one coordinate
-    if M.is_cancellative and unset:
-        raise AssertionError("propagation left a cancellative horn open; this is a bug")
-    # a propagated system skips the search generator, which would cost
-    # about a sixth of the solve of a typical fillable horn
-    solutions = [tuple(assignment)]
-    if unset:
-        solutions = list(islice(_branch(rows, rhs, M, assignment, unset), limit))
-    if solutions:
-        return solutions, steps, len(solutions), None
-    names, size = K.gen_names(n), len(M.elements)
-    sizes = ", ".join(f"x({names[v]}): {size} candidates" for v, a in enumerate(assignment) if a is None)
-    return [], steps, 0, f"search exhausted; {sizes}"
-
-
-def _solve_checked(system: ConstraintSystem, limit: int):
-    """``_solve`` on the system's horn, each solution checked once."""
-    problem, shape, rhs = system.problem, system.shape, system.rhs
-    solved = _solve(problem.target, problem.n, shape, rhs, limit)
-    _check_fillers(shape, rhs, solved[0])
-    return solved
+    else:
+        unset = len(assignment) - len(steps)  # each step assigns one coordinate
+        if M.is_cancellative and unset:
+            raise AssertionError("propagation left a cancellative horn open; this is a bug")
+        # a propagated system skips the search generator, which would cost
+        # about a sixth of the solve of a typical fillable horn
+        solutions = [tuple(assignment)]
+        if unset:
+            solutions = list(islice(_branch(rows, rhs, M, assignment, unset), limit))
+        count = len(solutions)
+    for solution in solutions:
+        if not _fills(shape, rhs, solution):
+            raise AssertionError("solver produced a non-filler; this is a bug")
+    if not solutions:
+        names, size = K.gen_names(n), len(M.elements)
+        sizes = ", ".join(f"x({names[v]}): {size} candidates" for v, a in enumerate(assignment) if a is None)
+        return [], 0, steps, assignment, f"search exhausted; {sizes}"
+    if shape.fill is None and M.is_cancellative and n > K.degree:
+        shape.fill = _filler_map(shape, steps, M), steps
+    return solutions, count, steps, solutions[0], None
 
 
 def solve_em(system: ConstraintSystem) -> FillerResult:
@@ -503,16 +522,19 @@ def solve_em(system: ConstraintSystem) -> FillerResult:
     capability; over a cancellative monoid propagation always decides
     (see ``_solve``).
     """
-    solutions, steps, _, note = _solve_checked(system, 1)
-    filler = tuple.__new__(EMSimplex, (system.problem.n, solutions[0])) if solutions else None
-    return FillerResult(filler, _render_steps(system, steps, note), note)
+    problem = system.problem
+    solutions, _, steps, values, note = _solve(problem.target, problem.n, system.shape, system.rhs, 1)
+    filler = tuple.__new__(EMSimplex, (problem.n, solutions[0])) if solutions else None
+    return FillerResult(filler, _render_steps(system, steps, values, note), note)
 
 
 def count_fillers(system: ConstraintSystem, limit: int = 2) -> int:
     """How many fillers exist, counted up to ``limit``, which must be at least 1."""
     if limit < 1:
         raise ValueError(f"filler count limit {limit} is below 1")
-    return _solve_checked(system, limit)[2]  # the count rests on every solution, each checked
+    problem = system.problem
+    # ``_solve`` checks every solution the count rests on
+    return _solve(problem.target, problem.n, system.shape, system.rhs, limit)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -550,30 +572,17 @@ def moore_filler(K: EMSpace, problem: HornProblem) -> FillerResult:
 # Brute force oracle
 
 
-def _scan(problem: HornProblem, value_bound: Optional[int]):
-    """Check the horn data, then list level n: (candidates, lazy fillers)."""
-    _require_compatible(problem)
-    shape = _horn_shape(problem.target, problem.n, problem.k)
-    rhs = shape.coords(problem.faces)
-    candidates = problem.target.enumerate_level(problem.n, bound=value_bound)
-    return candidates, (y for y in candidates if _fills(shape, rhs, y.coords))
-
-
-def iter_fillers(
-    target: EMSpace, problem: HornProblem, value_bound: Optional[int] = None
-) -> Iterator[EMSimplex]:
-    """All fillers in canonical candidate order, by exhaustive scan."""
-    _require_target(target, problem)
-    yield from _scan(problem, value_bound)[1]
-
-
 def brute_force_filler(
     target: EMSpace, problem: HornProblem, value_bound: Optional[int] = None
 ) -> FillerResult:
-    """Exhaustive scan oracle: first verified candidate, else the scan size."""
+    """Exhaustive scan oracle: the first candidate of level n, in canonical
+    order, that has the given faces, else the scan size."""
     _require_target(target, problem)
-    candidates, fillers = _scan(problem, value_bound)
-    y = next(fillers, None)
+    _require_compatible(problem)
+    shape = _horn_shape(target, problem.n, problem.k)
+    rhs = shape.coords(problem.faces)
+    candidates = target.enumerate_level(problem.n, bound=value_bound)
+    y = next((y for y in candidates if _fills(shape, rhs, y.coords)), None)
     if y is not None:
         return FillerResult(y, (), f"scan of {len(candidates)} candidates")
     note = f"exhausted scan of all {len(candidates)} level-{problem.n} candidates"
@@ -825,14 +834,10 @@ def _sweep(
     """Decide the shapes ``(n, k)`` with ``2k <= n``; a shape with ``2k > n``
     adds the instance count of its mirror ``(n, n-k)`` and is not solved.
 
-    Each horn is decided once, from its given faces' concatenated
-    coordinates, for up to two fillers if ``check_unique``, and validated
-    only when no filler vouches for it; every filler is checked once, but
-    no ``HornProblem`` or result is built for it.  Over a cancellative monoid
-    at n > d a horn has the one filler its shape's map gives, if checked; the
-    map composes ``_solve``'s steps on the shape's first filled horn, which
-    ``_propagate`` takes on every horn that fills, as each row it solves has
-    one solution or ends the chain.  Other horns go to ``_solve``.  Reversing
+    Each horn is decided by one ``_solve`` call, from its given faces'
+    concatenated coordinates, for up to two fillers if ``check_unique``, and
+    validated only when no filler vouches for it; no ``HornProblem`` or
+    result is built for a filled horn.  Reversing
     ``[n]`` is an isomorphism ``K(M,d) ~ K(M,d)^op``: the coordinate at a
     generator ``s`` moves to ``p -> d - s(n-p)`` and face ``i`` to face
     ``n-i``, so the mirrored shape has as many compatible horns, within any
@@ -864,20 +869,14 @@ def _sweep(
             for faces in _compatible_faces(target, n, k, bound):
                 report.instances += 1
                 rhs = sum([x.coords for x in faces], ())  # as ``shape.coords`` lays them out
-                coords = shape.fill and shape.fill(rhs)  # None where the map finds no filler
-                if coords and _fills(shape, rhs, coords):
-                    continue  # the one filler, as ``_solve`` proves
-                solutions, steps, count, note = _solve(target, n, shape, rhs, limit)
+                solutions, count, steps, values, note = _solve(target, n, shape, rhs, limit)
                 if not solutions:
                     problem = HornProblem(target, n, k, dict(zip(given, faces)))
                     _require_compatible(problem)
                     report.passed, report.witness = False, problem
-                    steps = _render_steps(ConstraintSystem(problem, shape, rhs), steps, note)
+                    steps = _render_steps(ConstraintSystem(problem, shape, rhs), steps, values, note)
                     report.witness_result = FillerResult(None, steps, note)
                     return report
-                _check_fillers(shape, rhs, solutions)
-                if shape.fill is None and target.monoid.is_cancellative and n > target.degree:
-                    shape.fill = _filler_map(shape, steps, target.monoid)
                 if count > 1 and report.unique:
                     report.unique = False
                     report.nonunique_witness = HornProblem(target, n, k, dict(zip(given, faces)))

@@ -42,6 +42,19 @@ def brute_surjection_tuples(m: int, n: int) -> list[tuple[int, ...]]:
     ]
 
 
+def composite_slots(K: EMSpace, k: int, i: int) -> list:
+    """Per level-k generator h, the position among the level-(k-1)
+    generators of h composed with the i-th coface, or None where that
+    composite is not surjective."""
+    position = {g: p for p, g in enumerate(K.gens[k - 1])}
+    delta = coface(k, i)
+    slots = []
+    for h in K.gens[k]:
+        composite = compose(delta, h)
+        slots.append(position[composite] if surjective(composite) else None)
+    return slots
+
+
 def face_by_composition(K: EMSpace, k: int, i: int, x: EMSimplex) -> EMSimplex:
     """The i-th face computed directly from generator composites.
 
@@ -50,13 +63,39 @@ def face_by_composition(K: EMSpace, k: int, i: int, x: EMSimplex) -> EMSimplex:
     defining formula, bypassing the space's cached index tables.
     """
     M = K.monoid
-    out = {g: M.identity for g in K.gens[k - 1]}
-    delta = coface(k, i)
-    for h, value in zip(K.gens[k], x.coords):
-        composite = compose(delta, h)
-        if surjective(composite):
-            out[composite] = M.op(out[composite], value)
-    return EMSimplex(k - 1, tuple(out[g] for g in K.gens[k - 1]))
+    out = [M.identity] * len(K.gens[k - 1])
+    for slot, value in zip(composite_slots(K, k, i), x.coords):
+        if slot is not None:
+            out[slot] = M.op(out[slot], value)
+    return EMSimplex(k - 1, tuple(out))
+
+
+def scan_fillers(problem, value_bound=None):
+    """The fillers of ``problem``, lazily, in the order of the level-n
+    candidates.  A candidate fills when each coordinate of each given face
+    is the sum of the candidate's coordinates at the generators whose
+    composite with that face's coface lands on it (``composite_slots``, the
+    defining formula of ``face_by_composition``); the scan stops at the
+    first coordinate that differs.  Coordinates of an infinite monoid are
+    capped at ``value_bound``."""
+    K, n = problem.target, problem.n
+    M = K.monoid
+    sums = []  # (level-n positions, face coordinate) per coordinate of a given face
+    for i, x in sorted(problem.faces.items()):
+        slots = composite_slots(K, n, i)
+        for slot, value in enumerate(x.coords):
+            sums.append(([p for p, s in enumerate(slots) if s == slot], value))
+
+    def fills(y):
+        for positions, value in sums:
+            total = M.identity
+            for p in positions:
+                total = M.op(total, y.coords[p])
+            if total != value:
+                return False
+        return True
+
+    return filter(fills, K.enumerate_level(n, bound=value_bound))
 
 
 def pairwise_validation(problem, face=face_by_composition):

@@ -28,7 +28,6 @@ from emhorn.horn import (
     count_fillers,
     horn_from_simplex,
     iter_compatible_horn_data,
-    iter_fillers,
     moore_filler,
     quasicategory_counterexample,
     solve_em,
@@ -53,6 +52,7 @@ from support import (
     pairwise_validation,
     random_compatible_horns,
     reverse_simplex,
+    scan_fillers,
 )
 
 
@@ -311,9 +311,9 @@ class TestBuildConstraints:
         K, p = nat_horn(0, 1, 3)
         Z = EMSpace(int_group(), 2, 3)
         refused = "the horn maps into K\\(N,2\\), not the given K\\({},2\\)"
-        for call in (build_constraints, moore_filler, brute_force_filler, iter_fillers):
+        for call in (build_constraints, moore_filler, brute_force_filler):
             with pytest.raises(ValueError, match=refused.format("Z")):
-                list(call(Z, p)) if call is iter_fillers else call(Z, p)
+                call(Z, p)
         with pytest.raises(ValueError, match=refused.format("N")):
             build_constraints(EMSpace(nat(), 2, 3), p)
         assert not solve_em(build_constraints(K, p)).found
@@ -450,8 +450,8 @@ class TestCompleteness:
                             assert v not in row_of, (d, n, i, g)
                 for k in range(n + 1):
                     shape = horn_module._horn_shape(K, n, k)
-                    rows = shape.rows
-                    reached = _propagate(rows, [0] * len(rows), [None] * len(K.gens[n]), int_group())[0]
+                    rows, reached = shape.rows, [None] * len(K.gens[n])
+                    _propagate(rows, [0] * len(rows), reached, int_group())
                     assert (None not in reached) == (n != d), (d, n, k)
                     shapes += 1
         assert shapes == 290
@@ -663,11 +663,11 @@ class TestBruteForce:
                 res = brute_force_filler(K, p)
                 assert res.found
 
-    def test_iter_fillers_counts_multiplicity(self):
+    def test_reference_scan_counts_multiplicity(self):
         K = EMSpace(boolean(), 2, 3)
         faces = {0: K.simplex(2, (1,)), 2: K.simplex(2, (1,)), 3: K.simplex(2, (1,))}
         p = HornProblem(K, 3, 1, faces)
-        fillers = list(iter_fillers(K, p))
+        fillers = list(scan_fillers(p))
         assert len(fillers) == 2  # middle coordinate free in {0, 1}
         assert count_fillers(build_constraints(K, p)) == 2
 
@@ -840,7 +840,7 @@ class TestFiniteMonoidSweep:
         witness = report.nonunique_witness
         assert (witness.n, witness.k) == (2, 1)
         assert all(x.coords == () for x in witness.faces.values())
-        fillers = iter_fillers(witness.target, witness)
+        fillers = scan_fillers(witness)
         assert [y.coords for y in fillers] == [(0,), (1,)]
         assert report.summary() == (
             "quasicategory sweep of K(bool,2) up to dimension 3: FAIL (3 horn instances)\n"
@@ -897,7 +897,7 @@ class TestSolverAgainstScan:
                     horns = list(iter_compatible_horn_data(K, n, k))
                     for p in rng.sample(horns, min(6, len(horns))):
                         system = build_constraints(K, p)
-                        scanned = len(list(itertools.islice(iter_fillers(K, p), 2)))
+                        scanned = len(list(itertools.islice(scan_fillers(p), 2)))
                         assert count_fillers(system) == scanned, p
                         assert solve_em(system).found == brute_force_filler(K, p).found, p
 
@@ -937,7 +937,7 @@ class TestProductMonoids:
     def test_counts_agree_with_the_scan(self, shape):
         K, n, k = shape
         for p in iter_compatible_horn_data(K, n, k):
-            scanned = list(iter_fillers(K, p))
+            scanned = list(scan_fillers(p))
             system = build_constraints(K, p)
             assert count_fillers(system, 2) == min(2, len(scanned)), p
             # search returns the first filler in the scan's order
@@ -1045,25 +1045,6 @@ class TestMirroredShapes:
         assert (failed, nonunique) == (27, 11)
 
 
-def _record_filler_maps(monkeypatch, record):
-    """Make every evaluation of a filler map that a sweep builds call
-    ``record(shape, rhs, coords)`` with its shape, its argument and its
-    result."""
-    build = horn_module._filler_map
-
-    def building(shape, steps, M):
-        fill = build(shape, steps, M)
-
-        def recording(rhs):
-            coords = fill(rhs)
-            record(shape, rhs, coords)
-            return coords
-
-        return recording
-
-    monkeypatch.setattr(horn_module, "_filler_map", building)
-
-
 class TestSweepRules:
     """A sweep validates only its witness, and a check_unique sweep
     decides each horn once; neither may change what the sweep reports."""
@@ -1135,33 +1116,30 @@ class TestSweepRules:
         monkeypatch.setattr(
             horn_module, "_solve", lambda *args: runs.append(args) or solve(*args)
         )
-        # a map that finds no filler (a negative coordinate over N) hands
-        # its horn to the solver, which decides it
-        _record_filler_maps(
-            monkeypatch, lambda shape, rhs, coords: coords is None or runs.append(rhs)
-        )
         report = sweep_quasicategory(K, max_dim, bound=bound, check_unique=True)
         assert _report_fields(report) == expected
-        # one decision per horn of a solved shape, a solver run or a filler
-        # from the shape's filler map; the shapes with 2k > n count their
-        # mirror's horns and decide none
+        # one ``_solve`` call per horn of a solved shape, whether the shape's
+        # filler map or propagation decides it; the shapes with 2k > n count
+        # their mirror's horns and decide none
         mirrored = _mirrored_horns(K, report, max_dim, bound, inner_only=True)
         assert len(runs) == report.instances - mirrored
 
     def test_filler_map_decides_after_one_solve_per_shape(self, monkeypatch):
-        # above the degree a cancellative shape runs the solver on its first
-        # horn only; a map that fell back on every horn would run it on all
+        # above the degree a cancellative shape propagates on its first horn
+        # only; a map that fell back on every horn would propagate on all
         runs = []
-        solve = horn_module._solve
+        propagate = horn_module._propagate
         monkeypatch.setattr(
-            horn_module, "_solve",
-            lambda K, n, shape, rhs, limit: runs.append((n, id(shape)))
-            or solve(K, n, shape, rhs, limit),
+            horn_module, "_propagate",
+            lambda rows, rhs, assignment, M: runs.append(id(rows))
+            or propagate(rows, rhs, assignment, M),
         )
-        report = sweep_kan(EMSpace(cyclic(2), 2, 4), 4)
+        K = EMSpace(cyclic(2), 2, 4)
+        report = sweep_kan(K, 4)
         assert report.passed and report.instances > len(runs)
-        above = Counter(run for run in runs if run[0] > 2)
-        assert sorted(n for n, _ in above) == [3, 3, 4, 4, 4]  # the shapes with 2k <= n
+        shapes = {id(shape.rows): key for key, shape in K._horn_shapes.items()}
+        above = Counter(shapes[run] for run in runs if shapes[run][0] > 2)
+        assert sorted(above) == [(3, 0), (3, 1), (4, 0), (4, 1), (4, 2)]  # the shapes with 2k <= n
         assert set(above.values()) == {1}
 
     def test_passing_sweep_builds_problems_only_for_its_witnesses(self, monkeypatch):
@@ -1182,8 +1160,8 @@ class TestSweepRules:
         assert [real(*args) for args in built] == [report.witness]
 
     def _record_checks(self, monkeypatch):
-        """Every solution ``_solve`` returns, every filler a shape's filler
-        map gives, and every ``_fills`` call, as (shape, right-hand sides,
+        """Every solution ``_solve`` returns, a shape's filler map's among
+        them, and every ``_fills`` call, as (shape, right-hand sides,
         coordinates)."""
         solved, checked = [], []
         solve, fills = horn_module._solve, horn_module._fills
@@ -1193,17 +1171,12 @@ class TestSweepRules:
             solved.extend((id(shape), rhs, tuple(s)) for s in out[0])
             return out
 
-        def mapping(shape, rhs, coords):
-            if coords is not None:
-                solved.append((id(shape), rhs, coords))
-
         def checking(shape, rhs, coords):
             checked.append((id(shape), rhs, tuple(coords)))
             return fills(shape, rhs, coords)
 
         monkeypatch.setattr(horn_module, "_solve", solving)
         monkeypatch.setattr(horn_module, "_fills", checking)
-        _record_filler_maps(monkeypatch, mapping)
         return solved, checked
 
     @pytest.mark.parametrize(
@@ -1288,7 +1261,7 @@ _BROKEN_CHECKS = {
         "constructive filler missed a face; this is a bug",
     ),
     "propagation": (
-        "h._propagate = lambda rows, rhs, assignment, M: (assignment, [], None)\n"
+        "h._propagate = lambda rows, rhs, assignment, M: ([], None)\n"
         "K = EMSpace(nat(), 2, 3)\n"
         "solve_em(build_constraints(K, horn_from_simplex(K, 3, 1, K.simplex(3, (1, 1, 0)))))",
         "propagation left a cancellative horn open; this is a bug",
@@ -1335,7 +1308,7 @@ class TestReverification:
         K = EMSpace(boolean(), 2, 3)
         faces = {0: K.simplex(2, (0,)), 2: K.simplex(2, (1,)), 3: K.simplex(2, (1,))}
         p = HornProblem(K, 3, 1, faces)
-        first, second = iter_fillers(K, p)
+        first, second = scan_fillers(p)
         system = build_constraints(K, p)
         assert count_fillers(system) == 2
         fills = horn_module._fills
@@ -1348,16 +1321,24 @@ class TestReverification:
             count_fillers(system)
 
     def test_unique_sweep_rests_on_every_filler(self, monkeypatch):
-        solve = horn_module._solve
-
-        def with_wrong_second(K, n, shape, rhs, limit):
-            solutions, steps, _, note = solve(K, n, shape, rhs, limit)
-            wrong = [c + 1 for c in solutions[0]]  # every face moves
-            return solutions + [wrong], steps, 2, note
-
-        monkeypatch.setattr(horn_module, "_solve", with_wrong_second)
+        # the one horn of shape (3, 1) has the fillers (0, 0, 1) and
+        # (0, 1, 1), which search finds; a search that gave (1, 1, 1), whose
+        # face 0 is 1, for the second fails only the sweep that counts two
+        K = EMSpace(boolean(), 2, 3)
+        faces = (K.simplex(2, (0,)), K.simplex(2, (1,)), K.simplex(2, (1,)))
+        monkeypatch.setattr(
+            horn_module, "_compatible_faces",
+            lambda target, n, k, bound: iter([faces] if (n, k) == (3, 1) else []),
+        )
+        report = sweep_quasicategory(K, 3, check_unique=True)
+        assert report.passed and report.unique is False
+        assert tuple(report.nonunique_witness.faces.values()) == faces
+        monkeypatch.setattr(
+            horn_module, "_branch", lambda rows, rhs, M, partial, unset: iter([(0, 0, 1), (1, 1, 1)])
+        )
+        assert sweep_quasicategory(K, 3).passed
         with pytest.raises(AssertionError, match="solver produced a non-filler"):
-            sweep_quasicategory(EMSpace(nat(), 1, 3), 3, check_unique=True)
+            sweep_quasicategory(K, 3, check_unique=True)
 
 
 class TestHornShapes:
@@ -1438,10 +1419,10 @@ def _filler_map_cases():
 
 
 class TestFillerMap:
-    """Above the degree, a sweep decides each horn of a cancellative shape by
-    the shape's filler map, compiled from the propagation steps of one filled
-    horn; a horn the map gives no filler falls back to ``_solve``.  Checked on
-    every shape with d <= 3, d < n <= 2d+2 and k <= n/2."""
+    """Above the degree, ``_solve`` decides each horn of a cancellative shape
+    by the shape's filler map, compiled from the propagation steps of the
+    first filled horn; where the map gives no filler, it propagates.  Checked
+    on every shape with d <= 3, d < n <= 2d+2 and k <= n/2."""
 
     CANDIDATES, HORNS, RANDOM = 729, 1000, 20
 
@@ -1502,23 +1483,84 @@ class TestFillerMap:
                     shape, fill = horn_module._horn_shape(K, n, k), None
                     shapes += 1
                     for rhs in self._data(K, Z, n, k, bound, rng):
-                        solutions, steps, count, _ = horn_module._solve(K, n, shape, rhs, 2)
-                        if fill is None:  # as a sweep builds it, from its first filled horn
+                        shape.fill = None  # so ``_solve`` propagates
+                        solutions, count, steps, _, _ = horn_module._solve(K, n, shape, rhs, 2)
+                        assert (shape.fill is not None) == bool(solutions)
+                        if fill is None:  # as ``_solve`` builds it, from the first filled horn
                             assert solutions, (K, n, k, rhs)
                             fill, good = horn_module._filler_map(shape, steps, M), rhs
                         coords = fill(rhs)
                         assert solutions == ([] if coords is None else [coords]), (K, n, k, rhs)
                         assert count == len(solutions)
                         if coords is None:
-                            # a negative coordinate: the sweep falls back to the
-                            # solver, whose certificate it reports
+                            # a negative coordinate: ``_solve`` falls back to
+                            # propagation, whose certificate the sweep reports
                             assert M.is_free_natural
                             refuted += 1
+                            shape.fill = None
                             report = self._sweep_with(monkeypatch, K, n, k, [good, rhs])
                             assert shape.fill is not None and report.instances == 2
                             assert shape.coords(report.witness.faces) == rhs
                             system = build_constraints(K, report.witness)
                             assert report.witness_result == solve_em(system)
                             assert report.witness_result.steps[-1].kind == "contradiction"
+        assert shapes == 41
+        assert (refuted > 0) == M.is_free_natural
+
+    def _decide(self, K, n, k, rhs, cold):
+        """``solve_em``'s result and certificate and ``count_fillers``'s count
+        on the horn of shape (n, k) in K with right-hand sides ``rhs``; if
+        ``cold``, each call starts with no filler map built for the shape."""
+        shape = horn_module._horn_shape(K, n, k)
+        width = K.rank(n - 1)
+        faces = {i: K.simplex(n - 1, rhs[p * width:(p + 1) * width])
+                 for p, i in enumerate(shape.given)}
+        problem = HornProblem(K, n, k, faces)
+        system = build_constraints(K, problem)
+        decisions = []
+        for decide in (solve_em, functools.partial(count_fillers, limit=2)):
+            if cold:
+                shape.fill = None
+            decisions.append(decide(system))
+        result, count = decisions
+        return result, certificate_json(problem, result), count
+
+    @pytest.mark.parametrize(
+        "M, bound", _filler_map_cases(), ids=lambda value: getattr(value, "name", str(value))
+    )
+    def test_certificates_from_a_warm_map(self, monkeypatch, M, bound):
+        # a warm space has the shape's map built, from another horn, and a
+        # cold one none; the refuted horns over N, where the map gives None,
+        # are decided by propagation on both
+        propagated = []
+        propagate = horn_module._propagate
+        monkeypatch.setattr(
+            horn_module, "_propagate",
+            lambda *args: propagated.append(args) or propagate(*args),
+        )
+        rng = random.Random(13)
+        shapes = refuted = 0
+        for d in range(4):
+            top = 2 * d + 2
+            warm, cold, Z = EMSpace(M, d, top), EMSpace(M, d, top), EMSpace(int_group(), d, top)
+            for n in range(d + 1, top + 1):
+                for k in range(n // 2 + 1):
+                    shapes += 1
+                    y = warm.random_simplex(n, rng, bound or 1)
+                    solve_em(build_constraints(warm, horn_from_simplex(warm, n, k, y)))
+                    fill = horn_module._horn_shape(warm, n, k).fill
+                    assert fill is not None
+                    for rhs in self._data(warm, Z, n, k, bound, rng):
+                        propagated.clear()
+                        got = self._decide(warm, n, k, rhs, cold=False)
+                        result, _, count = got
+                        # the map decided a filled horn, for both calls
+                        assert count == result.found and not (result.found and propagated)
+                        assert horn_module._horn_shape(warm, n, k).fill is fill
+                        assert got == self._decide(cold, n, k, rhs, cold=True), (M, n, k, rhs)
+                        if not result.found:
+                            assert M.is_free_natural
+                            assert result.steps[-1].kind == "contradiction"
+                            refuted += 1
         assert shapes == 41
         assert (refuted > 0) == M.is_free_natural

@@ -46,11 +46,11 @@ PACKAGE = ROOT / "src" / "emhorn"
 MEMORY_CAP = 2 << 30  # bytes of address space per test run
 WORKERS = 2
 
-# The solver, validation, enumeration, sweep, operator tables, face plans
-# and table parsing, per module.
+# The solver, certificate steps, validation, enumeration, sweep, operator
+# tables, face plans and table parsing, per module.
 TARGETS = {
     "horn": [
-        "validate_horn", "_HornShape.violation", "_horn_shape", "_check_fillers",
+        "validate_horn", "_HornShape.violation", "_horn_shape", "_render_steps",
         "_propagate", "_branch", "_filler_map", "_solve", "solve_em", "count_fillers",
         "moore_filler", "_compatible_faces", "_sweep",
     ],
