@@ -31,7 +31,7 @@ the filler, or off the partial assignment where the horn is refuted.
 ``_solve`` is the one decision, made once per horn by a sweep, ``solve_em``
 and ``count_fillers``.  Over a cancellative monoid at n > d it first reads
 the shape's filler map, the unique filler as one function of the
-right-hand sides, composed from the steps of the shape's first filled
+right-hand sides, which replays the steps of the shape's first filled
 horn, and propagates only where the map gives no filler.  It checks every
 solution it returns against the given faces once.
 
@@ -49,19 +49,18 @@ shape's first validation; a horn is compatible when both give one tuple.
 Every horn maps into an ``EMSpace``; the exhaustive scan over its level
 set (``brute_force_filler``) is kept as an oracle for the solver.  Results
 are frozen values, their certificate steps named tuples rendered when they
-are built.  A sweep enumerates the compatible horns as tuples of given
-faces, choosing faces in given-index order, each looked up by its faces at
-the earlier indices, which must equal d_{j-1} of the earlier choices, so
-the horns come in the lexicographic order of the product.  It decides each
-from its concatenated coordinates, for up to two fillers if asked.  It
-builds a ``HornProblem`` and a result only for its witnesses, and
-validates only a failing one: a checked filler y proves its data
-compatible, d_i x_j = d_i d_j y = d_{j-1} d_i y = d_{j-1} x_i.
+are built.  A sweep lists each level once, with its simplices' faces, and
+joins it into each shape's horns, each as its concatenated coordinates:
+faces are chosen in given-index order, each looked up by its faces at the
+earlier indices, which must equal d_{j-1} of the earlier choices, so the
+horns come in the lexicographic order of the product.  It decides each,
+for up to two fillers if asked, builds a ``HornProblem`` and a result only
+for its witnesses, and validates only a failing one: a checked filler y
+proves its data compatible, d_i x_j = d_i d_j y = d_{j-1} d_i y = d_{j-1} x_i.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
@@ -168,6 +167,11 @@ class _HornShape:
         right-hand sides of ``rows``, what ``faces_of`` gives a filler and
         what ``check`` reads."""
         return sum([faces[i].coords for i in self.given], ())
+
+    def faces(self, rhs: tuple) -> dict:
+        """The given faces whose coordinates ``coords`` concatenates to ``rhs``."""
+        n, width = len(self.given), len(rhs) // len(self.given)  # every index of [n] but k
+        return {i: EMSimplex(n - 1, rhs[p * width:(p + 1) * width]) for p, i in enumerate(self.given)}
 
     def violation(self, K: EMSpace, faces: dict) -> Optional[tuple[int, int]]:
         """The first given pair i < j with d_i x_j != d_{j-1} x_i, else None.
@@ -393,33 +397,21 @@ def _branch(rows: tuple, rhs: tuple, M: CommutativeMonoid, partial: list, unset:
 
 def _filler_map(shape: _HornShape, steps: list, M: CommutativeMonoid):
     """A shape's filler over a cancellative ``M`` at n > d as one function of
-    the right-hand sides, from the ``steps`` that fill one horn: x_var = rhs[e]
-    less row e's other unknowns.  A unit vector fills its faces, so each
-    coordinate has a plus term, and another only with a minus one: then
-    ``M.solve`` solves minus + x = plus, and the map gives None where that has
-    no solution."""
-    terms: dict = {}
-    for var, e in steps:  # the other unknowns of row e are set by earlier steps
-        terms[var] = Counter({e: 1})
-        for u in set(shape.rows[e][2]) - {var}:
-            terms[var].subtract(terms[u])
-    signed = [(list((+t).elements()), list((-t).elements())) for _, t in sorted(terms.items())]
-    pick = _gather([plus[0] for plus, _ in signed])
-    rest = [(v, plus[1:], minus[0], minus[1:]) for v, (plus, minus) in enumerate(signed) if minus]
-    op, solve = M.op, M.solve
+    the right-hand sides: it replays the ``steps`` (var, e) that fill one
+    horn, gathering rhs[e] for each x_var, then in step order solving
+    x_u + x_var = rhs[e] by ``M.solve`` on each row e that holds a second,
+    earlier set x_u (a row holds one or two), and gives None where one fails."""
+    pick = _gather([e for _, e in sorted(steps)])
+    rest = [(var, u) for var, e in steps for u in shape.rows[e][2] if u != var]
+    solve = M.solve
 
     def fill(rhs):
         out = list(pick(rhs))
-        for v, more, first, less in rest:
-            total, low = out[v], rhs[first]
-            for e in more:
-                total = op(total, rhs[e])
-            for e in less:
-                low = op(low, rhs[e])
-            solved = solve(low, total)
+        for var, u in rest:
+            solved = solve(out[u], out[var])
             if not solved:
                 return None
-            out[v] = solved[0]
+            out[var] = solved[0]
         return tuple(out)
 
     return fill
@@ -731,44 +723,51 @@ def iter_compatible_horn_data(
     in ``target`` raises on the first ``next``, as ``validate_horn`` does.
     """
     given = _horn_shape(target, n, k).given
-    for faces in _compatible_faces(target, n, k, bound):
+    for faces in _compatible_faces(given, _level_faces(target, n, bound), lambda x: (x,)):
         yield HornProblem(target, n, k, dict(zip(given, faces)))
 
 
-def _compatible_faces(target: EMSpace, n: int, k: int, bound: Optional[int]) -> Iterator[tuple]:
-    """The given faces of every compatible horn, as tuples in given-index
-    order, in the order of ``iter_compatible_horn_data``.
+def _level_faces(target: EMSpace, n: int, bound: Optional[int]) -> list:
+    """The level-(n-1) candidates, each with its faces at 0..n-1 (none at
+    n = 1), a level-(n-2) face keyed by a number, the order it was first
+    seen in: what the horns of every shape (n, k) are chosen from."""
+    ids: dict = {}
+    return [
+        (x, tuple([ids.setdefault(target.face(n - 1, i, x), len(ids))
+                   for i in (range(n) if n > 1 else ())]))
+        for x in target.enumerate_level(n - 1, bound=bound)
+    ]
+
+
+def _compatible_faces(given: tuple, level: list, piece) -> Iterator[tuple]:
+    """Every compatible horn with the ``given`` face indices whose faces
+    come from ``level`` (``_level_faces``), in the order of
+    ``iter_compatible_horn_data``, as the concatenation of ``piece(x)`` over
+    its faces x: ``x.coords`` gives its right-hand sides, ``(x,)`` its faces.
 
     Faces are chosen in given-index order: the choice for face j is looked
     up by its faces d_i at the earlier given indices i, which must equal
-    d_{j-1} of the earlier choices, so only compatible tuples are built.
-    A level-(n-2) face is keyed by a number, the order it was first seen in.
+    d_{j-1} of the earlier choices, so only compatible horns are built.
     """
-    given = _horn_shape(target, n, k).given
-    read = set(given[:-1]) | {j - 1 for j in given[1:]}  # the faces lookups read; none at n = 1
-    ids: dict = {}
     last = len(given) - 1
-    # per position: the candidates, in order, by their faces at the earlier
-    # given indices; at the last position each as a 1-tuple to append
+    # per position: the candidates' pieces, in order, by their faces at the
+    # earlier given indices; at the last position the pieces alone
     tables: list[dict] = [{} for _ in given]
-    for x in target.enumerate_level(n - 1, bound=bound):
-        faces = tuple(
-            ids.setdefault(target.face(n - 1, i, x), len(ids)) if i in read else None
-            for i in range(n)
-        )
+    for x, faces in level:
+        part = piece(x)
         for pos, table in enumerate(tables):
-            entry = (x,) if pos == last else (x, faces)
-            table.setdefault(tuple(faces[i] for i in given[:pos]), []).append(entry)
+            entry = part if pos == last else (part, faces)
+            table.setdefault(tuple([faces[i] for i in given[:pos]]), []).append(entry)
 
     def extend(chosen: tuple, faces: tuple) -> Iterator[tuple]:
-        pos = len(chosen)
+        pos = len(faces)
         lower = given[pos] - 1
         matches = tables[pos].get(tuple([f[lower] for f in faces]), ())
         if pos == last:
             yield from map(chosen.__add__, matches)
             return
-        for x, f in matches:
-            yield from extend(chosen + (x,), faces + (f,))
+        for part, f in matches:
+            yield from extend(chosen + part, faces + (f,))
 
     yield from extend((), ())
 
@@ -834,17 +833,17 @@ def _sweep(
     """Decide the shapes ``(n, k)`` with ``2k <= n``; a shape with ``2k > n``
     adds the instance count of its mirror ``(n, n-k)`` and is not solved.
 
-    Each horn is decided by one ``_solve`` call, from its given faces'
-    concatenated coordinates, for up to two fillers if ``check_unique``, and
-    validated only when no filler vouches for it; no ``HornProblem`` or
-    result is built for a filled horn.  Reversing
-    ``[n]`` is an isomorphism ``K(M,d) ~ K(M,d)^op``: the coordinate at a
-    generator ``s`` moves to ``p -> d - s(n-p)`` and face ``i`` to face
-    ``n-i``, so the mirrored shape has as many compatible horns, within any
-    coordinate bound, with as many fillers each.  Both sweep kinds visit
-    ``k`` in increasing order, so the mirror was decided earlier, and the
-    first failure and the first horn with two fillers always lie in a
-    decided shape.
+    Level n-1 is listed once, for every shape (n, k).  Each horn is decided
+    by one ``_solve`` call, from its given faces' concatenated coordinates,
+    for up to two fillers if ``check_unique``, and validated only when no
+    filler vouches for it; no ``HornProblem`` or result is built for a
+    filled horn.  Reversing ``[n]`` is an isomorphism
+    ``K(M,d) ~ K(M,d)^op``: the coordinate at a generator ``s`` moves to
+    ``p -> d - s(n-p)`` and face ``i`` to face ``n-i``, so the mirrored shape
+    has as many compatible horns, within any coordinate bound, with as many
+    fillers each.  Both sweep kinds visit ``k`` in increasing order, so the
+    mirror was decided earlier, and the first failure and the first horn with
+    two fillers always lie in a decided shape.
     """
     if bound is not None and bound < 0:
         raise ValueError(f"coordinate bound {bound} is negative")
@@ -859,19 +858,18 @@ def _sweep(
     for n in range(1, max_dim + 1):
         ks = range(1, n) if inner_only else range(n + 1)
         counts: dict[int, int] = {}
+        level = _level_faces(target, n, bound)
         for k in ks:
             if 2 * k > n:
                 report.instances += counts[n - k]
                 continue
             before = report.instances
             shape = _horn_shape(target, n, k)
-            given = shape.given
-            for faces in _compatible_faces(target, n, k, bound):
+            for rhs in _compatible_faces(shape.given, level, lambda x: x.coords):
                 report.instances += 1
-                rhs = sum([x.coords for x in faces], ())  # as ``shape.coords`` lays them out
                 solutions, count, steps, values, note = _solve(target, n, shape, rhs, limit)
                 if not solutions:
-                    problem = HornProblem(target, n, k, dict(zip(given, faces)))
+                    problem = HornProblem(target, n, k, shape.faces(rhs))
                     _require_compatible(problem)
                     report.passed, report.witness = False, problem
                     steps = _render_steps(ConstraintSystem(problem, shape, rhs), steps, values, note)
@@ -879,7 +877,7 @@ def _sweep(
                     return report
                 if count > 1 and report.unique:
                     report.unique = False
-                    report.nonunique_witness = HornProblem(target, n, k, dict(zip(given, faces)))
+                    report.nonunique_witness = HornProblem(target, n, k, shape.faces(rhs))
             counts[k] = report.instances - before
     return report
 

@@ -709,6 +709,61 @@ class TestOracleAgreement:
                     assert got == expected, (degree, n, k)
 
 
+class _ListingSpace(EMSpace):
+    """An ``EMSpace`` that keeps every level list it enumerates, in order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.listed = []
+
+    def enumerate_level(self, k, bound=None):
+        level = super().enumerate_level(k, bound)
+        self.listed.append((k, level))
+        return level
+
+
+class TestLevelJoin:
+    """A sweep lists each level once and joins it, shape by shape, into the
+    horns' right-hand sides; ``iter_compatible_horn_data`` joins it into
+    horns whose faces are the level's own simplices."""
+
+    @pytest.mark.parametrize(
+        "make, degree, bound",
+        [(lambda: cyclic(2), 2, None), (nat, 1, 2), (boolean, 2, None)],
+        ids=["Z/2", "N", "bool"],
+    )
+    def test_joined_right_hand_sides_are_the_horns_coordinates(self, make, degree, bound):
+        K = EMSpace(make(), degree, 4)
+        for n in range(1, 5):
+            level = horn_module._level_faces(K, n, bound)
+            for k in range(n + 1):
+                shape = horn_module._horn_shape(K, n, k)
+                joined = list(horn_module._compatible_faces(shape.given, level, lambda x: x.coords))
+                horns = iter_compatible_horn_data(K, n, k, bound)
+                # the zero horn is compatible, so no shape is empty
+                assert joined and joined == [shape.coords(p.faces) for p in horns], (n, k)
+
+    @pytest.mark.parametrize(
+        "sweep, make, degree, max_dim, bound",
+        [(sweep_kan, lambda: cyclic(2), 2, 4, None), (sweep_quasicategory, nat, 1, 3, 2)],
+        ids=["kan", "quasicategory"],
+    )
+    def test_a_sweep_lists_each_level_once(self, sweep, make, degree, max_dim, bound):
+        K = _ListingSpace(make(), degree, max_dim)
+        report = sweep(K, max_dim, bound=bound)
+        assert report.passed and report.instances > 0
+        assert [k for k, _ in K.listed] == list(range(max_dim))
+
+    def test_horn_faces_are_the_levels_own_simplices(self):
+        K = _ListingSpace(cyclic(3), 2, 4)
+        for n, k in ((3, 1), (4, 0), (4, 2), (4, 4)):
+            horns = list(iter_compatible_horn_data(K, n, k))
+            level_k, level = K.listed[-1]
+            own = {id(x) for x in level}
+            assert level_k == n - 1 and len(horns) > 1
+            assert all(id(x) in own for p in horns for x in p.faces.values()), (n, k)
+
+
 class TestCounterexampleReport:
     @pytest.mark.parametrize("f0", [0, 17])
     def test_no_filler_and_final_equation(self, f0):
@@ -1091,9 +1146,12 @@ class TestSweepRules:
         bad = HornProblem(K, 3, 1, dict(good.faces))
         bad.faces[0] = K.add(bad.faces[0], K.simplex(2, (1, 0)))
         horns = [tuple(p.faces[i] for i in (0, 2, 3)) for p in (good, bad)]
+        # the given faces (0, 2, 3) are those of shape (3, 1) alone
         monkeypatch.setattr(
             horn_module, "_compatible_faces",
-            lambda target, n, k, bound: iter(horns if (n, k) == (3, 1) else []),
+            lambda given, level, piece: iter(
+                [sum(map(piece, faces), ()) for faces in horns] if given == (0, 2, 3) else []
+            ),
         )
         with pytest.raises(ValueError, match="incompatible horn data at face pair"):
             sweep_kan(K, 3)
@@ -1328,7 +1386,9 @@ class TestReverification:
         faces = (K.simplex(2, (0,)), K.simplex(2, (1,)), K.simplex(2, (1,)))
         monkeypatch.setattr(
             horn_module, "_compatible_faces",
-            lambda target, n, k, bound: iter([faces] if (n, k) == (3, 1) else []),
+            lambda given, level, piece: iter(
+                [sum(map(piece, faces), ())] if given == (0, 2, 3) else []
+            ),
         )
         report = sweep_quasicategory(K, 3, check_unique=True)
         assert report.passed and report.unique is False
@@ -1436,9 +1496,9 @@ class TestFillerMap:
         shape = horn_module._horn_shape(K, n, k)
         data = []
         if len(K.monoid.values(bound)) ** K.rank(n - 1) <= self.CANDIDATES:
-            horns = horn_module._compatible_faces(K, n, k, bound)
-            data = [sum([x.coords for x in faces], ())
-                    for faces in itertools.islice(horns, self.HORNS)]
+            level = horn_module._level_faces(K, n, bound)
+            horns = horn_module._compatible_faces(shape.given, level, lambda x: x.coords)
+            data = list(itertools.islice(horns, self.HORNS))
         for _ in range(self.RANDOM):
             data.append(shape.faces_of(K.random_simplex(n, rng, bound or 1).coords))
         if K.monoid.is_free_natural:
@@ -1452,13 +1512,11 @@ class TestFillerMap:
     def _sweep_with(self, monkeypatch, K, n, k, horns):
         """``sweep_kan(K, n)`` with ``horns`` (right-hand sides) as the only
         compatible horns of shape (n, k) and none of any other shape."""
-        width = K.rank(n - 1)
-        faces = [tuple(K.simplex(n - 1, rhs[p:p + width]) for p in range(0, len(rhs), width))
-                 for rhs in horns]
+        given = horn_module._horn_shape(K, n, k).given
         with monkeypatch.context() as patch:
             patch.setattr(
                 horn_module, "_compatible_faces",
-                lambda target, m, j, bound: iter(faces if (m, j) == (n, k) else []),
+                lambda other, level, piece: iter(horns if other == given else []),
             )
             return sweep_kan(K, n)
 

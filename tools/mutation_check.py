@@ -50,9 +50,9 @@ WORKERS = 2
 # tables, face plans and table parsing, per module.
 TARGETS = {
     "horn": [
-        "validate_horn", "_HornShape.violation", "_horn_shape", "_render_steps",
-        "_propagate", "_branch", "_filler_map", "_solve", "solve_em", "count_fillers",
-        "moore_filler", "_compatible_faces", "_sweep",
+        "validate_horn", "_HornShape.violation", "_HornShape.faces", "_horn_shape",
+        "_render_steps", "_propagate", "_branch", "_filler_map", "_solve", "solve_em",
+        "count_fillers", "moore_filler", "_level_faces", "_compatible_faces", "_sweep",
     ],
     "em": [
         "_Levels.__missing__", "EMSpace.face_fibers", "EMSpace.degeneracy_targets",
