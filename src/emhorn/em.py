@@ -220,9 +220,17 @@ class EMSpace:
 
     def contains(self, k: int, x) -> bool:
         """Whether ``x`` is a level-k simplex with every coordinate in the monoid."""
-        rank = self.rank(k)
-        return (isinstance(x, EMSimplex) and x.level == k and len(x.coords) == rank
-                and all(map(self.monoid.is_element, x.coords)))
+        return self.first_outside(k, {k: x}) is None
+
+    def first_outside(self, k: int, simplices: dict):
+        """The first key of ``simplices``, in the dict's order, whose value is
+        not a level-k simplex with every coordinate in the monoid, else None."""
+        rank, is_element = self.rank(k), self.monoid.is_element
+        for key, x in simplices.items():
+            if not (isinstance(x, EMSimplex) and x.level == k and len(x.coords) == rank
+                    and all(map(is_element, x.coords))):
+                return key
+        return None
 
     def render_simplex(self, x: EMSimplex) -> str:
         M = self.monoid

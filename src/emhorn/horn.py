@@ -45,18 +45,22 @@ with the right-hand sides.  The face compatibilities
 d_i x_j = d_{j-1} x_i, one row per given pair i < j and level-(n-2)
 generator, become two face plans over the same coordinates, built on the
 shape's first validation; a horn is compatible when both give one tuple.
+Validation checks every face's membership in one call to the target,
+which names the first bad face, then lays out the right-hand sides once
+for that check; ``build_constraints`` lays them out again for its system.
 
 Every horn maps into an ``EMSpace``; the exhaustive scan over its level
 set (``brute_force_filler``) is kept as an oracle for the solver.  Results
 are frozen values, their certificate steps named tuples rendered when they
-are built.  A sweep lists each level once, with its simplices' faces, and
-joins it into each shape's horns, each as its concatenated coordinates:
-faces are chosen in given-index order, each looked up by its faces at the
-earlier indices, which must equal d_{j-1} of the earlier choices, so the
-horns come in the lexicographic order of the product.  It decides each,
-for up to two fillers if asked, builds a ``HornProblem`` and a result only
-for its witnesses, and validates only a failing one: a checked filler y
-proves its data compatible, d_i x_j = d_i d_j y = d_{j-1} d_i y = d_{j-1} x_i.
+are built, each in one pass.  A sweep lists each level once, with its
+simplices' faces, and joins it into each shape's horns, each as its
+concatenated coordinates: faces are chosen in given-index order, each
+looked up by its faces at the earlier indices, which must equal d_{j-1}
+of the earlier choices, so the horns come in the lexicographic order of
+the product.  It decides each, for up to two fillers if asked, builds a
+``HornProblem`` and a result only for its witnesses, and validates only a
+failing one: a checked filler y proves its data compatible,
+d_i x_j = d_i d_j y = d_{j-1} d_i y = d_{j-1} x_i.
 """
 
 from __future__ import annotations
@@ -95,7 +99,10 @@ def validate_horn(problem: HornProblem) -> tuple[bool, Optional[tuple[int, int]]
     wrong levels, coordinates that are not elements) raises ValueError.
     Returns (True, None) when all pairwise face compatibilities
     d_i x_j = d_{j-1} x_i hold, else (False, (i, j)) with the first
-    violating pair i < j.  They are checked at once, by the check compiled
+    violating pair i < j.  Membership is checked in one call over every
+    face (``EMSpace.first_outside``), which names the first bad face in the
+    dict's order; the compatibilities are checked at once, on the faces'
+    concatenated coordinates (``_HornShape.coords``), by the check compiled
     for the shape (``_HornShape.violation``).
     """
     target, n, faces = problem.target, problem.n, problem.faces
@@ -105,10 +112,10 @@ def validate_horn(problem: HornProblem) -> tuple[bool, Optional[tuple[int, int]]
             raise ValueError(f"face index {i!r} is not an int")
     if set(faces) != set(shape.given):
         raise ValueError(f"horn needs faces {list(shape.given)}, got {sorted(faces)}")
-    for i, x in faces.items():
-        if not target.contains(n - 1, x):
-            raise ValueError(f"face {i} is not a level-{n - 1} simplex of {target.name}")
-    pair = shape.violation(target, faces)
+    bad = target.first_outside(n - 1, faces)
+    if bad is not None:
+        raise ValueError(f"face {bad} is not a level-{n - 1} simplex of {target.name}")
+    pair = shape.violation(target, shape.coords(faces))
     return pair is None, pair
 
 
@@ -173,8 +180,9 @@ class _HornShape:
         n, width = len(self.given), len(rhs) // len(self.given)  # every index of [n] but k
         return {i: EMSimplex(n - 1, rhs[p * width:(p + 1) * width]) for p, i in enumerate(self.given)}
 
-    def violation(self, K: EMSpace, faces: dict) -> Optional[tuple[int, int]]:
-        """The first given pair i < j with d_i x_j != d_{j-1} x_i, else None.
+    def violation(self, K: EMSpace, coords: tuple) -> Optional[tuple[int, int]]:
+        """The first given pair i < j with d_i x_j != d_{j-1} x_i, else None,
+        for the faces whose concatenated coordinates are ``coords``.
 
         The first call builds ``check``: per given pair i < j, in order, and
         level-(n-2) generator, the left plan sums a fiber of face i over x_j
@@ -194,7 +202,6 @@ class _HornShape:
                         owners.append((i, j))
             self.check = _face_plan(left, K.monoid), _face_plan(right, K.monoid), owners
         left, right, owners = self.check
-        coords = self.coords(faces)
         lhs, rhs = left(coords), right(coords)
         if lhs == rhs:
             return None
@@ -283,25 +290,33 @@ def _render_steps(
     ``known`` folds row e's other coordinates in row order and its ``value``
     is x_var; a step whose variable ``values`` leaves open, or that has
     none, is the contradiction that ends the chain.  The equation reads
-    ``x(g) + known = rhs``; the exhaustion note, if any, comes last."""
+    ``x(g) + known = rhs``, without ``known`` where it is the identity;
+    the exhaustion note, if any, comes last.  Each step is built in one
+    pass, its text by one f-string."""
     K, rows, rhs = system.problem.target, system.shape.rows, system.rhs
     M = K.monoid
-    op, names = M.op, K.gen_names(system.problem.n)
+    op, identity, render, names = M.op, M.identity, M.render, K.gen_names(system.problem.n)
+    new = tuple.__new__
     steps = []
     for var, e in raw:
-        known = M.identity
-        for v in rows[e][2]:
+        face, _, row = rows[e]
+        known = identity
+        for v in row:
             if v != var:
                 known = op(known, values[v])
-        value, name = (None, None) if var is None else (values[var], names[var])
-        terms = [] if name is None else [f"x({name})"]
-        if known != M.identity or not terms:
-            terms.append(M.render(known))
-        text = " + ".join(terms) + f" = {M.render(rhs[e])}"
+        b = rhs[e]
+        if var is None:
+            text, name, value = f"{render(known)} = {render(b)}", None, None
+        else:
+            name, value = names[var], values[var]
+            if known == identity:
+                text = f"x({name}) = {render(b)}"
+            else:
+                text = f"x({name}) + {render(known)} = {render(b)}"
         kind = "contradiction" if value is None else "assign"
-        steps.append(CertStep(kind, name, text, value, known=known, rhs=rhs[e], face=rows[e][0]))
+        steps.append(new(CertStep, (kind, name, text, value, known, b, face)))
     if note is not None:
-        steps.append(CertStep("exhausted", None, note, None))
+        steps.append(new(CertStep, ("exhausted", None, note, None, None, None, None)))
     return tuple(steps)
 
 

@@ -7,6 +7,8 @@ fixes from its arguments:
 - ``is_finite``, ``is_group``: the elements are a sequence; an inverse exists.
 - ``is_free_natural``, ``integer_addition``: the elements are the naturals,
   or the integers, under ``+``; only this module reads them.
+- ``render(a)``, ``parse_element(text)``: the given renderer and parser,
+  else ``str`` and ``int``.
 - ``solve(a, b)``: every x with a + x = b, as a tuple.  A group gives
   ``inverse(a) + b``, the naturals b - a when a <= b and otherwise none (so
   ``x + 3 = 1`` is refuted without search), and another finite monoid the
@@ -71,8 +73,8 @@ class CommutativeMonoid:
             self.is_element = lambda a: type(a) is int
         else:
             self.is_element = lambda a: True
-        self._render = render
-        self._parse = parse
+        self.render = render or str
+        self.parse_element = parse or int
         # solve calls the given op and inverse; a finite scan runs once per (a, b)
         memo: dict[tuple[Element, Element], tuple[Element, ...]] = {}
 
@@ -126,14 +128,6 @@ class CommutativeMonoid:
         size = values.stop - values.start if isinstance(values, range) else len(values)
         draw = rng.randrange
         return tuple([values[draw(size)] for _ in range(count)])
-
-    def render(self, a: Element) -> str:
-        return self._render(a) if self._render else str(a)
-
-    def parse_element(self, text: str) -> Element:
-        if self._parse is not None:
-            return self._parse(text)
-        return int(text)
 
     def __repr__(self) -> str:
         return f"CommutativeMonoid({self.name})"

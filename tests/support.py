@@ -321,3 +321,31 @@ def commutative_tables(order: int) -> list[tuple[tuple[int, ...], ...]]:
         ):
             tables.append(tuple(map(tuple, table)))
     return tables
+
+
+def render_steps_reference(system, raw, values, note):
+    """Certificate steps as ``emhorn.horn._render_steps`` builds them, by
+    its earlier term list and ``join``: the reference its one-pass text is
+    compared against.  ``raw`` holds the (var, e) steps of ``_solve``,
+    ``values`` the coordinates they are read off and ``note`` its note."""
+    from emhorn.horn import CertStep
+
+    K, rows, rhs = system.problem.target, system.shape.rows, system.rhs
+    M = K.monoid
+    op, names = M.op, K.gen_names(system.problem.n)
+    steps = []
+    for var, e in raw:
+        known = M.identity
+        for v in rows[e][2]:
+            if v != var:
+                known = op(known, values[v])
+        value, name = (None, None) if var is None else (values[var], names[var])
+        terms = [] if name is None else [f"x({name})"]
+        if known != M.identity or not terms:
+            terms.append(M.render(known))
+        text = " + ".join(terms) + f" = {M.render(rhs[e])}"
+        kind = "contradiction" if value is None else "assign"
+        steps.append(CertStep(kind, name, text, value, known=known, rhs=rhs[e], face=rows[e][0]))
+    if note is not None:
+        steps.append(CertStep("exhausted", None, note, None))
+    return tuple(steps)

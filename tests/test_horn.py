@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emhorn.horn as horn_module
-from emhorn.em import EMSpace
+from emhorn.em import EMSimplex, EMSpace
 from emhorn.horn import (
     CERTIFICATE_SCHEMA,
     CertStep,
@@ -22,6 +22,8 @@ from emhorn.horn import (
     FillerResult,
     HornProblem,
     _propagate,
+    _render_steps,
+    _solve,
     brute_force_filler,
     build_constraints,
     certificate_json,
@@ -51,6 +53,7 @@ from support import (
     face_by_composition,
     pairwise_validation,
     random_compatible_horns,
+    render_steps_reference,
     reverse_simplex,
     scan_fillers,
 )
@@ -192,6 +195,37 @@ class TestValidateHorn:
         ):
             with pytest.raises(ValueError, match=message):
                 next(iter_compatible_horn_data(K, n, k))
+
+    @pytest.mark.parametrize(
+        "make, outside", [(boolean, True), (nat, -1), (int_group, 2.0)],
+        ids=["bool True", "N -1", "Z 2.0"],
+    )
+    @pytest.mark.parametrize(
+        "malformed",
+        [EMSimplex(3, (0,)), EMSimplex(2, (0, 0)), (2, (0,))],
+        ids=["level", "width", "plain tuple"],
+    )
+    @pytest.mark.parametrize("element_first", [True, False], ids=["element first", "malformed first"])
+    def test_the_first_bad_face_in_the_dicts_order_is_named(
+        self, make, outside, malformed, element_first
+    ):
+        # membership is checked once over all faces, but a failure names
+        # the first bad face in the dict's order, not in index order
+        K = EMSpace(make(), 2, 3)
+        bad = [(2, malformed), (0, K.simplex(2, (outside,)))]
+        if element_first:
+            bad.reverse()
+        p = HornProblem(K, 3, 1, dict([(3, K.zero(2))] + bad))
+        message = f"face {bad[0][0]} is not a level-2 simplex of K\\({K.monoid.name},2\\)$"
+        with pytest.raises(ValueError, match=message):
+            validate_horn(p)
+        with pytest.raises(ValueError, match=message):
+            build_constraints(K, p)
+        # alone, the malformed face is refused too, though a wrong level
+        # can have the right width and a plain tuple equals a simplex
+        p = HornProblem(K, 3, 1, {0: K.zero(2), 2: malformed, 3: K.zero(2)})
+        with pytest.raises(ValueError, match="face 2 is not a level-2 simplex"):
+            validate_horn(p)
 
     def test_incompatible_em_faces_found(self):
         # at dimension 4 the faces meet in level 2, so mismatches are visible
@@ -1301,6 +1335,47 @@ class TestSweepRules:
         for name in CertStep._fields:
             with pytest.raises(AttributeError):
                 setattr(step, name, "changed")
+
+
+def _render_cases():
+    """(monoid, bound) for N, Z/3, bool and every commutative table of order 3."""
+    tables = [
+        from_table("abc", [["abc"[x] for x in row] for row in table], name=f"table{i}")
+        for i, table in enumerate(commutative_tables(3))
+    ]
+    return [(nat(), 2), (cyclic(3), None), (boolean(), None)] + [(M, None) for M in tables]
+
+
+class TestRenderSteps:
+    def test_steps_match_the_reference_on_every_small_decision(self):
+        # every decision of every shape with d <= 3 and n <= 4: fillers,
+        # contradictions with and without a variable, and exhausted searches
+        seen = Counter()
+        for M, bound in _render_cases():
+            for d in range(4):
+                K = EMSpace(M, d, 4)
+                for n in range(1, 5):
+                    for k in range(n + 1):
+                        for p in iter_compatible_horn_data(K, n, k, bound):
+                            system = build_constraints(K, p)
+                            _, _, raw, values, note = _solve(K, n, system.shape, system.rhs, 1)
+                            got = _render_steps(system, raw, values, note)
+                            want = render_steps_reference(system, raw, values, note)
+                            assert type(got) is tuple and len(got) == len(want)
+                            for a, b in zip(got, want):
+                                assert type(a) is CertStep and repr(a) == repr(b)
+                                assert all(x == y and type(x) is type(y) for x, y in zip(a, b))
+                            seen.update(
+                                ("no unknown" if s.kind == "contradiction" and s.variable is None
+                                 else s.kind)
+                                + (" known" if s.known not in (None, M.identity) else "")
+                                for s in got
+                            )
+        # x + identity = b always has the solution b, so a contradiction on
+        # a variable always has a known part
+        for kind in ("assign", "assign known", "contradiction known", "no unknown",
+                     "no unknown known", "exhausted"):
+            assert seen[kind], kind
 
 
 # Each case breaks one check from inside and calls what it guards; the

@@ -114,6 +114,19 @@ class TestTableMonoids:
         assert B.op(1, 1) == 1
         assert B.render(1) == "1"
 
+    def test_render_and_parse_are_fixed_when_built(self):
+        # a table renders and parses its names, a monoid given neither
+        # falls back to str and int, and a copy built from the attributes,
+        # as the benchmark's counting monoid is, keeps both
+        Z3 = from_table(["e", "a", "b"], [["e", "a", "b"], ["a", "b", "e"], ["b", "e", "a"]])
+        Z = int_group()
+        assert (Z3.render(2), Z3.parse_element("a"), Z3.parse_element("2")) == ("b", 1, 2)
+        assert (Z.render, Z.parse_element) == (str, int)
+        assert (Z.render(-4), Z.parse_element("-4")) == ("-4", -4)
+        for M in (Z3, Z, nat()):
+            copy = _counting_copy(M, [])
+            assert (copy.render, copy.parse_element) == (M.render, M.parse_element)
+
     def test_cyclic_three_as_table_accepted(self):
         Z3 = from_table(
             ["e", "a", "b"],

@@ -46,18 +46,19 @@ PACKAGE = ROOT / "src" / "emhorn"
 MEMORY_CAP = 2 << 30  # bytes of address space per test run
 WORKERS = 2
 
-# The solver, certificate steps, validation, enumeration, sweep, operator
-# tables, face plans and table parsing, per module.
+# The solver, certificate steps and their JSON, validation, horn shapes,
+# enumeration, sweep, operator tables, face plans and table parsing, per module.
 TARGETS = {
     "horn": [
-        "validate_horn", "_HornShape.violation", "_HornShape.faces", "_horn_shape",
-        "_render_steps", "_propagate", "_branch", "_filler_map", "_solve", "solve_em",
-        "count_fillers", "moore_filler", "_level_faces", "_compatible_faces", "_sweep",
+        "validate_horn", "_HornShape.__init__", "_HornShape.violation", "_HornShape.faces",
+        "_horn_shape", "_render_steps", "_propagate", "_branch", "_filler_map", "_solve",
+        "solve_em", "count_fillers", "moore_filler", "certificate_json", "_level_faces",
+        "_compatible_faces", "_sweep",
     ],
     "em": [
         "_Levels.__missing__", "EMSpace.face_fibers", "EMSpace.degeneracy_targets",
-        "EMSpace.face", "EMSpace.degeneracy", "EMSpace.contains", "_gather",
-        "_face_plan", "_degeneracy_plan",
+        "EMSpace.face", "EMSpace.degeneracy", "EMSpace.contains", "EMSpace.first_outside",
+        "_gather", "_face_plan", "_degeneracy_plan",
     ],
     "monoid": ["CommutativeMonoid.__init__", "CommutativeMonoid.values", "from_table"],
 }
