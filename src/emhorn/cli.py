@@ -13,10 +13,8 @@ errors.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from typing import Optional
 
 from . import em, horn, monoid
 from .monoid import CommutativeMonoid, UndecidableError
@@ -68,6 +66,8 @@ def parse_face(text: str, space: em.EMSpace, level: int) -> tuple[int, em.EMSimp
 
 
 def _emit_json(data: dict) -> None:
+    import json  # here, so that a text command never loads it
+
     sys.stdout.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -281,7 +281,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (ValueError, UndecidableError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, UndecidableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

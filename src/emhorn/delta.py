@@ -25,26 +25,42 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class MonotoneMap:
-    """A weakly increasing map [m] -> [n], determined by its value tuple."""
+    """A weakly increasing map [m] -> [n], determined by its value tuple.
 
-    values: tuple[int, ...]
-    cod: int
+    Immutable and hashable; it equals only a ``MonotoneMap`` with the same
+    values and codomain.  Every construction checks the values."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
+    __slots__ = ("values", "cod")
+
+    def __init__(self, values, cod: int):
+        values = tuple(values)
+        if not values:
             raise ValueError("a monotone map has at least one value; [m] is never empty")
-        if self.cod < 0:
-            raise ValueError(f"codomain [{self.cod}] is not an ordinal")
-        if any(v < 0 or v > self.cod for v in self.values):
-            raise ValueError(f"values {self.values} leave the codomain [{self.cod}]")
-        if any(a > b for a, b in zip(self.values, self.values[1:])):
-            raise ValueError(f"values {self.values} are not weakly increasing")
+        if cod < 0:
+            raise ValueError(f"codomain [{cod}] is not an ordinal")
+        if any(v < 0 or v > cod for v in values):
+            raise ValueError(f"values {values} leave the codomain [{cod}]")
+        if any(a > b for a, b in zip(values, values[1:])):
+            raise ValueError(f"values {values} are not weakly increasing")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "cod", cod)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a MonotoneMap")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a MonotoneMap")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.values == other.values and self.cod == other.cod
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.cod))
 
     @property
     def dom(self) -> int:

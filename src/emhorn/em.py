@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from collections.abc import Sequence
 from operator import itemgetter
-from typing import Optional, Sequence
 
 from .delta import MonotoneMap, enumerate_surjections
 from .monoid import CommutativeMonoid, Element
@@ -210,7 +210,7 @@ class EMSpace:
         """A level-k simplex, one ``monoid.sample`` draw per coordinate."""
         return tuple.__new__(EMSimplex, (k, self.monoid.samples(rng, hint, self.rank(k))))
 
-    def enumerate_level(self, k: int, bound: Optional[int] = None) -> list[EMSimplex]:
+    def enumerate_level(self, k: int, bound: int | None = None) -> list[EMSimplex]:
         """All level-k simplices, each coordinate in ``monoid.values(bound)``."""
         rank = self.rank(k)
         return [

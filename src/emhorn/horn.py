@@ -52,8 +52,12 @@ for that check; ``build_constraints`` lays them out again for its system.
 Every horn maps into an ``EMSpace``; the exhaustive scan over its level
 set (``brute_force_filler``) is kept as an oracle for the solver.  Results
 are frozen values, their certificate steps named tuples rendered when they
-are built, each in one pass.  A sweep lists each level once, with its
-simplices' faces, and joins it into each shape's horns, each as its
+are built, each in one pass.  ``Equation`` and ``CertStep`` are
+``collections.namedtuple``s; the other records are plain classes on
+``_Record``, which gives field equality, a field repr and no hash, and
+``FillerResult`` alone is frozen and hashable, so importing the module
+loads no ``dataclasses`` or ``typing``.  A sweep lists each level once,
+with its simplices' faces, and joins it into each shape's horns, each as its
 concatenated coordinates: faces are chosen in given-index order, each
 looked up by its faces at the earlier indices, which must equal d_{j-1}
 of the earlier choices, so the horns come in the lexicographic order of
@@ -65,22 +69,37 @@ d_i x_j = d_i d_j y = d_{j-1} d_i y = d_{j-1} x_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import islice
-from typing import Iterator, NamedTuple, Optional
 
 from .em import EMSimplex, EMSpace, _face_plan, _gather
-from .monoid import CommutativeMonoid, Element, UndecidableError, nat
+from .monoid import CommutativeMonoid, UndecidableError, nat
 
 
-@dataclass
-class HornProblem:
+class _Record:
+    """Equality, repr and no hash for the records below: a record's fields
+    are its instance attributes, set in order by its ``__init__``, and its
+    repr leaves out those named in ``_hidden``."""
+
+    __hash__ = None
+    _hidden = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if k not in self._hidden)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class HornProblem(_Record):
     """Faces i -> x_i for every i except k, aimed at an n-simplex."""
 
-    target: EMSpace
-    n: int
-    k: int
-    faces: dict
+    def __init__(self, target: EMSpace, n: int, k: int, faces: dict):
+        self.target, self.n, self.k, self.faces = target, n, k, faces
 
     def describe(self) -> str:
         return f"Lambda^{self.k}[{self.n}] -> {self.target.name}"
@@ -92,7 +111,7 @@ def horn_from_simplex(K: EMSpace, n: int, k: int, y: EMSimplex) -> HornProblem:
     return HornProblem(K, n, k, faces)
 
 
-def validate_horn(problem: HornProblem) -> tuple[bool, Optional[tuple[int, int]]]:
+def validate_horn(problem: HornProblem) -> tuple[bool, tuple[int, int] | None]:
     """Check the data defines a map from the horn.
 
     Malformed input (a shape outside the truncation, wrong face indices,
@@ -134,14 +153,8 @@ def _require_compatible(problem: HornProblem) -> None:
 # Constraint systems over EM spaces
 
 
-@dataclass(frozen=True)
-class Equation:
-    """Subset sum over the level-n generators: sum of vars = rhs."""
-
-    face: int
-    gen_pos: int
-    vars: tuple[int, ...]
-    rhs: Element
+Equation = namedtuple("Equation", "face gen_pos vars rhs")
+Equation.__doc__ = """Subset sum over the level-n generators: sum of vars = rhs."""
 
 
 class _HornShape:
@@ -180,7 +193,7 @@ class _HornShape:
         n, width = len(self.given), len(rhs) // len(self.given)  # every index of [n] but k
         return {i: EMSimplex(n - 1, rhs[p * width:(p + 1) * width]) for p, i in enumerate(self.given)}
 
-    def violation(self, K: EMSpace, coords: tuple) -> Optional[tuple[int, int]]:
+    def violation(self, K: EMSpace, coords: tuple) -> tuple[int, int] | None:
         """The first given pair i < j with d_i x_j != d_{j-1} x_i, else None,
         for the faces whose concatenated coordinates are ``coords``.
 
@@ -220,14 +233,14 @@ def _horn_shape(K: EMSpace, n: int, k: int) -> _HornShape:
     return shape
 
 
-@dataclass
-class ConstraintSystem:
+class ConstraintSystem(_Record):
     """The filler conditions of one horn: the rows of its shape, shared by
     every horn of that shape, and this horn's right-hand sides in row order."""
 
-    problem: HornProblem
-    shape: _HornShape = field(repr=False)
-    rhs: tuple = field(repr=False)
+    _hidden = ("shape", "rhs")
+
+    def __init__(self, problem: HornProblem, shape: _HornShape, rhs: tuple):
+        self.problem, self.shape, self.rhs = problem, shape, rhs
 
     @property
     def equations(self) -> list[Equation]:
@@ -254,27 +267,31 @@ def build_constraints(K: EMSpace, problem: HornProblem) -> ConstraintSystem:
 # Results and certificates
 
 
-class CertStep(NamedTuple):
-    """One step of a certificate: a forced assignment, the contradiction
-    that ends a chain, or an exhaustion note.  A named tuple, so immutable
-    and equal to a plain tuple of the same value."""
-
-    kind: str  # "assign" | "contradiction" | "exhausted"
-    variable: Optional[str]
-    equation: str
-    value: Optional[Element]
-    known: Optional[Element] = None
-    rhs: Optional[Element] = None
-    face: Optional[int] = None
+CertStep = namedtuple(
+    "CertStep", "kind variable equation value known rhs face", defaults=(None, None, None)
+)
+CertStep.__doc__ = """One step of a certificate: a forced assignment, the
+contradiction that ends a chain, or an exhaustion note.  ``kind`` is
+"assign", "contradiction" or "exhausted"; ``known``, ``rhs`` and ``face``
+default to None.  A named tuple, so immutable and equal to a plain tuple
+of the same value."""
 
 
-@dataclass(frozen=True)
-class FillerResult:
-    """A verdict: the filler or None, the certificate steps and a note."""
+class FillerResult(_Record):
+    """A verdict: the filler or None, the certificate steps and a note.
+    Frozen, and hashed by its fields."""
 
-    filler: Optional[EMSimplex]
-    steps: tuple[CertStep, ...] = ()
-    note: Optional[str] = None
+    def __init__(self, filler: EMSimplex | None, steps: tuple = (), note: str | None = None):
+        self.__dict__.update(filler=filler, steps=steps, note=note)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a FillerResult")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a FillerResult")
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
     @property
     def found(self) -> bool:
@@ -282,7 +299,7 @@ class FillerResult:
 
 
 def _render_steps(
-    system: ConstraintSystem, raw: list, values, note: Optional[str]
+    system: ConstraintSystem, raw: list, values, note: str | None
 ) -> tuple[CertStep, ...]:
     """The (var, e) steps on equation ``e`` of the system as ``CertStep``s,
     read off ``values``, a value or None per coordinate: the filler, else
@@ -580,7 +597,7 @@ def moore_filler(K: EMSpace, problem: HornProblem) -> FillerResult:
 
 
 def brute_force_filler(
-    target: EMSpace, problem: HornProblem, value_bound: Optional[int] = None
+    target: EMSpace, problem: HornProblem, value_bound: int | None = None
 ) -> FillerResult:
     """Exhaustive scan oracle: the first candidate of level n, in canonical
     order, that has the given faces, else the scan size."""
@@ -602,10 +619,9 @@ def brute_force_filler(
 # The inner-horn counterexample over the naturals
 
 
-@dataclass
-class CounterexampleReport:
-    problem: HornProblem
-    result: FillerResult
+class CounterexampleReport(_Record):
+    def __init__(self, problem: HornProblem, result: FillerResult):
+        self.problem, self.result = problem, result
 
     def lines(self) -> list[str]:
         M = self.problem.target.monoid
@@ -729,7 +745,7 @@ def certificate_json(problem: HornProblem, result: FillerResult) -> dict:
 
 
 def iter_compatible_horn_data(
-    target: EMSpace, n: int, k: int, bound: Optional[int] = None
+    target: EMSpace, n: int, k: int, bound: int | None = None
 ) -> Iterator[HornProblem]:
     """Every compatible horn assignment, in the lexicographic order of the
     product of the level-(n-1) candidates over the given indices.
@@ -742,7 +758,7 @@ def iter_compatible_horn_data(
         yield HornProblem(target, n, k, dict(zip(given, faces)))
 
 
-def _level_faces(target: EMSpace, n: int, bound: Optional[int]) -> list:
+def _level_faces(target: EMSpace, n: int, bound: int | None) -> list:
     """The level-(n-1) candidates, each with its faces at 0..n-1 (none at
     n = 1), a level-(n-2) face keyed by a number, the order it was first
     seen in: what the horns of every shape (n, k) are chosen from."""
@@ -787,18 +803,24 @@ def _compatible_faces(given: tuple, level: list, piece) -> Iterator[tuple]:
     yield from extend((), ())
 
 
-@dataclass
-class SweepReport:
-    target: str
-    mode: str
-    max_dim: int
-    bound: Optional[int]
-    instances: int
-    passed: bool
-    witness: Optional[HornProblem] = None
-    witness_result: Optional[FillerResult] = None
-    unique: Optional[bool] = None
-    nonunique_witness: Optional[HornProblem] = None
+class SweepReport(_Record):
+    def __init__(
+        self,
+        target: str,
+        mode: str,
+        max_dim: int,
+        bound: int | None,
+        instances: int,
+        passed: bool,
+        witness: HornProblem | None = None,
+        witness_result: FillerResult | None = None,
+        unique: bool | None = None,
+        nonunique_witness: HornProblem | None = None,
+    ):
+        self.target, self.mode, self.max_dim, self.bound = target, mode, max_dim, bound
+        self.instances, self.passed, self.witness = instances, passed, witness
+        self.witness_result, self.unique = witness_result, unique
+        self.nonunique_witness = nonunique_witness
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -841,7 +863,7 @@ class SweepReport:
 def _sweep(
     target: EMSpace,
     max_dim: int,
-    bound: Optional[int],
+    bound: int | None,
     inner_only: bool,
     check_unique: bool = False,
 ) -> SweepReport:
@@ -900,7 +922,7 @@ def _sweep(
 def sweep_quasicategory(
     target: EMSpace,
     max_dim: int,
-    bound: Optional[int] = 3,
+    bound: int | None = 3,
     check_unique: bool = False,
 ) -> SweepReport:
     """Decide every compatible inner horn up to ``max_dim``.
@@ -917,7 +939,7 @@ def sweep_quasicategory(
 
 
 def sweep_kan(
-    target: EMSpace, max_dim: int, bound: Optional[int] = 3
+    target: EMSpace, max_dim: int, bound: int | None = 3
 ) -> SweepReport:
     """Like the inner sweep but covering outer horns as well; ``max_dim``
     and ``bound`` are refused in the same way, and by the same reversal

@@ -29,10 +29,9 @@ fabricate solutions.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Callable, Optional, Sequence
+from collections.abc import Callable, Sequence
 
-Element = Any
+Element = object
 
 
 class UndecidableError(Exception):
@@ -46,12 +45,12 @@ class CommutativeMonoid:
         identity: Element,
         op: Callable[[Element, Element], Element],
         *,
-        elements: Optional[Sequence[Element]] = None,
-        inverse: Optional[Callable[[Element], Element]] = None,
+        elements: Sequence[Element] | None = None,
+        inverse: Callable[[Element], Element] | None = None,
         free_natural: bool = False,
         integer_addition: bool = False,
-        render: Optional[Callable[[Element], str]] = None,
-        parse: Optional[Callable[[str], Element]] = None,
+        render: Callable[[Element], str] | None = None,
+        parse: Callable[[str], Element] | None = None,
     ):
         self.name = name
         self.identity = identity
@@ -102,7 +101,7 @@ class CommutativeMonoid:
             raise UndecidableError(f"{self.name} is not a group; undecidable here")
         return self._inverse(a)
 
-    def values(self, bound: Optional[int] = None) -> Sequence[Element]:
+    def values(self, bound: int | None = None) -> Sequence[Element]:
         """The coefficients a coordinate ranges over: every element of a
         finite monoid, else those of absolute value at most ``bound``."""
         if bound is not None and bound < 0:
@@ -269,9 +268,15 @@ def boolean() -> CommutativeMonoid:
 
 
 def load_table(path: str) -> CommutativeMonoid:
-    """Read a table monoid from a JSON file: {"name", "elements", "table"}."""
+    """Read a table monoid from a JSON file: {"name", "elements", "table"}.
+    A file that is not JSON, or not text, is refused naming the file."""
+    import json  # here, so that a command with no table file never loads it
+
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict) or "elements" not in data or "table" not in data:
         raise ValueError(f"{path}: expected JSON object with 'elements' and 'table'")
     elements, table, name = data["elements"], data["table"], data.get("name", "table")

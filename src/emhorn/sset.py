@@ -10,8 +10,6 @@ container.
 
 from __future__ import annotations
 
-from typing import Union
-
 from .delta import MonotoneMap
 from .em import _Levels
 
@@ -25,7 +23,7 @@ class TruncatedSphere:
     def __init__(self, n: int, dim_bound: int):
         self._cells = _Levels(n, dim_bound)  # K(N,n)'s generators
 
-    def level(self, k: int) -> tuple[Union[MonotoneMap, str], ...]:
+    def level(self, k: int) -> tuple[MonotoneMap | str, ...]:
         return (BASEPOINT, *self._cells[k])
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 
@@ -340,6 +344,14 @@ class TestCheckHorn:
         assert code == 1
         assert "no filler exists" in out
 
+    def test_table_path_may_hold_a_colon(self, capsys, tmp_path):
+        # only the first colon ends the spec's kind
+        path = tmp_path / "a:b.json"
+        path.write_text(BOOLEAN_TABLE)
+        code, out, _ = run(capsys, "enumerate", "--monoid", f"table:{path}", "--n", "1", "--level", "1")
+        assert code == 0
+        assert out == "S^1[1]: * 01\nK(bool,1)[1] = bool^1\ngenerators: 01\n"
+
     def test_numeric_element_names_exit_two(self, capsys, tmp_path):
         path = tmp_path / "numeric.json"
         path.write_text('{"elements": [0, 1, 2], "table": [[0, 1, 2], [1, 2, 2], [2, 2, 2]]}')
@@ -359,6 +371,7 @@ class TestCheckHorn:
             '{"elements": 3, "table": []}',
             '{"elements": ["a"], "table": [5]}',
             '{"name": ["x"], "elements": ["a"], "table": [["a"]]}',
+            '{not json',
         ):
             path.write_text(text)
             code, out, err = run(
@@ -524,6 +537,27 @@ class TestCounterexampleCommand:
         assert code1 == code2 == 0
         assert out1 == out2
         jsonschema.validate(json.loads(out1), CERTIFICATE_SCHEMA)
+
+
+def test_cli_import_loads_no_dataclasses_typing_inspect_or_json():
+    # -S keeps out site, whose .pth files may import typing themselves; the
+    # modules the CLI needs anyway are subtracted, so the check holds on
+    # every supported Python, whatever those modules import
+    script = (
+        "import sys\n"
+        "import argparse, collections, itertools, operator, re\n"
+        "before = set(sys.modules)\n"
+        "import emhorn.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(emhorn.sset.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(run.stdout.split())
+    assert "emhorn.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "json"}, sorted(loaded)
 
 
 class TestUsageErrors:

@@ -55,6 +55,24 @@ class TestMonotoneMap:
         assert m("012", 2) == identity(2)
         assert m("012", 3) != m("012", 2)
 
+    def test_rejects_empty_values_and_negative_codomains(self):
+        with pytest.raises(ValueError, match="at least one value"):
+            MonotoneMap((), 0)
+        with pytest.raises(ValueError, match=r"codomain \[-1\] is not an ordinal"):
+            MonotoneMap((0,), -1)
+        assert MonotoneMap((0, 0), 0).values == (0, 0)
+
+    def test_immutable_hashable_and_equal_only_to_maps(self):
+        f = MonotoneMap([0, 1, 1, 2], 2)
+        assert f.values == (0, 1, 1, 2)  # coerced to a tuple
+        for name in ("values", "cod"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, (0,))
+        assert hash(f) == hash(m("0112", 2))
+        assert len({f, m("0112", 2), m("0122", 2), m("0112", 3)}) == 3
+        assert f != (0, 1, 1, 2) and f != ((0, 1, 1, 2), 2) and not f == ((0, 1, 1, 2), 2)
+        assert repr(f) == "MonotoneMap((0, 1, 1, 2), cod=2)"
+
 
 class TestCompose:
     def test_identity_is_neutral(self):

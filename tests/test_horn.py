@@ -843,6 +843,60 @@ class TestCounterexampleReport:
             quasicategory_counterexample(-1)
 
 
+class TestRecords:
+    """The records keep their field equality, hashing, immutability and reprs."""
+
+    FACES = (
+        "{0: EMSimplex(level=2, coords=(0,)), 2: EMSimplex(level=2, coords=(1,)), "
+        "3: EMSimplex(level=2, coords=(3,))}"
+    )
+    STEPS = (
+        "(CertStep(kind='assign', variable='0012', equation='x(0012) = 0', value=0, known=0, "
+        "rhs=0, face=0), CertStep(kind='assign', variable='0122', equation='x(0122) = 3', "
+        "value=3, known=0, rhs=3, face=3), CertStep(kind='contradiction', variable='0112', "
+        "equation='x(0112) + 3 = 1', value=None, known=3, rhs=1, face=2))"
+    )
+
+    def test_horn_problems_and_sweep_reports_compare_by_field_and_are_unhashable(self):
+        K, p = nat_horn(0, 1, 3)
+        same = HornProblem(K, 3, 1, dict(p.faces))
+        assert p == same and not p != same
+        assert p != HornProblem(K, 3, 1, {**p.faces, 3: K.simplex(2, (4,))})
+        assert p != nat_horn(0, 1, 3)[1]  # another space, compared by identity
+        assert p != (K, 3, 1, p.faces)
+        report, again = (sweep_kan(EMSpace(cyclic(2), 2, 3), 2) for _ in range(2))
+        assert report == again
+        again.instances += 1  # a sweep counts into its report
+        assert report != again
+        for record in (p, report, build_constraints(K, p), quasicategory_counterexample()):
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_reprs(self):
+        K, p = nat_horn(0, 1, 3)
+        problem = f"HornProblem(target=EMSpace(K(N,2), D=3), n=3, k=1, faces={self.FACES})"
+        assert repr(K) == "EMSpace(K(N,2), D=3)" and repr(p) == problem
+        system = build_constraints(K, p)
+        assert repr(system) == f"ConstraintSystem(problem={problem})"  # no shape, no rhs
+        assert repr(system.equations[0]) == "Equation(face=0, gen_pos=0, vars=(0,), rhs=0)"
+        result = f"FillerResult(filler=None, steps={self.STEPS}, note=None)"
+        assert repr(solve_em(system)) == result
+        assert repr(quasicategory_counterexample()) == (
+            f"CounterexampleReport(problem={problem}, result={result})"
+        )
+        assert repr(sweep_kan(EMSpace(cyclic(2), 2, 3), 2)) == (
+            "SweepReport(target='K(Z/2,2)', mode='kan', max_dim=2, bound=None, instances=5, "
+            "passed=True, witness=None, witness_result=None, unique=None, nonunique_witness=None)"
+        )
+
+    def test_equations_are_frozen_and_hashed_by_their_fields(self):
+        e = Equation(0, 1, (2, 3), 4)
+        assert e == Equation(0, 1, (2, 3), 4) and hash(e) == hash((0, 1, (2, 3), 4))
+        assert (e.face, e.gen_pos, e.vars, e.rhs) == (0, 1, (2, 3), 4)
+        with pytest.raises(AttributeError):
+            e.rhs = 5
+
+
 class TestSweeps:
     def test_naturals_fail_with_inner_witness(self):
         K = EMSpace(nat(), 2, 3)

@@ -209,12 +209,15 @@ class TestTableMonoids:
             '{"elements": 3, "table": []}',
             '{"elements": ["a"], "table": [5]}',
             '{"name": ["x"], "elements": ["a"], "table": [["a"]]}',
+            '{not json',
+            "\udcff",
         ],
-        ids=["elements not a list", "row not a list", "name not a string"],
+        ids=["elements not a list", "row not a list", "name not a string", "not json",
+             "not utf-8"],
     )
     def test_load_table_rejects_wrong_shapes_naming_the_file(self, tmp_path, text):
         path = tmp_path / "shape.json"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")  # "\udcff" is byte 0xff
         with pytest.raises(ValueError, match="shape.json"):
             load_table(str(path))
 

@@ -47,7 +47,8 @@ MEMORY_CAP = 2 << 30  # bytes of address space per test run
 WORKERS = 2
 
 # The solver, certificate steps and their JSON, validation, horn shapes,
-# enumeration, sweep, operator tables, face plans and table parsing, per module.
+# enumeration, sweep, operator tables, face plans, table parsing, the
+# validation of monotone maps and the CLI's spec parsers, per module.
 TARGETS = {
     "horn": [
         "validate_horn", "_HornShape.__init__", "_HornShape.violation", "_HornShape.faces",
@@ -61,6 +62,8 @@ TARGETS = {
         "_gather", "_face_plan", "_degeneracy_plan",
     ],
     "monoid": ["CommutativeMonoid.__init__", "CommutativeMonoid.values", "from_table"],
+    "delta": ["MonotoneMap.__init__"],
+    "cli": ["parse_monoid", "parse_simplex", "parse_face"],
 }
 
 # Mutants that compute what the program computes, each with the reason.
