@@ -131,9 +131,9 @@ class EMSpace:
             self._face_fibers[key] = [tuple(f) for f in fibers]
         return self._face_fibers[key]
 
-    # face and a horn shape's filler check build their plans from this alias,
-    # so an override of face_fibers sees only the reads of the shapes' rows
-    # and a patched module name is never looked up
+    # face, a horn shape's filler check and a sweep's level listing build
+    # their plans from this alias, so an override of face_fibers sees only the
+    # reads of the shapes' rows and a patched module name is never looked up
     _fibers = face_fibers
 
     def degeneracy_targets(self, k: int, j: int) -> list[int]:

@@ -72,6 +72,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import islice
+from operator import itemgetter
 
 from .em import EMSimplex, EMSpace, _face_plan, _gather
 from .monoid import CommutativeMonoid, UndecidableError, nat
@@ -761,13 +762,29 @@ def iter_compatible_horn_data(
 def _level_faces(target: EMSpace, n: int, bound: int | None) -> list:
     """The level-(n-1) candidates, each with its faces at 0..n-1 (none at
     n = 1), a level-(n-2) face keyed by a number, the order it was first
-    seen in: what the horns of every shape (n, k) are chosen from."""
+    seen in: what the horns of every shape (n, k) are chosen from.  One
+    plan gives a candidate's faces, concatenated in index order, and each
+    face is keyed by its slice of them, as all lie at level n-2."""
+    level = target.enumerate_level(n - 1, bound=bound)
+    if n == 1:
+        return [(x, ()) for x in level]
+    fibers = [fiber for i in range(n) for fiber in target._fibers(n - 1, i)]
+    faces_of = _face_plan(fibers, target.monoid)
+    width = target.rank(n - 2)
+    cut = itemgetter(*[slice(i * width, (i + 1) * width) for i in range(n)])
     ids: dict = {}
-    return [
-        (x, tuple([ids.setdefault(target.face(n - 1, i, x), len(ids))
-                   for i in (range(n) if n > 1 else ())]))
-        for x in target.enumerate_level(n - 1, bound=bound)
-    ]
+    number = ids.setdefault
+    return [(x, tuple([number(f, len(ids)) for f in cut(faces_of(x.coords))])) for x in level]
+
+
+def _extend(prefixes: Iterator[tuple], get, lower: int) -> Iterator[tuple]:
+    """Each prefix (pieces, faces) of ``prefixes``, lazily, extended by every
+    entry (piece, faces) that ``get`` gives for the prefix's faces at index
+    ``lower``, in order."""
+    pick = itemgetter(lower)
+    for chosen, faces in prefixes:
+        for part, f in get(tuple(map(pick, faces)), ()):
+            yield chosen + part, faces + (f,)
 
 
 def _compatible_faces(given: tuple, level: list, piece) -> Iterator[tuple]:
@@ -779,28 +796,26 @@ def _compatible_faces(given: tuple, level: list, piece) -> Iterator[tuple]:
     Faces are chosen in given-index order: the choice for face j is looked
     up by its faces d_i at the earlier given indices i, which must equal
     d_{j-1} of the earlier choices, so only compatible horns are built.
+    Each position is one lazy ``_extend`` stage over the prefixes of the
+    one before, so only one prefix per position is held at a time.
     """
     last = len(given) - 1
     # per position: the candidates' pieces, in order, by their faces at the
     # earlier given indices; at the last position the pieces alone
     tables: list[dict] = [{} for _ in given]
     for x, faces in level:
-        part = piece(x)
-        for pos, table in enumerate(tables):
-            entry = part if pos == last else (part, faces)
-            table.setdefault(tuple([faces[i] for i in given[:pos]]), []).append(entry)
-
-    def extend(chosen: tuple, faces: tuple) -> Iterator[tuple]:
-        pos = len(faces)
-        lower = given[pos] - 1
-        matches = tables[pos].get(tuple([f[lower] for f in faces]), ())
-        if pos == last:
-            yield from map(chosen.__add__, matches)
-            return
-        for part, f in matches:
-            yield from extend(chosen + part, faces + (f,))
-
-    yield from extend((), ())
+        part, key = piece(x), ()
+        entry = part, faces
+        for table, i in zip(tables, given[:last]):
+            table.setdefault(key, []).append(entry)
+            key += (faces[i],)
+        tables[last].setdefault(key, []).append(part)
+    prefixes = iter([((), ())])
+    for pos in range(last):
+        prefixes = _extend(prefixes, tables[pos].get, given[pos] - 1)
+    get, pick = tables[last].get, itemgetter(given[last] - 1)
+    for chosen, faces in prefixes:
+        yield from map(chosen.__add__, get(tuple(map(pick, faces)), ()))
 
 
 class SweepReport(_Record):

@@ -30,6 +30,7 @@ fabricate solutions.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from operator import add, neg
 
 Element = object
 
@@ -141,16 +142,12 @@ def _natural(text: str) -> int:
 
 def nat() -> CommutativeMonoid:
     """The natural numbers under addition."""
-    return CommutativeMonoid(
-        "N", 0, lambda a, b: a + b, free_natural=True, integer_addition=True, parse=_natural
-    )
+    return CommutativeMonoid("N", 0, add, free_natural=True, integer_addition=True, parse=_natural)
 
 
 def int_group() -> CommutativeMonoid:
     """The integers under addition."""
-    return CommutativeMonoid(
-        "Z", 0, lambda a, b: a + b, inverse=lambda a: -a, integer_addition=True
-    )
+    return CommutativeMonoid("Z", 0, add, inverse=neg, integer_addition=True)
 
 
 def cyclic(m: int) -> CommutativeMonoid:

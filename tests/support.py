@@ -349,3 +349,32 @@ def render_steps_reference(system, raw, values, note):
     if note is not None:
         steps.append(CertStep("exhausted", None, note, None))
     return tuple(steps)
+
+
+def level_faces_reference(K: EMSpace, n: int, bound=None) -> list:
+    """``emhorn.horn._level_faces`` one face at a time: each level-(n-1)
+    candidate with its faces at 0..n-1 (none at n = 1), each face taken by
+    ``K.face`` as a simplex and numbered in the order first seen."""
+    ids: dict = {}
+    return [
+        (x, tuple(ids.setdefault(K.face(n - 1, i, x), len(ids)) for i in range(n if n > 1 else 0)))
+        for x in K.enumerate_level(n - 1, bound=bound)
+    ]
+
+
+def compatible_faces_reference(given, level, piece):
+    """``emhorn.horn._compatible_faces`` by recursion over the positions:
+    the choice for face j ranges over the whole ``level``, kept when its
+    face at each earlier given index i equals the face at j-1 of the choice
+    for i; a horn is the concatenation of ``piece(x)`` over its choices."""
+
+    def extend(chosen: tuple, picked: list):
+        if len(picked) == len(given):
+            yield chosen
+            return
+        j = given[len(picked)]
+        for x, faces in level:
+            if all(faces[i] == earlier[j - 1] for i, earlier in zip(given, picked)):
+                yield from extend(chosen + piece(x), picked + [faces])
+
+    return extend((), [])

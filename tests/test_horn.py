@@ -5,6 +5,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -49,8 +51,10 @@ from emhorn.monoid import (
 )
 from support import (
     commutative_tables,
+    compatible_faces_reference,
     equations_by_composition,
     face_by_composition,
+    level_faces_reference,
     pairwise_validation,
     random_compatible_horns,
     render_steps_reference,
@@ -787,6 +791,47 @@ class TestLevelJoin:
         report = sweep(K, max_dim, bound=bound)
         assert report.passed and report.instances > 0
         assert [k for k, _ in K.listed] == list(range(max_dim))
+
+    # every shape with n <= 4 over these spaces, degree 0 and the faces of
+    # width 0 (levels below the degree) included
+    REFERENCE_SPACES = [(nat, d, 2) for d in range(3)] + [
+        (lambda: cyclic(2), 2, None), (lambda: cyclic(3), 2, None),
+        (boolean, 2, None), (trivial, 2, None),
+    ]
+
+    @pytest.mark.parametrize(
+        "make, degree, bound", REFERENCE_SPACES,
+        ids=["N0", "N1", "N2", "Z/2", "Z/3", "bool", "trivial"],
+    )
+    def test_listing_and_join_match_their_references(self, make, degree, bound):
+        K = EMSpace(make(), degree, 4)
+        widths = set()
+        for n in range(1, 5):
+            level = horn_module._level_faces(K, n, bound)
+            assert level == level_faces_reference(K, n, bound), n
+            widths.add(K.rank(n - 2) if n > 1 else None)
+            for k in range(n + 1):
+                given = horn_module._horn_shape(K, n, k).given
+                for piece in (lambda x: x.coords, lambda x: (x,)):
+                    got = list(horn_module._compatible_faces(given, level, piece))
+                    assert got == list(compatible_faces_reference(given, level, piece)), (n, k)
+        assert (0 in widths) == (degree > 0)
+
+    def test_the_join_holds_one_prefix_per_position(self):
+        # shape (4, 1) over K(Z/12,2) has 248,832 prefixes of two faces
+        # (1,728 candidates, 144 per face-2 key), so a join that lists one
+        # position's prefixes before the next would run out of both bounds
+        K = EMSpace(cyclic(12), 2, 4)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            horns = list(itertools.islice(iter_compatible_horn_data(K, 4, 1), 1000))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(horns) == 1000
+        assert elapsed < 2 and peak < 10 << 20, (elapsed, peak)
 
     def test_horn_faces_are_the_levels_own_simplices(self):
         K = _ListingSpace(cyclic(3), 2, 4)

@@ -54,7 +54,7 @@ TARGETS = {
         "validate_horn", "_HornShape.__init__", "_HornShape.violation", "_HornShape.faces",
         "_horn_shape", "_render_steps", "_propagate", "_branch", "_filler_map", "_solve",
         "solve_em", "count_fillers", "moore_filler", "certificate_json", "_level_faces",
-        "_compatible_faces", "_sweep",
+        "_compatible_faces", "_extend", "_sweep",
     ],
     "em": [
         "_Levels.__missing__", "EMSpace.face_fibers", "EMSpace.degeneracy_targets",
