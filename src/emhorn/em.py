@@ -18,9 +18,11 @@ M the naturals and degree 2 at level 3, where the generators are 0012,
     d0 (a, b, c) = (a)        d1 (a, b, c) = (a + b)
     d2 (a, b, c) = (b + c)    d3 (a, b, c) = (c)
 
-into the single level-2 coordinate at the generator 012.  The operators
-and the levelwise sum refuse a simplex whose coordinate count is not the
-rank of its level.
+into the single level-2 coordinate at the generator 012.  A face with a
+two-source fiber runs as one generated function, compiled once per fiber
+layout in a process and shared by every space; here d1 is
+``lambda c: (op(c[0],c[1]),)``.  The operators and the levelwise sum
+refuse a simplex whose coordinate count is not the rank of its level.
 
 Degree 0 makes every level a single copy of M with all operators the
 identity (the discrete simplicial monoid).  Degree 1 is the nerve of M;
@@ -76,6 +78,10 @@ class EMSpace:
     """
 
     def __init__(self, monoid: CommutativeMonoid, degree: int, dim_bound: int):
+        if type(degree) is not int or type(dim_bound) is not int:
+            raise ValueError(
+                f"degree and dimension bound must be ints, got {degree!r} and {dim_bound!r}"
+            )
         if degree < 0 or dim_bound < 0:
             raise ValueError("degree and dimension bound must be non-negative")
         self.monoid = monoid
@@ -165,7 +171,7 @@ class EMSpace:
         apply, width = plan
         if len(coords) != width:
             raise self._width_error(x)
-        return tuple.__new__(EMSimplex, (k - 1, apply(coords)))
+        return tuple.__new__(EMSimplex, (level - 1, apply(coords)))
 
     def degeneracy(self, k: int, j: int, x: EMSimplex) -> EMSimplex:
         level, coords = x
@@ -179,7 +185,7 @@ class EMSpace:
         apply, width = plan
         if len(coords) != width:
             raise self._width_error(x)
-        return tuple.__new__(EMSimplex, (k + 1, apply(coords)))
+        return tuple.__new__(EMSimplex, (level + 1, apply(coords)))
 
     def _width_error(self, x: EMSimplex) -> ValueError:
         return ValueError(
@@ -254,23 +260,29 @@ def _gather(positions: list[int]):
     return itemgetter(*positions) if positions else (lambda coords: ())
 
 
+# per fiber layout, the maker of its face kernel, shared by every space: a
+# sweep builds fresh spaces on every pass
+_KERNELS: dict[tuple, object] = {}
+
+
 def _face_plan(fibers: list[tuple[int, ...]], monoid: CommutativeMonoid):
     """The i-th face as one function on coordinate tuples.  Every fiber has
-    one or two sources (the repeat-set lemma in ``emhorn.horn._solve``), so
-    it gathers each fiber's first source and folds in its second."""
-    gather = _gather([fiber[0] for fiber in fibers])
-    second = tuple((tgt, fiber[1]) for tgt, fiber in enumerate(fibers) if len(fiber) > 1)
-    if not second:
-        return gather
-    op = monoid.op
-
-    def fold(coords):
-        out = list(gather(coords))
-        for tgt, src in second:
-            out[tgt] = op(out[tgt], coords[src])
-        return tuple(out)
-
-    return fold
+    one or two sources (the repeat-set lemma in ``emhorn.horn._solve``).  A
+    face whose fibers all have one source is a gather; otherwise its plan is
+    a function compiled once per layout, one tuple display whose term per
+    fiber is ``c[a]`` or ``op(c[a], c[b])``, bound to this monoid's ``op``."""
+    if all(len(fiber) == 1 for fiber in fibers):
+        return _gather([fiber[0] for fiber in fibers])
+    layout = tuple(fibers)
+    make = _KERNELS.get(layout)
+    if make is None:
+        terms = "".join(
+            f"c[{f[0]:d}]," if len(f) == 1 else f"op(c[{f[0]:d}],c[{f[1]:d}])," for f in fibers
+        )
+        scope: dict = {}
+        exec(f"def make(op):\n    return lambda c: ({terms})", scope)
+        make = _KERNELS[layout] = scope["make"]
+    return make(monoid.op)
 
 
 def _degeneracy_plan(targets: list[int], size: int, identity: Element):

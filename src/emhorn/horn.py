@@ -897,6 +897,8 @@ def _sweep(
     mirror was decided earlier, and the first failure and the first horn with
     two fillers always lie in a decided shape.
     """
+    if type(max_dim) is not int or bound is not None and type(bound) is not int:
+        raise ValueError(f"sweep dimension and bound must be ints, got {max_dim!r} and {bound!r}")
     if bound is not None and bound < 0:
         raise ValueError(f"coordinate bound {bound} is negative")
     if not 0 <= max_dim <= target.dim_bound:
@@ -945,10 +947,11 @@ def sweep_quasicategory(
     Over infinite coefficients the bound caps face coordinates, so a pass
     is bounded evidence, never a proof; a failure is a genuine witness.
     Over a finite monoid every element is enumerated and no bound applies.
-    A ``max_dim`` outside ``0..target.dim_bound``, like a negative bound,
-    raises ``ValueError`` before any horn is enumerated.  Only the shapes
-    with ``2k <= n`` are solved: the reversal ``K(M,d) ~ K(M,d)^op`` takes
-    ``(n, k)`` to ``(n, n-k)``, horn for horn and filler for filler.
+    A ``max_dim`` outside ``0..target.dim_bound``, like a negative bound or
+    either one not an int, raises ``ValueError`` before any horn is
+    enumerated.  Only the shapes with ``2k <= n`` are solved: the reversal
+    ``K(M,d) ~ K(M,d)^op`` takes ``(n, k)`` to ``(n, n-k)``, horn for horn
+    and filler for filler.
     """
     return _sweep(target, max_dim, bound, inner_only=True, check_unique=check_unique)
 

@@ -378,3 +378,27 @@ def compatible_faces_reference(given, level, piece):
                 yield from extend(chosen + piece(x), picked + [faces])
 
     return extend((), [])
+
+
+def face_plan_reference(fibers: list, op):
+    """The i-th face as a loop over its fibers: each fiber's first source,
+    with its second folded in by ``op``, in target order."""
+
+    def fold(coords):
+        out = [coords[fiber[0]] for fiber in fibers]
+        for tgt, fiber in enumerate(fibers):
+            if len(fiber) > 1:
+                out[tgt] = op(out[tgt], coords[fiber[1]])
+        return tuple(out)
+
+    return fold
+
+
+def logging_op(op, calls: list):
+    """``op``, appending each call's arguments to ``calls``."""
+
+    def logged(a, b):
+        calls.append((a, b))
+        return op(a, b)
+
+    return logged

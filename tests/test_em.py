@@ -4,15 +4,18 @@ from math import comb
 
 import pytest
 
+import emhorn.em
 from emhorn.delta import MonotoneMap, coface
 from emhorn.em import EMSimplex, EMSpace, NerveView
-from emhorn.horn import build_constraints, horn_from_simplex, solve_em
+from emhorn.horn import _horn_shape, build_constraints, horn_from_simplex, solve_em
 from emhorn.monoid import boolean, cyclic, int_group, nat, trivial
 from support import (
     degeneracy_by_composition,
     em_homomorphism_violations,
     em_identity_violations,
     face_by_composition,
+    face_plan_reference,
+    logging_op,
     reversal,
     reverse_simplex,
     unit_vectors,
@@ -59,6 +62,20 @@ class TestConstruction:
         for K in (K_nat2, EMSpace(int_group(), 1, 3), EMSpace(cyclic(2), 1, 3)):
             with pytest.raises(ValueError, match="coordinate bound -1 is negative"):
                 K.enumerate_level(2, bound=-1)
+
+    @pytest.mark.parametrize("degree", [True, 2.0])
+    def test_a_degree_that_is_not_an_int_is_refused(self, degree):
+        # True == 1 would name the space K(N,True)
+        message = f"degree and dimension bound must be ints, got {degree} and 3"
+        with pytest.raises(ValueError, match=message):
+            EMSpace(nat(), degree, 3)
+
+    @pytest.mark.parametrize("dim_bound", [True, 4.0])
+    def test_a_truncation_that_is_not_an_int_is_refused(self, dim_bound):
+        # True == 1 would report "truncation 0..True"
+        message = f"degree and dimension bound must be ints, got 2 and {dim_bound}"
+        with pytest.raises(ValueError, match=message):
+            EMSpace(nat(), 2, dim_bound)
 
     def test_simplex_validates_width(self, K_nat2):
         with pytest.raises(ValueError):
@@ -132,6 +149,16 @@ class TestFaces:
                     x = K.random_simplex(k, rng, 50)
                     for i in range(k + 1):
                         assert K.face(k, i, x) == face_by_composition(K, k, i, x)
+
+    def test_operators_take_their_level_from_the_simplex(self, K_nat2):
+        # an equal level of another type is accepted, but the result lies one
+        # level below or above the simplex, at an int level, never at 1.0
+        for level in (2.0, 2):
+            d = K_nat2.face(level, 0, K_nat2.zero(2))
+            assert d == K_nat2.zero(1) and type(d.level) is int
+        for level in (2, 2.0):
+            s = K_nat2.degeneracy(level, 0, K_nat2.simplex(2, (5,)))
+            assert s == K_nat2.simplex(3, (5, 0, 0)) and type(s.level) is int
 
     def test_face_level_mismatch_rejected(self, K_nat2):
         with pytest.raises(ValueError):
@@ -458,3 +485,126 @@ class TestWideOperators:
                 for i in range(k + 1):
                     sizes = {len(fiber) for fiber in K.face_fibers(k, i)}
                     assert sizes <= {1, 2}, (degree, k, i, sizes)
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """An empty face kernel cache in place of the process's, so a test sees
+    every kernel it compiles."""
+    cache = {}
+    monkeypatch.setattr(emhorn.em, "_KERNELS", cache)
+    return cache
+
+
+def logged(make):
+    """The monoid ``make()`` with its ``op`` logging to a list: the monoid,
+    its own ``op`` and the list."""
+    M, calls = make(), []
+    op, M.op = M.op, logging_op(M.op, calls)
+    return M, op, calls
+
+
+def assert_as_reference(apply, calls, fibers, op, coords):
+    """``apply`` gives what the loop fold over ``fibers`` gives on
+    ``coords``, with the same ``op`` calls in the same order."""
+    expected = []
+    want = face_plan_reference(fibers, logging_op(op, expected))(coords)
+    calls.clear()
+    assert apply(coords) == want
+    assert calls == expected
+
+
+class TestFaceKernels:
+    """Face plans, generated per fiber layout, against the loop fold."""
+
+    MONOIDS = [nat, lambda: cyclic(3), boolean]
+
+    @pytest.mark.parametrize("make", MONOIDS, ids=["nat", "cyclic3", "bool"])
+    def test_every_face_table_against_the_loop_fold(self, make, kernels):
+        rng = random.Random(7)
+        folding = set()
+        for degree in range(5):
+            M, op, calls = logged(make)
+            K = EMSpace(M, degree, 7)
+            for k in range(1, 8):
+                for i in range(k + 1):
+                    fibers = K.face_fibers(k, i)
+                    x = K.random_simplex(k, rng, 50)
+                    assert_as_reference(lambda c: K.face(k, i, EMSimplex(k, c)).coords,
+                                        calls, fibers, op, x.coords)
+                    if any(len(fiber) == 2 for fiber in fibers):
+                        folding.add(tuple(fibers))
+        # one kernel per layout that folds, none for a gather
+        assert set(kernels) == folding
+
+    @pytest.mark.parametrize("make", MONOIDS, ids=["nat", "cyclic3", "bool"])
+    def test_every_horn_shape_against_the_loop_fold(self, make, kernels):
+        rng = random.Random(8)
+        for degree in range(4):
+            M, op, calls = logged(make)
+            K = EMSpace(M, degree, 5)
+            for n in range(1, 6):
+                for k in range(n + 1):
+                    shape = _horn_shape(K, n, k)
+                    y = K.random_simplex(n, rng, 50)
+                    fibers = [f for i in shape.given for f in K.face_fibers(n, i)]
+                    assert_as_reference(shape.faces_of, calls, fibers, op, y.coords)
+                    # the compatibility plans, on data that need not be compatible
+                    width = K.rank(n - 1)
+                    xs = [K.random_simplex(n - 1, rng, 50).coords for _ in shape.given]
+                    coords = sum(xs, ())
+                    shape.violation(K, coords)
+                    left, right, _ = shape.check
+                    slot = {i: pos * width for pos, i in enumerate(shape.given)}
+                    pairs = [(i, j) for i in shape.given for j in shape.given if i < j]
+                    for plan, face, over in ((left, lambda i, j: i, lambda i, j: j),
+                                          (right, lambda i, j: j - 1, lambda i, j: i)):
+                        fibers = [
+                            tuple(slot[over(i, j)] + s for s in f)
+                            for i, j in pairs
+                            for f in K.face_fibers(n - 1, face(i, j))
+                        ]
+                        assert_as_reference(plan, calls, fibers, op, coords)
+
+    def test_width_zero_levels_compile_nothing(self, kernels):
+        for degree in range(1, 5):
+            M, _, calls = logged(nat)
+            K = EMSpace(M, degree, degree)
+            for k in range(1, degree + 1):
+                for i in range(k + 1):
+                    assert K.face(k, i, K.zero(k)) == EMSimplex(k - 1, ())
+        assert kernels == {} and calls == []
+
+    def test_a_792_coordinate_layout(self, kernels):
+        M, op, calls = logged(lambda: cyclic(5))
+        K = EMSpace(M, 5, 12)
+        x = K.random_simplex(12, random.Random(12))
+        assert len(x.coords) == 792
+        for i in range(13):
+            fibers = K.face_fibers(12, i)
+            assert_as_reference(lambda c: K.face(12, i, EMSimplex(12, c)).coords,
+                                calls, fibers, op, x.coords)
+        assert len(kernels) == 11  # faces 0 and 12 only gather
+
+    def test_spaces_of_one_degree_share_layouts_each_with_its_op(self, kernels):
+        K_nat, K_mod = EMSpace(nat(), 2, 4), EMSpace(cyclic(3), 2, 4)
+        assert K_nat.face(3, 1, K_nat.simplex(3, (2, 2, 2))).coords == (4,)
+        assert len(kernels) == 1
+        assert K_mod.face(3, 1, K_mod.simplex(3, (2, 2, 2))).coords == (1,)
+        assert len(kernels) == 1
+        assert K_nat.face(4, 2, K_nat.simplex(4, (1,) * 6)) == K_nat.simplex(3, (2, 1, 2))
+        assert K_mod.face(4, 2, K_mod.simplex(4, (2,) * 6)) == K_mod.simplex(3, (1, 2, 1))
+        assert len(kernels) == 2
+
+    def test_a_second_space_of_one_degree_compiles_nothing(self, kernels):
+        compiled = []
+        for make in (nat, boolean):
+            K = EMSpace(make(), 3, 7)
+            for k in range(1, 8):
+                for i in range(k + 1):
+                    K.face(k, i, K.zero(k))
+            for n in range(1, 8):
+                for k in range(n + 1):
+                    _horn_shape(K, n, k).violation(K, K.zero(n - 1).coords * n)
+            compiled.append(dict(kernels))
+        assert compiled[0] and compiled[1] == compiled[0]

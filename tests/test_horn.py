@@ -997,6 +997,25 @@ class TestSweeps:
         report = sweep_kan(EMSpace(cyclic(2), 2, 2), 0)
         assert report.passed and report.instances == 0
 
+    @pytest.mark.parametrize("max_dim", [True, 2.0])
+    def test_a_dimension_that_is_not_an_int_is_refused(self, max_dim):
+        # True == 1 and 2.0 == 2 would pass the range check and print
+        # "up to dimension True"
+        message = f"sweep dimension and bound must be ints, got {max_dim} and 3"
+        with pytest.raises(ValueError, match=message):
+            sweep_kan(EMSpace(nat(), 2, 4), max_dim)
+        with pytest.raises(ValueError, match=message):
+            sweep_quasicategory(EMSpace(nat(), 2, 4), max_dim)
+
+    @pytest.mark.parametrize("bound", [True, 2.0])
+    def test_a_bound_that_is_not_an_int_is_refused(self, bound):
+        message = f"sweep dimension and bound must be ints, got 2 and {bound}"
+        with pytest.raises(ValueError, match=message):
+            sweep_kan(EMSpace(nat(), 2, 4), 2, bound=bound)
+        with pytest.raises(ValueError, match=message):
+            sweep_quasicategory(EMSpace(cyclic(2), 2, 4), 2, bound=bound)
+        assert sweep_kan(EMSpace(cyclic(2), 2, 4), 2, bound=None).passed
+
     @pytest.mark.parametrize("sweep, shapes", [(sweep_kan, 9), (sweep_quasicategory, 3)])
     def test_bound_zero_is_a_bound(self, sweep, shapes):
         # every coordinate is 0, so each shape up to 3 has the one zero
