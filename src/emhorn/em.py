@@ -18,11 +18,13 @@ M the naturals and degree 2 at level 3, where the generators are 0012,
     d0 (a, b, c) = (a)        d1 (a, b, c) = (a + b)
     d2 (a, b, c) = (b + c)    d3 (a, b, c) = (c)
 
-into the single level-2 coordinate at the generator 012.  A face with a
-two-source fiber runs as one generated function, compiled once per fiber
-layout in a process and shared by every space; here d1 is
-``lambda c: (op(c[0],c[1]),)``.  The operators and the levelwise sum
-refuse a simplex whose coordinate count is not the rank of its level.
+into the single level-2 coordinate at the generator 012.  Every face
+plan, for one face here or for faces of simplices laid end to end in
+``emhorn.horn``, comes from ``_face_plan``.  A plan with a two-source fiber
+runs as one generated function, compiled once per fiber layout in a process
+and shared by every space; here d1 is ``lambda c: (op(c[0],c[1]),)``.  The
+operators and the levelwise sum refuse a simplex whose coordinate count is
+not the rank of its level; a level must be an int.
 
 Degree 0 makes every level a single copy of M with all operators the
 identity (the discrete simplicial monoid).  Degree 1 is the nerve of M;
@@ -52,6 +54,12 @@ class EMSimplex(namedtuple("EMSimplex", "level coords")):
         if type(coords) is not tuple:
             coords = tuple(coords)
         return tuple.__new__(cls, (level, coords))
+
+
+def _level(k):
+    if type(k) is not int:  # ``True`` would read level 1's tables
+        raise ValueError(f"level must be an int, got {k!r}")
+    return k
 
 
 class _Levels(dict):
@@ -105,7 +113,7 @@ class EMSpace:
         return f"K({self.monoid.name},{self.degree})"
 
     def gen_names(self, k: int) -> list[str]:
-        if k not in self._gen_names:
+        if _level(k) not in self._gen_names:
             self._gen_names[k] = tuple(str(g) for g in self.gens[k])
         return list(self._gen_names[k])
 
@@ -114,10 +122,10 @@ class EMSpace:
         return len(self.gens[k])
 
     def zero(self, k: int) -> EMSimplex:
-        return tuple.__new__(EMSimplex, (k, (self.monoid.identity,) * self.rank(k)))
+        return tuple.__new__(EMSimplex, (k, (self.monoid.identity,) * self.rank(_level(k))))
 
     def simplex(self, k: int, coords: Sequence[Element]) -> EMSimplex:
-        if len(coords) != self.rank(k):
+        if len(coords) != self.rank(_level(k)):
             raise self._width_error(EMSimplex(k, coords))
         return tuple.__new__(EMSimplex, (k, tuple(coords)))
 
@@ -137,9 +145,9 @@ class EMSpace:
             self._face_fibers[key] = [tuple(f) for f in fibers]
         return self._face_fibers[key]
 
-    # face, a horn shape's filler check and a sweep's level listing build
-    # their plans from this alias, so an override of face_fibers sees only the
-    # reads of the shapes' rows and a patched module name is never looked up
+    # every face plan (``_face_plan``) reads its fibers from this alias, so an
+    # override of face_fibers sees only the reads of the shapes' rows and a
+    # patched module name is never looked up
     _fibers = face_fibers
 
     def degeneracy_targets(self, k: int, j: int) -> list[int]:
@@ -166,8 +174,7 @@ class EMSpace:
             raise ValueError(f"simplex at level {level}, face asked at level {k}")
         plan = self._face_plans.get((k, i))
         if plan is None:
-            fibers = self._fibers(k, i)
-            plan = self._face_plans[k, i] = _face_plan(fibers, self.monoid), self.rank(k)
+            plan = self._face_plans[k, i] = _face_plan(self, k, [(0, i)]), self.rank(k)
         apply, width = plan
         if len(coords) != width:
             raise self._width_error(x)
@@ -214,19 +221,15 @@ class EMSpace:
 
     def random_simplex(self, k: int, rng, hint: int = 10) -> EMSimplex:
         """A level-k simplex, one ``monoid.sample`` draw per coordinate."""
-        return tuple.__new__(EMSimplex, (k, self.monoid.samples(rng, hint, self.rank(k))))
+        return tuple.__new__(EMSimplex, (k, self.monoid.samples(rng, hint, self.rank(_level(k)))))
 
     def enumerate_level(self, k: int, bound: int | None = None) -> list[EMSimplex]:
         """All level-k simplices, each coordinate in ``monoid.values(bound)``."""
-        rank = self.rank(k)
+        rank = self.rank(_level(k))
         return [
             tuple.__new__(EMSimplex, (k, coords))
             for coords in itertools.product(self.monoid.values(bound), repeat=rank)
         ]
-
-    def contains(self, k: int, x) -> bool:
-        """Whether ``x`` is a level-k simplex with every coordinate in the monoid."""
-        return self.first_outside(k, {k: x}) is None
 
     def first_outside(self, k: int, simplices: dict):
         """The first key of ``simplices``, in the dict's order, whose value is
@@ -265,12 +268,14 @@ def _gather(positions: list[int]):
 _KERNELS: dict[tuple, object] = {}
 
 
-def _face_plan(fibers: list[tuple[int, ...]], monoid: CommutativeMonoid):
-    """The i-th face as one function on coordinate tuples.  Every fiber has
-    one or two sources (the repeat-set lemma in ``emhorn.horn._solve``).  A
-    face whose fibers all have one source is a gather; otherwise its plan is
-    a function compiled once per layout, one tuple display whose term per
-    fiber is ``c[a]`` or ``op(c[a], c[b])``, bound to this monoid's ``op``."""
+def _face_plan(K: EMSpace, k: int, parts: list[tuple[int, int]]):
+    """Per part ``(at, i)``, face i of the level-k simplex whose coordinates
+    start at ``at`` (at 0, the cached fibers), concatenated, as one function
+    on coordinate tuples.  Every fiber has one or two sources (the repeat-set
+    lemma in ``emhorn.horn._solve``).  A gather where all have one, else a
+    function compiled once per layout, one tuple display whose term per fiber
+    is ``c[a]`` or ``op(c[a], c[b])``, bound to ``K``'s ``op``."""
+    fibers = [tuple(at + s for s in f) if at else f for at, i in parts for f in K._fibers(k, i)]
     if all(len(fiber) == 1 for fiber in fibers):
         return _gather([fiber[0] for fiber in fibers])
     layout = tuple(fibers)
@@ -282,7 +287,7 @@ def _face_plan(fibers: list[tuple[int, ...]], monoid: CommutativeMonoid):
         scope: dict = {}
         exec(f"def make(op):\n    return lambda c: ({terms})", scope)
         make = _KERNELS[layout] = scope["make"]
-    return make(monoid.op)
+    return make(K.monoid.op)
 
 
 def _degeneracy_plan(targets: list[int], size: int, identity: Element):

@@ -41,10 +41,10 @@ horns and holds the given face indices, the rows and the layout of the
 faces' concatenated coordinates, which are the right-hand sides.  Its
 ``faces_of`` gives all given faces of a level-n simplex, concatenated in
 the same layout, in one call, so a filler is checked by one comparison
-with the right-hand sides.  The face compatibilities
-d_i x_j = d_{j-1} x_i, one row per given pair i < j and level-(n-2)
-generator, become two face plans over the same coordinates, built on the
-shape's first validation; a horn is compatible when both give one tuple.
+with the right-hand sides.  The face compatibilities d_i x_j = d_{j-1} x_i
+are the shape's given pairs i < j and two face plans over the same
+coordinates, one block of rows per pair, built on its first validation; a
+horn is compatible when both give one tuple.  Every plan is ``_face_plan``'s.
 Validation checks every face's membership in one call to the target,
 which names the first bad face, then lays out the right-hand sides once
 for that check; ``build_constraints`` lays them out again for its system.
@@ -178,9 +178,8 @@ class _HornShape:
         # a level-n simplex's given faces, their coordinates concatenated in
         # face order, as one plan; built from the fibers ``face`` reads, so
         # the check that a filler has the given faces never reads ``rows``
-        fibers = [fiber for i in self.given for fiber in K._fibers(n, i)]
-        self.faces_of = _face_plan(fibers, K.monoid)
-        self.check = None  # (left, right, owners), built on the shape's first validation
+        self.faces_of = _face_plan(K, n, [(0, i) for i in self.given])
+        self.check = None  # (left, right, pairs), built on the shape's first validation
         self.fill = None  # (filler map, steps), built by ``_solve`` on its first filled horn
 
     def coords(self, faces: dict) -> tuple:
@@ -198,28 +197,20 @@ class _HornShape:
         """The first given pair i < j with d_i x_j != d_{j-1} x_i, else None,
         for the faces whose concatenated coordinates are ``coords``.
 
-        The first call builds ``check``: per given pair i < j, in order, and
-        level-(n-2) generator, the left plan sums a fiber of face i over x_j
-        and the right one a fiber of face j-1 over x_i; ``owners`` holds
-        each row's pair."""
+        The first call builds ``check``: the given pairs i < j, in order, and
+        per pair a block of one row per level-(n-2) generator, the left plan
+        giving d_i x_j and the right one d_{j-1} x_i."""
+        n = len(self.given)  # every index of [n] but k
         if self.check is None:
-            given = self.given
-            n = len(given)  # every index of [n] but k
-            width = K.rank(n - 1)
-            slot = {i: pos * width for pos, i in enumerate(given)}
-            left, right, owners = [], [], []
-            for pos, i in enumerate(given):
-                for j in given[pos + 1 :]:
-                    for lf, rf in zip(K.face_fibers(n - 1, i), K.face_fibers(n - 1, j - 1)):
-                        left.append(tuple(slot[j] + s for s in lf))
-                        right.append(tuple(slot[i] + s for s in rf))
-                        owners.append((i, j))
-            self.check = _face_plan(left, K.monoid), _face_plan(right, K.monoid), owners
-        left, right, owners = self.check
+            slot = {i: pos * K.rank(n - 1) for pos, i in enumerate(self.given)}
+            pairs = [(i, j) for pos, i in enumerate(self.given) for j in self.given[pos + 1 :]]
+            left = _face_plan(K, n - 1, [(slot[j], i) for i, j in pairs])
+            self.check = left, _face_plan(K, n - 1, [(slot[i], j - 1) for i, j in pairs]), pairs
+        left, right, pairs = self.check
         lhs, rhs = left(coords), right(coords)
         if lhs == rhs:
             return None
-        return next(owners[row] for row, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+        return next(pairs[row // K.rank(n - 2)] for row, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
 
 
 def _horn_shape(K: EMSpace, n: int, k: int) -> _HornShape:
@@ -554,7 +545,9 @@ def solve_em(system: ConstraintSystem) -> FillerResult:
 
 
 def count_fillers(system: ConstraintSystem, limit: int = 2) -> int:
-    """How many fillers exist, counted up to ``limit``, which must be at least 1."""
+    """How many fillers exist, counted up to ``limit``, an int at least 1."""
+    if type(limit) is not int:
+        raise ValueError(f"filler count limit must be an int, got {limit!r}")
     if limit < 1:
         raise ValueError(f"filler count limit {limit} is below 1")
     problem = system.problem
@@ -768,8 +761,7 @@ def _level_faces(target: EMSpace, n: int, bound: int | None) -> list:
     level = target.enumerate_level(n - 1, bound=bound)
     if n == 1:
         return [(x, ()) for x in level]
-    fibers = [fiber for i in range(n) for fiber in target._fibers(n - 1, i)]
-    faces_of = _face_plan(fibers, target.monoid)
+    faces_of = _face_plan(target, n - 1, [(0, i) for i in range(n)])
     width = target.rank(n - 2)
     cut = itemgetter(*[slice(i * width, (i + 1) * width) for i in range(n)])
     ids: dict = {}

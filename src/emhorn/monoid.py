@@ -105,6 +105,8 @@ class CommutativeMonoid:
     def values(self, bound: int | None = None) -> Sequence[Element]:
         """The coefficients a coordinate ranges over: every element of a
         finite monoid, else those of absolute value at most ``bound``."""
+        if bound is not None and type(bound) is not int:
+            raise ValueError(f"coordinate bound must be an int, got {bound!r}")
         if bound is not None and bound < 0:
             raise ValueError(f"coordinate bound {bound} is negative")
         if self.is_finite:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import comb
 
 import pytest
@@ -62,6 +63,32 @@ class TestConstruction:
         for K in (K_nat2, EMSpace(int_group(), 1, 3), EMSpace(cyclic(2), 1, 3)):
             with pytest.raises(ValueError, match="coordinate bound -1 is negative"):
                 K.enumerate_level(2, bound=-1)
+
+    @pytest.mark.parametrize("bound", [True, 2.5])
+    def test_enumeration_refuses_a_bound_that_is_not_an_int(self, K_nat2, bound):
+        # True == 1 would enumerate bound 1, and range(2.5) raises a TypeError
+        message = re.escape(f"coordinate bound must be an int, got {bound!r}")
+        with pytest.raises(ValueError, match=message):
+            K_nat2.enumerate_level(3, bound=bound)
+
+    @pytest.mark.parametrize("level", [True, 2.0, "2"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda K, level: K.zero(level),
+            lambda K, level: K.simplex(level, (0,)),
+            lambda K, level: K.random_simplex(level, random.Random(0)),
+            lambda K, level: K.enumerate_level(level, bound=1),
+            lambda K, level: K.gen_names(level),
+        ],
+        ids=["zero", "simplex", "random_simplex", "enumerate_level", "gen_names"],
+    )
+    def test_a_level_that_is_not_an_int_is_refused(self, K_nat2, call, level):
+        # with levels 1 and 2 read, True and 2.0 would find their tables:
+        # zero(True) would give a simplex at level True
+        K_nat2.gen_names(1), K_nat2.gen_names(2)
+        with pytest.raises(ValueError, match=re.escape(f"level must be an int, got {level!r}")):
+            call(K_nat2, level)
 
     @pytest.mark.parametrize("degree", [True, 2.0])
     def test_a_degree_that_is_not_an_int_is_refused(self, degree):
@@ -380,7 +407,7 @@ class TestSimplexWidth:
             lambda: K_nat2.simplex(level, ()),
             lambda: K_nat2.random_simplex(level, random.Random(0)),
             lambda: K_nat2.enumerate_level(level, bound=1),
-            lambda: K_nat2.contains(level, EMSimplex(level, ())),
+            lambda: K_nat2.first_outside(level, {level: EMSimplex(level, ())}),
             lambda: K_nat2.gen_names(level),
         ]
         for call in calls:
@@ -449,8 +476,8 @@ class TestSimplexContract:
         assert repr(EMSimplex(2, (5,))) == "EMSimplex(level=2, coords=(5,))"
 
     def test_a_plain_tuple_is_not_contained(self, K_nat2):
-        assert K_nat2.contains(2, EMSimplex(2, (5,)))
-        assert not K_nat2.contains(2, (2, (5,)))
+        assert K_nat2.first_outside(2, {2: EMSimplex(2, (5,))}) is None
+        assert K_nat2.first_outside(2, {2: (2, (5,))}) is not None
 
 
 class TestWideOperators:
@@ -565,6 +592,31 @@ class TestFaceKernels:
                             for f in K.face_fibers(n - 1, face(i, j))
                         ]
                         assert_as_reference(plan, calls, fibers, op, coords)
+
+    @pytest.mark.parametrize("make", MONOIDS, ids=["nat", "cyclic3", "bool"])
+    def test_hand_written_parts_against_the_loop_fold(self, make, kernels):
+        # level 4 of K(M,2) has 6 coordinates; a part may start at any
+        # offset, in any order, and one face may come twice
+        M, op, calls = logged(make)
+        K = EMSpace(M, 2, 5)
+        rng = random.Random(9)
+        coords = sum((K.random_simplex(4, rng, 50).coords for _ in range(3)), ())
+        cases = [[], [(0, 2)], [(6, 1), (0, 3), (12, 2)], [(5, 2), (5, 2)], [(3, 0), (12, 4), (1, 1)]]
+        for parts in cases:
+            fibers = [tuple(s + at for s in f) for at, i in parts for f in K.face_fibers(4, i)]
+            plan = emhorn.em._face_plan(K, 4, parts)
+            assert_as_reference(plan, calls, fibers, op, coords)
+            assert len(plan(coords)) == 3 * len(parts)
+
+    def test_a_shifted_plan_shares_the_kernel_of_its_layout(self, kernels):
+        # at level 3 of K(N,2), d1 sums coordinates 0 and 1 and d2 sums 1
+        # and 2, so d1 of a simplex starting at coordinate 1 has d2's layout
+        K = EMSpace(nat(), 2, 4)
+        assert K.face_fibers(3, 1) == [(0, 1)] and K.face_fibers(3, 2) == [(1, 2)]
+        unshifted = emhorn.em._face_plan(K, 3, [(0, 2)])
+        shifted = emhorn.em._face_plan(K, 3, [(1, 1)])
+        assert list(kernels) == [((1, 2),)]
+        assert unshifted((1, 2, 4)) == (6,) and shifted((9, 1, 2, 4)) == (3,)
 
     def test_width_zero_levels_compile_nothing(self, kernels):
         for degree in range(1, 5):

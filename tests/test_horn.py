@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -306,6 +307,25 @@ class TestCompiledValidation:
                     verdicts[_agrees_with_pairwise_validation(HornProblem(K, n, p.k, faces))] += 1
         assert verdicts[True] and verdicts[False]
 
+    def test_only_the_last_pairs_block_differs(self):
+        # over bool, clearing the coordinate 01222 of x_5 changes d_4 x_5
+        # alone: d_0 and d_1 send 01222 to the basepoint, and d_2 adds it to
+        # 01122, which is set.  The first row that differs is the last of
+        # the last block, row 29 of 10 blocks of rank(3) = 3 rows each.
+        K = EMSpace(boolean(), 2, 5)
+        y = K.simplex(5, (1, 1, 1, 1, 0, 0, 1, 1, 1, 1))
+        faces = dict(horn_from_simplex(K, 5, 3, y).faces)
+        faces[5] = K.simplex(4, (1, 0, 0, 1, 1, 0))
+        assert K.gen_names(4)[5] == "01222" and face_by_composition(K, 5, 5, y).coords[5] == 1
+        p = HornProblem(K, 5, 3, faces)
+        shape = horn_module._horn_shape(K, 5, 3)
+        assert shape.violation(K, shape.coords(faces)) == (4, 5)
+        left, right, pairs = shape.check
+        assert pairs[-1] == (4, 5) and len(pairs) == 10 and K.rank(3) == 3
+        lhs, rhs = left(shape.coords(faces)), right(shape.coords(faces))
+        assert [row for row in range(len(lhs)) if lhs[row] != rhs[row]] == [29]
+        assert not _agrees_with_pairwise_validation(p)
+
     def test_the_check_is_built_once_per_shape_on_first_validation(self):
         K = EMSpace(int_group(), 2, 4)
 
@@ -441,14 +461,24 @@ class TestSolveEM:
             assert count_fillers(system, 5) == len(M.elements)
             assert solve_em(system).filler == K.zero(2)
 
-    @pytest.mark.parametrize("limit", [0, -1])
-    def test_count_limit_below_one_is_refused(self, limit):
+    @pytest.mark.parametrize(
+        "limit, message",
+        [
+            (0, "filler count limit 0 is below 1"),
+            (-1, "filler count limit -1 is below 1"),
+            # over bool, 2.5 would raise a bare TypeError at n = d and count 1 at n = 3
+            (2.5, "filler count limit must be an int, got 2.5"),
+            (True, "filler count limit must be an int, got True"),
+        ],
+    )
+    def test_a_limit_that_is_not_an_int_at_least_one_is_refused(self, limit, message):
         K = EMSpace(nat(), 2, 3)
         p = HornProblem(K, 2, 1, {0: K.simplex(1, ()), 2: K.simplex(1, ())})
         B = EMSpace(boolean(), 2, 3)
         q = HornProblem(B, 3, 1, {i: B.simplex(2, (1,)) for i in (0, 2, 3)})
-        for system in (build_constraints(K, p), build_constraints(B, q)):
-            with pytest.raises(ValueError, match=f"filler count limit {limit} is below 1"):
+        r = HornProblem(B, 2, 1, {0: B.simplex(1, ()), 2: B.simplex(1, ())})
+        for system in (build_constraints(K, p), build_constraints(B, q), build_constraints(B, r)):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 count_fillers(system, limit)
 
     def test_no_capability_raises(self):
@@ -700,6 +730,17 @@ class TestBruteForce:
                 p = HornProblem(K, n, k, {i: K.zero(n - 1) for i in range(n + 1) if i != k})
                 res = brute_force_filler(K, p)
                 assert res.found
+
+    @pytest.mark.parametrize("bound", [True, 2.5])
+    def test_a_bound_that_is_not_an_int_is_refused(self, bound):
+        # True == 1 would scan bound 1, and range(2.5) raises a TypeError
+        K = EMSpace(nat(), 2, 3)
+        p = HornProblem(K, 3, 1, {i: K.simplex(2, (1,)) for i in (0, 2, 3)})
+        message = f"coordinate bound must be an int, got {bound!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            brute_force_filler(K, p, value_bound=bound)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(iter_compatible_horn_data(K, 3, 1, bound=bound))
 
     def test_reference_scan_counts_multiplicity(self):
         K = EMSpace(boolean(), 2, 3)

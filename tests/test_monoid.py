@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -350,13 +351,23 @@ class TestValues:
         with pytest.raises(UndecidableError):
             bare.values(3)
 
-    def test_a_negative_bound_is_refused_everywhere(self):
+    @pytest.mark.parametrize(
+        "bound, message",
+        [
+            (-1, "coordinate bound -1 is negative"),
+            # True == 1 would list range(2), and range(2.5) raises a TypeError
+            (True, "coordinate bound must be an int, got True"),
+            (2.5, "coordinate bound must be an int, got 2.5"),
+            ("3", "coordinate bound must be an int, got '3'"),
+        ],
+    )
+    def test_a_bound_that_is_not_a_non_negative_int_is_refused_everywhere(self, bound, message):
         bare = CommutativeMonoid("bare", 0, lambda a, b: a + b)
         for M in (nat(), int_group(), cyclic(3), boolean(), bare):
-            with pytest.raises(ValueError, match="coordinate bound -1 is negative"):
-                M.values(-1)
-            with pytest.raises(ValueError, match="coordinate bound -1 is negative"):
-                M.sample(random.Random(0), -1)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                M.values(bound)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                M.sample(random.Random(0), bound)
 
     def test_sampling_draws_what_randrange_drew(self):
         for M, draw in (

@@ -25,7 +25,8 @@ its two workers:
     python tools/mutation_check.py
 
 It prints each surviving mutant and the counts, and exits 1 if a mutant
-survives or an entry of ``EQUIVALENT`` matches no mutant.
+survives or an entry of ``EQUIVALENT`` matches no mutant.  A ``TARGETS``
+entry that names no function stops it before any test runs, with exit 1.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ TARGETS = {
     ],
     "em": [
         "_Levels.__missing__", "EMSpace.face_fibers", "EMSpace.degeneracy_targets",
-        "EMSpace.face", "EMSpace.degeneracy", "EMSpace.contains", "EMSpace.first_outside",
+        "EMSpace.face", "EMSpace.degeneracy", "EMSpace.first_outside",
         "_gather", "_face_plan", "_degeneracy_plan",
     ],
     "monoid": ["CommutativeMonoid.__init__", "CommutativeMonoid.values", "from_table"],
@@ -84,12 +85,14 @@ SWAP = {
 }
 
 
-def _function(tree: ast.Module, qualname: str) -> ast.AST:
+def _function(tree: ast.Module, qualname: str) -> ast.AST | None:
+    """The function or class that ``qualname`` names in ``tree``, else None."""
     node = tree
     for part in qualname.split("."):
         node = next(
-            n for n in node.body
-            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part
+            (n for n in getattr(node, "body", ())
+             if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part),
+            None,
         )
     return node
 
@@ -211,6 +214,15 @@ def main() -> int:
     # starts: a mutant that enumerates a huge level fails at the cap instead
     # of taking the host's memory, and the tests themselves stay far below it
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+    parsed = {module: ast.parse((PACKAGE / f"{module}.py").read_text()) for module in TARGETS}
+    missing = [
+        qualname for module, qualnames in TARGETS.items()
+        for qualname in qualnames if _function(parsed[module], qualname) is None
+    ]
+    for qualname in missing:
+        print(f"target names no function: {qualname}")
+    if missing:
+        return 1
     todo = list(mutants())
     labels = {label for _, label, _ in todo}
     stale = [label for label in EQUIVALENT if label not in labels]
