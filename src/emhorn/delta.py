@@ -25,42 +25,34 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 
 
-class MonotoneMap:
+class MonotoneMap(namedtuple("MonotoneMap", "values cod")):
     """A weakly increasing map [m] -> [n], determined by its value tuple.
 
-    Immutable and hashable; it equals only a ``MonotoneMap`` with the same
-    values and codomain.  Every construction checks the values."""
+    A named tuple, so immutable, hashable and equal to a plain tuple of its
+    fields.  Every construction checks the values and the codomain, which
+    must be ints (``bool`` refused)."""
 
-    __slots__ = ("values", "cod")
+    __slots__ = ()
 
-    def __init__(self, values, cod: int):
+    def __new__(cls, values, cod: int):
         values = tuple(values)
         if not values:
             raise ValueError("a monotone map has at least one value; [m] is never empty")
+        if type(cod) is not int:
+            raise ValueError(f"codomain {cod!r} is not an int")
         if cod < 0:
             raise ValueError(f"codomain [{cod}] is not an ordinal")
-        if any(v < 0 or v > cod for v in values):
-            raise ValueError(f"values {values} leave the codomain [{cod}]")
+        for v in values:
+            if type(v) is not int:
+                raise ValueError(f"value {v!r} of {values} is not an int")
+            if v < 0 or v > cod:
+                raise ValueError(f"values {values} leave the codomain [{cod}]")
         if any(a > b for a, b in zip(values, values[1:])):
             raise ValueError(f"values {values} are not weakly increasing")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "cod", cod)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a MonotoneMap")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a MonotoneMap")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.values == other.values and self.cod == other.cod
-
-    def __hash__(self) -> int:
-        return hash((self.values, self.cod))
+        return tuple.__new__(cls, (values, cod))
 
     @property
     def dom(self) -> int:

@@ -50,20 +50,19 @@ which names the first bad face, then lays out the right-hand sides once
 for that check; ``build_constraints`` lays them out again for its system.
 
 Every horn maps into an ``EMSpace``; the exhaustive scan over its level
-set (``brute_force_filler``) is kept as an oracle for the solver.  Results
-are frozen values, their certificate steps named tuples rendered when they
-are built, each in one pass.  ``Equation`` and ``CertStep`` are
-``collections.namedtuple``s; the other records are plain classes on
-``_Record``, which gives field equality, a field repr and no hash, and
-``FillerResult`` alone is frozen and hashable, so importing the module
-loads no ``dataclasses`` or ``typing``.  A sweep lists each level once,
-with its simplices' faces, and joins it into each shape's horns, each as its
-concatenated coordinates: faces are chosen in given-index order, each
-looked up by its faces at the earlier indices, which must equal d_{j-1}
-of the earlier choices, so the horns come in the lexicographic order of
-the product.  It decides each, for up to two fillers if asked, builds a
-``HornProblem`` and a result only for its witnesses, and validates only a
-failing one: a checked filler y proves its data compatible,
+set (``brute_force_filler``) is kept as an oracle for the solver.  Every
+record is a ``collections.namedtuple`` subclass, immutable and equal to a
+plain tuple of its fields, so importing the module loads no ``dataclasses``
+or ``typing``; one hashes when its fields do, save ``SweepReport``, which
+never does.  Certificate steps are rendered when built, each in one pass.
+A sweep lists each level once, with its simplices' faces, and joins it
+into each shape's horns, each as its concatenated coordinates: faces are
+chosen in given-index order, each looked up by its faces at the earlier
+indices, which must equal d_{j-1} of the earlier choices, so the horns
+come in the lexicographic order of the product.  It decides each, for up
+to two fillers if asked, builds a ``HornProblem`` and a result only for
+its witnesses, and its report once, and validates only a failing horn:
+a checked filler y proves its data compatible,
 d_i x_j = d_i d_j y = d_{j-1} d_i y = d_{j-1} x_i.
 """
 
@@ -78,29 +77,10 @@ from .em import EMSimplex, EMSpace, _face_plan, _gather
 from .monoid import CommutativeMonoid, UndecidableError, nat
 
 
-class _Record:
-    """Equality, repr and no hash for the records below: a record's fields
-    are its instance attributes, set in order by its ``__init__``, and its
-    repr leaves out those named in ``_hidden``."""
-
-    __hash__ = None
-    _hidden = ()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if k not in self._hidden)
-        return f"{type(self).__qualname__}({fields})"
-
-
-class HornProblem(_Record):
+class HornProblem(namedtuple("HornProblem", "target n k faces")):
     """Faces i -> x_i for every i except k, aimed at an n-simplex."""
 
-    def __init__(self, target: EMSpace, n: int, k: int, faces: dict):
-        self.target, self.n, self.k, self.faces = target, n, k, faces
+    __slots__ = ()
 
     def describe(self) -> str:
         return f"Lambda^{self.k}[{self.n}] -> {self.target.name}"
@@ -225,14 +205,14 @@ def _horn_shape(K: EMSpace, n: int, k: int) -> _HornShape:
     return shape
 
 
-class ConstraintSystem(_Record):
+class ConstraintSystem(namedtuple("ConstraintSystem", "problem shape rhs")):
     """The filler conditions of one horn: the rows of its shape, shared by
     every horn of that shape, and this horn's right-hand sides in row order."""
 
-    _hidden = ("shape", "rhs")
+    __slots__ = ()
 
-    def __init__(self, problem: HornProblem, shape: _HornShape, rhs: tuple):
-        self.problem, self.shape, self.rhs = problem, shape, rhs
+    def __repr__(self) -> str:  # the shape's default repr holds a memory address
+        return f"ConstraintSystem(problem={self.problem!r})"
 
     @property
     def equations(self) -> list[Equation]:
@@ -269,21 +249,10 @@ default to None.  A named tuple, so immutable and equal to a plain tuple
 of the same value."""
 
 
-class FillerResult(_Record):
-    """A verdict: the filler or None, the certificate steps and a note.
-    Frozen, and hashed by its fields."""
+class FillerResult(namedtuple("FillerResult", "filler steps note", defaults=((), None))):
+    """A verdict: the filler or None, the certificate steps and a note."""
 
-    def __init__(self, filler: EMSimplex | None, steps: tuple = (), note: str | None = None):
-        self.__dict__.update(filler=filler, steps=steps, note=note)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a FillerResult")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a FillerResult")
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
+    __slots__ = ()
 
     @property
     def found(self) -> bool:
@@ -594,7 +563,9 @@ def brute_force_filler(
     target: EMSpace, problem: HornProblem, value_bound: int | None = None
 ) -> FillerResult:
     """Exhaustive scan oracle: the first candidate of level n, in canonical
-    order, that has the given faces, else the scan size."""
+    order, that has the given faces, else the scan size.  The note names
+    ``value_bound`` only over an infinite monoid: a finite one lists every
+    element whatever the bound, so its scan is a proof."""
     _require_target(target, problem)
     _require_compatible(problem)
     shape = _horn_shape(target, problem.n, problem.k)
@@ -604,7 +575,7 @@ def brute_force_filler(
     if y is not None:
         return FillerResult(y, (), f"scan of {len(candidates)} candidates")
     note = f"exhausted scan of all {len(candidates)} level-{problem.n} candidates"
-    if value_bound is not None:
+    if value_bound is not None and not target.monoid.is_finite:
         note += f" (coordinate bound {value_bound})"
     return FillerResult(None, (CertStep("exhausted", None, note, None),), note)
 
@@ -613,9 +584,8 @@ def brute_force_filler(
 # The inner-horn counterexample over the naturals
 
 
-class CounterexampleReport(_Record):
-    def __init__(self, problem: HornProblem, result: FillerResult):
-        self.problem, self.result = problem, result
+class CounterexampleReport(namedtuple("CounterexampleReport", "problem result")):
+    __slots__ = ()
 
     def lines(self) -> list[str]:
         M = self.problem.target.monoid
@@ -810,24 +780,15 @@ def _compatible_faces(given: tuple, level: list, piece) -> Iterator[tuple]:
         yield from map(chosen.__add__, get(tuple(map(pick, faces)), ()))
 
 
-class SweepReport(_Record):
-    def __init__(
-        self,
-        target: str,
-        mode: str,
-        max_dim: int,
-        bound: int | None,
-        instances: int,
-        passed: bool,
-        witness: HornProblem | None = None,
-        witness_result: FillerResult | None = None,
-        unique: bool | None = None,
-        nonunique_witness: HornProblem | None = None,
-    ):
-        self.target, self.mode, self.max_dim, self.bound = target, mode, max_dim, bound
-        self.instances, self.passed, self.witness = instances, passed, witness
-        self.witness_result, self.unique = witness_result, unique
-        self.nonunique_witness = nonunique_witness
+class SweepReport(
+    namedtuple(
+        "SweepReport",
+        "target mode max_dim bound instances passed witness witness_result unique nonunique_witness",
+        defaults=(None,) * 4,
+    )
+):
+    __slots__ = ()
+    __hash__ = None  # unhashable with or without a witness, whose faces are a dict
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -899,7 +860,7 @@ def _sweep(
         bound = None  # every element is enumerated, so no bound applies
     mode = "quasicategory" if inner_only else "kan"
     unique = True if check_unique else None
-    report = SweepReport(target.name, mode, max_dim, bound, 0, True, unique=unique)
+    instances, nonunique_witness = 0, None
     limit = 2 if check_unique else 1
     for n in range(1, max_dim + 1):
         ks = range(1, n) if inner_only else range(n + 1)
@@ -907,25 +868,30 @@ def _sweep(
         level = _level_faces(target, n, bound)
         for k in ks:
             if 2 * k > n:
-                report.instances += counts[n - k]
+                instances += counts[n - k]
                 continue
-            before = report.instances
+            before = instances
             shape = _horn_shape(target, n, k)
             for rhs in _compatible_faces(shape.given, level, lambda x: x.coords):
-                report.instances += 1
+                instances += 1
                 solutions, count, steps, values, note = _solve(target, n, shape, rhs, limit)
                 if not solutions:
                     problem = HornProblem(target, n, k, shape.faces(rhs))
                     _require_compatible(problem)
-                    report.passed, report.witness = False, problem
                     steps = _render_steps(ConstraintSystem(problem, shape, rhs), steps, values, note)
-                    report.witness_result = FillerResult(None, steps, note)
-                    return report
-                if count > 1 and report.unique:
-                    report.unique = False
-                    report.nonunique_witness = HornProblem(target, n, k, shape.faces(rhs))
-            counts[k] = report.instances - before
-    return report
+                    result = FillerResult(None, steps, note)
+                    return SweepReport(
+                        target.name, mode, max_dim, bound, instances, False,
+                        problem, result, unique, nonunique_witness,
+                    )
+                if count > 1 and unique:
+                    unique = False
+                    nonunique_witness = HornProblem(target, n, k, shape.faces(rhs))
+            counts[k] = instances - before
+    return SweepReport(
+        target.name, mode, max_dim, bound, instances, True,
+        unique=unique, nonunique_witness=nonunique_witness,
+    )
 
 
 def sweep_quasicategory(

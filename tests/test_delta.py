@@ -62,7 +62,22 @@ class TestMonotoneMap:
             MonotoneMap((0,), -1)
         assert MonotoneMap((0, 0), 0).values == (0, 0)
 
-    def test_immutable_hashable_and_equal_only_to_maps(self):
+    @pytest.mark.parametrize(
+        "values, cod, message",
+        [
+            ((0.5, 1), 1, r"value 0\.5 of \(0\.5, 1\) is not an int"),
+            ((0, 2.0), 2, r"value 2\.0 of \(0, 2\.0\) is not an int"),
+            ((True, 1), 1, r"value True of \(True, 1\) is not an int"),
+            ((0, 1), 1.0, r"codomain 1\.0 is not an int"),
+            ((0, 1), True, r"codomain True is not an int"),
+        ],
+        ids=["float value", "float last value", "bool value", "float codomain", "bool codomain"],
+    )
+    def test_rejects_values_and_codomains_that_are_not_ints(self, values, cod, message):
+        with pytest.raises(ValueError, match=message):
+            MonotoneMap(values, cod)
+
+    def test_immutable_hashable_and_equal_to_the_tuple_of_its_fields(self):
         f = MonotoneMap([0, 1, 1, 2], 2)
         assert f.values == (0, 1, 1, 2)  # coerced to a tuple
         for name in ("values", "cod"):
@@ -70,7 +85,7 @@ class TestMonotoneMap:
                 setattr(f, name, (0,))
         assert hash(f) == hash(m("0112", 2))
         assert len({f, m("0112", 2), m("0122", 2), m("0112", 3)}) == 3
-        assert f != (0, 1, 1, 2) and f != ((0, 1, 1, 2), 2) and not f == ((0, 1, 1, 2), 2)
+        assert f != (0, 1, 1, 2) and f == ((0, 1, 1, 2), 2)
         assert repr(f) == "MonotoneMap((0, 1, 1, 2), cod=2)"
 
 

@@ -731,6 +731,19 @@ class TestBruteForce:
                 res = brute_force_filler(K, p)
                 assert res.found
 
+    def test_an_exhausted_scan_names_a_bound_only_over_an_infinite_monoid(self):
+        # a finite monoid lists every element whatever the bound, so its scan is a proof
+        K = EMSpace(boolean(), 2, 3)
+        faces = {1: K.simplex(2, (0,)), 2: K.simplex(2, (0,)), 3: K.simplex(2, (1,))}
+        horn = HornProblem(K, 3, 0, faces)
+        res = brute_force_filler(K, horn, value_bound=1)
+        assert res.note == "exhausted scan of all 8 level-3 candidates"
+        with pytest.raises(ValueError, match="coordinate bound -1 is negative"):
+            brute_force_filler(K, horn, value_bound=-1)  # the bound is still checked
+        p = quasicategory_counterexample().problem
+        res = brute_force_filler(p.target, p, value_bound=3)
+        assert res.note == "exhausted scan of all 64 level-3 candidates (coordinate bound 3)"
+
     @pytest.mark.parametrize("bound", [True, 2.5])
     def test_a_bound_that_is_not_an_int_is_refused(self, bound):
         # True == 1 would scan bound 1, and range(2.5) raises a TypeError
@@ -949,14 +962,19 @@ class TestRecords:
         assert p == same and not p != same
         assert p != HornProblem(K, 3, 1, {**p.faces, 3: K.simplex(2, (4,))})
         assert p != nat_horn(0, 1, 3)[1]  # another space, compared by identity
-        assert p != (K, 3, 1, p.faces)
+        assert p == (K, 3, 1, p.faces)  # a named tuple equals the plain tuple of its fields
         report, again = (sweep_kan(EMSpace(cyclic(2), 2, 3), 2) for _ in range(2))
         assert report == again
-        again.instances += 1  # a sweep counts into its report
+        again = again._replace(instances=again.instances + 1)
         assert report != again
-        for record in (p, report, build_constraints(K, p), quasicategory_counterexample()):
+        system, counterexample = build_constraints(K, p), quasicategory_counterexample()
+        for record in (p, report, system, counterexample):
             with pytest.raises(TypeError):
                 hash(record)
+        for record in (p, report, system, counterexample, solve_em(system)):
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
 
     def test_reprs(self):
         K, p = nat_horn(0, 1, 3)
@@ -1473,7 +1491,7 @@ class TestSweepRules:
         assert type(result.steps) is tuple and result.steps
         assert all(type(step) is CertStep for step in result.steps)
         assert result.found
-        assert vars(result) == {"filler": result.filler, "steps": result.steps, "note": None}
+        assert result._asdict() == {"filler": result.filler, "steps": result.steps, "note": None}
         assert hash(result) == hash(solve_em(build_constraints(*nat_horn(2, 5, 1))))
         with pytest.raises(AttributeError):
             result.note = "changed"

@@ -63,7 +63,7 @@ TARGETS = {
         "_gather", "_face_plan", "_degeneracy_plan",
     ],
     "monoid": ["CommutativeMonoid.__init__", "CommutativeMonoid.values", "from_table"],
-    "delta": ["MonotoneMap.__init__"],
+    "delta": ["MonotoneMap.__new__"],
     "cli": ["parse_monoid", "parse_simplex", "parse_face"],
 }
 
